@@ -13,8 +13,8 @@ Run with: python3 demos/04_comparison_theorems.py
 import random
 
 from curvegraph import (
+    associated_bdc,
     asymptotic_constant,
-    bdc_as_graph,
     format_rational,
     make_example_gprime,
     make_mirror_model,
@@ -26,10 +26,9 @@ from curvegraph.generators import chain_pair_with_average_hypothesis
 
 rng = random.Random(2024)
 c1, c2 = chain_pair_with_average_hypothesis(rng)
-g1, g2 = bdc_as_graph(c1), bdc_as_graph(c2)
 print("a random pair built to satisfy the averaged-domination hypothesis:")
-print(f"  {stronger_average_growth(g1, 0, g2, 0).describe()}")
-report = volume_comparison(g1, 0, g2, 0)
+print(f"  {stronger_average_growth(c1, c2).describe()}")
+report = volume_comparison(c1, c2)
 print(report.to_text())
 
 print()
@@ -48,7 +47,7 @@ for r in range(1, 5):
 
 print()
 print("domination outside a finite set costs a constant:")
-mirror = make_mirror_model(uc)
-constant, report = asymptotic_constant(bdc_as_graph(uc), 0, mirror, "0", 1)
+mirror = associated_bdc(make_mirror_model(uc), "0")
+constant, report = asymptotic_constant(uc, mirror, 1)
 print(f"  C = {format_rational(constant)}")
 print(report.to_text())

@@ -279,15 +279,17 @@ def _cmd_compare(args) -> int:
     root1 = _resolve_vertex(g1, args.root1)
     root2 = _resolve_vertex(g2, args.root2)
 
-    per_vertex = stronger_curvature_growth(g1, root1, associated_bdc(g2, root2))
-    averaged = stronger_average_growth(g1, root1, g2, root2)
+    c2 = associated_bdc(g2, root2)
+    per_vertex = stronger_curvature_growth(g1, root1, c2)
+    c1 = associated_bdc(g1, root1)
+    averaged = stronger_average_growth(c1, c2)
     outside = None
     if args.outside is not None:
-        outside = stronger_outside_finite(g1, root1, g2, root2, args.outside)
-    volume = volume_comparison(g1, root1, g2, root2)
+        outside = stronger_outside_finite(c1, c2, args.outside)
+    volume = volume_comparison(c1, c2)
     constant = report = None
     if args.constant:
-        constant, report = asymptotic_constant(g1, root1, g2, root2, args.outside)
+        constant, report = asymptotic_constant(c1, c2, args.outside)
 
     if args.json:
         payload = {

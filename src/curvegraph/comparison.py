@@ -1,4 +1,8 @@
-"""Growth relations between rooted graphs and the volume comparison checks.
+"""Growth relations and volume comparisons between chains and rooted graphs.
+
+The averaged relations and the volume theorems compare two birth-death
+chains; a rooted graph enters them through its associated chain. The
+per-vertex relation and the partial-sum checks read the graph itself.
 
 Every checker here evaluates its own hypotheses instead of trusting the
 caller, and a failed conclusion is written into the report rather than
@@ -11,11 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Dict, Optional, Tuple
 
 from .chains import BirthDeathChain, associated_bdc, bdc_as_graph, is_model
 from .curvature import (
-    average_curvature,
     bdc_ollivier_closed_form,
     inner_curvature,
     inner_outer,
@@ -26,13 +30,10 @@ from .errors import CurvegraphError, HorizonExceeded, HorizonMismatch, Hypothesi
 from .graphs import (
     VertexId,
     WeightedGraph,
-    ball_measure,
     format_rational,
     laplacian,
     laplacian_of_distance,
     rooted_decomposition,
-    sphere_boundary,
-    sphere_measure,
 )
 
 
@@ -186,27 +187,46 @@ def _require_span(common: int, start: int, what: str) -> None:
         )
 
 
-def _chain_pair_violation(
-    c1: BirthDeathChain, c2: BirthDeathChain, start: int, common: int
-) -> Optional[Tuple[int, str, str]]:
-    # first radius where c1's averaged curvatures fail to dominate c2's
-    for r in range(start, common + 1):
-        if r <= common - 1:
-            lhs, rhs = c1.outer_curvature(r), c2.outer_curvature(r)
-            if lhs < rhs:
+def _first_violation(entries, model: BirthDeathChain, common: int):
+    """First (r, side, detail) where the entries fail to dominate the model.
+
+    Each entry is (r, outer label, k_plus, inner label, k_minus), in scan
+    order. Its outer side is checked first, and only below the common
+    horizon; k_plus is None at the common horizon.
+    """
+    for r, outer, k_plus, inner, k_minus in entries:
+        if r < common:
+            rhs = model.outer_curvature(r)
+            if k_plus < rhs:
                 return (
                     r,
                     "outer",
-                    f"averaged outer {format_rational(lhs)} < {format_rational(rhs)}",
+                    f"{outer} {format_rational(k_plus)} < {format_rational(rhs)}",
                 )
-        lhs, rhs = c1.inner_curvature(r), c2.inner_curvature(r)
-        if lhs > rhs:
+        rhs = model.inner_curvature(r)
+        if k_minus > rhs:
             return (
                 r,
                 "inner",
-                f"averaged inner {format_rational(lhs)} > {format_rational(rhs)}",
+                f"{inner} {format_rational(k_minus)} > {format_rational(rhs)}",
             )
     return None
+
+
+def _chain_entries(chain: BirthDeathChain, start: int, common: int):
+    for r in range(start, common + 1):
+        k_plus = chain.outer_curvature(r) if r < common else None
+        yield r, "averaged outer", k_plus, "averaged inner", chain.inner_curvature(r)
+
+
+def _relation(kind, violation, threshold: int, common: int) -> GrowthRelation:
+    return GrowthRelation(
+        kind=kind,
+        holds=violation is None,
+        first_violation=violation,
+        threshold_radius=threshold,
+        common_range=(threshold, common),
+    )
 
 
 def stronger_curvature_growth(
@@ -221,7 +241,17 @@ def stronger_curvature_growth(
     decomp = rooted_decomposition(g, x0)
     common = min(decomp.horizon, model_chain.horizon)
     _require_span(common, 1, "stronger-curvature")
-    violation = None
+    entries = (
+        (
+            r,
+            f"vertex {x}: k_plus",
+            outer_curvature(g, decomp, x) if r < common else None,
+            f"vertex {x}: k_minus",
+            inner_curvature(g, decomp, x),
+        )
+        for r in range(common + 1)
+        for x in decomp.sphere(r)
+    )
     if g.measure[x0] != model_chain.measures[0]:
         violation = (
             0,
@@ -229,54 +259,21 @@ def stronger_curvature_growth(
             f"m(root) {format_rational(g.measure[x0])} != "
             f"chain m(0) {format_rational(model_chain.measures[0])}",
         )
-    for r in range(common + 1):
-        if violation is not None:
-            break
-        for x in decomp.sphere(r):
-            if r <= common - 1:
-                lhs = outer_curvature(g, decomp, x)
-                rhs = model_chain.outer_curvature(r)
-                if lhs < rhs:
-                    violation = (
-                        r,
-                        "outer",
-                        f"vertex {x}: k_plus {format_rational(lhs)} < "
-                        f"{format_rational(rhs)}",
-                    )
-                    break
-            lhs = inner_curvature(g, decomp, x)
-            rhs = model_chain.inner_curvature(r)
-            if lhs > rhs:
-                violation = (
-                    r,
-                    "inner",
-                    f"vertex {x}: k_minus {format_rational(lhs)} > "
-                    f"{format_rational(rhs)}",
-                )
-                break
-    return GrowthRelation(
-        kind="stronger-curvature",
-        holds=violation is None,
-        first_violation=violation,
-        threshold_radius=0,
-        common_range=(0, common),
-    )
+    else:
+        violation = _first_violation(entries, model_chain, common)
+    return _relation("stronger-curvature", violation, 0, common)
 
 
-def stronger_average_growth(
-    g1: WeightedGraph, x1: VertexId, g2: WeightedGraph, x2: VertexId
-) -> GrowthRelation:
-    """Radiuswise domination between the two associated chains.
+def stronger_average_growth(c1: BirthDeathChain, c2: BirthDeathChain) -> GrowthRelation:
+    """Radiuswise domination of the second chain's curvatures by the first's.
 
     Holds when the root measures match and, at every common radius, the
-    first graph's averaged outer curvature is >= the second's while its
-    averaged inner curvature is <= the second's.
+    first chain's outer curvature is >= the second's while its inner
+    curvature is <= the second's. On associated chains these are the
+    graphs' averaged sphere curvatures.
     """
-    c1 = associated_bdc(g1, x1)
-    c2 = associated_bdc(g2, x2)
     common = min(c1.horizon, c2.horizon)
     _require_span(common, 1, "stronger-average-curvature")
-    violation = None
     if c1.measures[0] != c2.measures[0]:
         violation = (
             0,
@@ -284,25 +281,17 @@ def stronger_average_growth(
             f"m(root) {format_rational(c1.measures[0])} != "
             f"{format_rational(c2.measures[0])}",
         )
-    if violation is None:
-        violation = _chain_pair_violation(c1, c2, 0, common)
-    return GrowthRelation(
-        kind="stronger-average-curvature",
-        holds=violation is None,
-        first_violation=violation,
-        threshold_radius=0,
-        common_range=(0, common),
-    )
+    else:
+        violation = _first_violation(_chain_entries(c1, 0, common), c2, common)
+    return _relation("stronger-average-curvature", violation, 0, common)
 
 
 def stronger_outside_finite(
-    g1: WeightedGraph, x1: VertexId, g2: WeightedGraph, x2: VertexId, R: int
+    c1: BirthDeathChain, c2: BirthDeathChain, R: int
 ) -> GrowthRelation:
     """The averaged domination restricted to radii >= R; no root-measure tie."""
     if R < 1:
         raise ValueError(f"threshold radius must be >= 1, got {R}")
-    c1 = associated_bdc(g1, x1)
-    c2 = associated_bdc(g2, x2)
     common = min(c1.horizon, c2.horizon)
     if R > common:
         raise HorizonMismatch(
@@ -310,14 +299,8 @@ def stronger_outside_finite(
             threshold=R,
             common=common,
         )
-    violation = _chain_pair_violation(c1, c2, R, common)
-    return GrowthRelation(
-        kind="stronger-outside-finite-set",
-        holds=violation is None,
-        first_violation=violation,
-        threshold_radius=R,
-        common_range=(R, common),
-    )
+    violation = _first_violation(_chain_entries(c1, R, common), c2, common)
+    return _relation("stronger-outside-finite-set", violation, R, common)
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +308,13 @@ def stronger_outside_finite(
 # ---------------------------------------------------------------------------
 
 
-def volume_comparison(
-    g1: WeightedGraph, x1: VertexId, g2: WeightedGraph, x2: VertexId
-) -> TheoremReport:
+def volume_comparison(c1: BirthDeathChain, c2: BirthDeathChain) -> TheoremReport:
     """Averaged curvature domination forces sphere-volume domination.
 
     The hypothesis (stronger average growth) is evaluated, never assumed;
     the ledger lists both sphere volumes at every common radius either way.
     """
-    relation = stronger_average_growth(g1, x1, g2, x2)
-    c1 = associated_bdc(g1, x1)
-    c2 = associated_bdc(g2, x2)
+    relation = stronger_average_growth(c1, c2)
     common = min(c1.horizon, c2.horizon)
     rows = []
     for r in range(common + 1):
@@ -363,15 +342,15 @@ def volume_comparison(
 
 
 def asymptotic_constant(
-    g1: WeightedGraph, x1: VertexId, g2: WeightedGraph, x2: VertexId, R: int
+    c1: BirthDeathChain, c2: BirthDeathChain, R: int
 ) -> Tuple[Fraction, TheoremReport]:
     """Domination outside a finite set gives C * m1(S_r) >= m2(S_r).
 
     C is the largest volume ratio m2/m1 over radii 0..R. Rows past R are
-    cross-checked against the one-step volume recursion (outer average over
-    next inner average), which must reproduce the directly measured volumes.
+    cross-checked against the one-step volume recursion (outer curvature
+    over next inner curvature), which must reproduce the measured volumes.
     """
-    relation = stronger_outside_finite(g1, x1, g2, x2, R)
+    relation = stronger_outside_finite(c1, c2, R)
     if not relation.holds:
         r, side, detail = relation.first_violation
         raise HypothesisFailed(
@@ -379,24 +358,20 @@ def asymptotic_constant(
             radius=r,
             side=side,
         )
-    d1 = rooted_decomposition(g1, x1)
-    d2 = rooted_decomposition(g2, x2)
-    common = min(d1.horizon, d2.horizon)
-    constant = max(
-        sphere_measure(g2, d2, r) / sphere_measure(g1, d1, r) for r in range(R + 1)
-    )
+    m1, m2 = c1.measures, c2.measures
+    common = min(c1.horizon, c2.horizon)
+    constant = max(m2[r] / m1[r] for r in range(R + 1))
     rows = []
     for r in range(common + 1):
-        lhs = constant * sphere_measure(g1, d1, r)
-        rhs = sphere_measure(g2, d2, r)
-        rows.append(LedgerRow(r=r, lhs=lhs, rhs=rhs, ok=lhs >= rhs))
-    lhs_rec = constant * sphere_measure(g1, d1, R)
-    rhs_rec = sphere_measure(g2, d2, R)
+        lhs = constant * m1[r]
+        rows.append(LedgerRow(r=r, lhs=lhs, rhs=m2[r], ok=lhs >= m2[r]))
+    lhs_rec = constant * m1[R]
+    rhs_rec = m2[R]
     for r in range(R, common):
-        lhs_rec *= average_curvature(g1, d1, r, "outer")
-        lhs_rec /= average_curvature(g1, d1, r + 1, "inner")
-        rhs_rec *= average_curvature(g2, d2, r, "outer")
-        rhs_rec /= average_curvature(g2, d2, r + 1, "inner")
+        lhs_rec *= c1.outer_curvature(r)
+        lhs_rec /= c1.inner_curvature(r + 1)
+        rhs_rec *= c2.outer_curvature(r)
+        rhs_rec /= c2.inner_curvature(r + 1)
         direct = (rows[r + 1].lhs, rows[r + 1].rhs)
         if (lhs_rec, rhs_rec) != direct:
             raise CurvegraphError(
@@ -737,17 +712,13 @@ def sc_series_partial_sums(
 
     A diagnostic prefix of a series whose divergence this finite data cannot
     decide; each term is m(B_r) divided by the total weight crossing from
-    sphere r to sphere r+1.
+    sphere r to sphere r+1, read off the associated chain.
     """
-    decomp = rooted_decomposition(g, x0)
-    if R < 0 or R > decomp.horizon - 1:
+    chain = associated_bdc(g, x0)
+    if R < 0 or R > chain.horizon - 1:
         raise HorizonExceeded(
-            f"series terms need boundary weights; valid range 0..{decomp.horizon - 1}",
+            f"series terms need boundary weights; valid range 0..{chain.horizon - 1}",
             radius=R,
         )
-    sums = []
-    total = Fraction(0)
-    for r in range(R + 1):
-        total += ball_measure(g, decomp, r) / sphere_boundary(g, decomp, r)
-        sums.append(total)
-    return tuple(sums)
+    balls = accumulate(chain.measures)
+    return tuple(accumulate(ball / b for ball, b in zip(balls, chain.weights[: R + 1])))

@@ -139,6 +139,12 @@ class CurvatureProfile:
 
 
 def curvature_profile(g: WeightedGraph, decomp: RootedDecomposition) -> CurvatureProfile:
+    """Per-vertex curvatures, and per-radius averages from one sphere pass.
+
+    Sphere r's averaged outer curvature is its boundary weight over m(S_r),
+    its averaged inner curvature the boundary weight of sphere r - 1 over
+    m(S_r).
+    """
     h = decomp.horizon
     per_vertex: Dict[VertexId, Tuple[Fraction, Optional[Fraction]]] = {}
     for v in g.vertices:
@@ -148,18 +154,20 @@ def curvature_profile(g: WeightedGraph, decomp: RootedDecomposition) -> Curvatur
             outer = outer_curvature(g, decomp, v)
         per_vertex[v] = (inner, outer)
     rows = []
+    inward = Fraction(0)
     for r in range(h + 1):
+        volume = sphere_measure(g, decomp, r)
+        boundary = sphere_boundary(g, decomp, r) if r < h else None
         rows.append(
             RadiusSummary(
                 radius=r,
-                avg_inner=average_curvature(g, decomp, r, "inner"),
-                avg_outer=(
-                    average_curvature(g, decomp, r, "outer") if r < h else None
-                ),
-                sphere_volume=sphere_measure(g, decomp, r),
-                boundary=sphere_boundary(g, decomp, r) if r < h else None,
+                avg_inner=inward / volume,
+                avg_outer=None if boundary is None else boundary / volume,
+                sphere_volume=volume,
+                boundary=boundary,
             )
         )
+        inward = boundary
     return CurvatureProfile(
         root=decomp.root,
         per_vertex=per_vertex,

@@ -65,9 +65,13 @@ def format_rational(value: RationalLike) -> str:
 
 
 def label_key(label: VertexId) -> tuple:
-    """Total order over vertex labels; numeric labels sort numerically."""
+    """Total order over vertex labels; numeric labels sort numerically.
+
+    An int label keys like its string form, so the order survives the
+    canonical JSON round trip, which writes every label as a string.
+    """
     if isinstance(label, int) and not isinstance(label, bool):
-        return (0, label, "")
+        return (0, label, str(label))
     text = str(label)
     try:
         return (0, int(text), text)
@@ -107,14 +111,14 @@ class WeightedGraph:
     @property
     def edges(self) -> Tuple[Tuple[VertexId, VertexId, Fraction], ...]:
         """Each undirected edge once, as (u, v, b) with u before v in label order."""
-        out = []
-        for u in self.vertices:
-            ku = label_key(u)
-            for v, w in self.adjacency[u].items():
-                if ku < label_key(v):
-                    out.append((u, v, w))
-        out.sort(key=lambda e: (label_key(e[0]), label_key(e[1])))
-        return tuple(out)
+        # vertices and each adjacency are already in label order
+        rank = {v: i for i, v in enumerate(self.vertices)}
+        return tuple(
+            (u, v, w)
+            for u in self.vertices
+            for v, w in self.adjacency[u].items()
+            if rank[u] < rank[v]
+        )
 
     def to_records(self):
         """(vertex records, edge records) suitable for validate_graph."""
@@ -131,13 +135,19 @@ def validate_graph(
     """Check all graph invariants and return the canonical immutable form.
 
     Zero-weight edge records are dropped; repeating an unordered pair is only
-    allowed with an identical weight. The graph must be connected.
+    allowed with an identical weight. Two labels with the same string form,
+    such as 1 and "1", are duplicates. The graph must be connected.
     """
     measure: dict = {}
+    keys: dict = {}
+    taken: set = set()  # label keys differ exactly where str() forms do
     for label, raw_m in vertex_records:
         _check_label(label)
-        if label in measure:
+        key = label_key(label)
+        if key in taken:
             raise DuplicateVertex(f"duplicate vertex: {label!r}", vertex=str(label))
+        taken.add(key)
+        keys[label] = key
         m = parse_rational(raw_m)
         if m <= 0:
             raise NonPositiveMeasure(
@@ -159,7 +169,7 @@ def validate_graph(
                 u=str(u),
                 v=str(v),
             )
-        pair = (u, v) if label_key(u) < label_key(v) else (v, u)
+        pair = (u, v) if keys[u] < keys[v] else (v, u)
         if pair in seen:
             if seen[pair] != b:
                 raise AsymmetricDuplicateEdge(
@@ -171,14 +181,15 @@ def validate_graph(
             continue
         seen[pair] = b
 
-    order = sorted(measure, key=label_key)
+    order = sorted(measure, key=keys.__getitem__)
     nbrs = {u: {} for u in order}
     for (u, v), b in seen.items():
         if b > 0:
             nbrs[u][v] = b
             nbrs[v][u] = b
     adjacency = {
-        u: {v: nbrs[u][v] for v in sorted(nbrs[u], key=label_key)} for u in order
+        u: {v: nbrs[u][v] for v in sorted(nbrs[u], key=keys.__getitem__)}
+        for u in order
     }
 
     if order:

@@ -110,7 +110,7 @@ def _check_volume_domination(seed: int, instances: int) -> Tuple[str, str]:
     rows = 0
     for _ in range(instances):
         c1, c2 = chain_pair_with_average_hypothesis(rng)
-        report = volume_comparison(bdc_as_graph(c1), 0, bdc_as_graph(c2), 0)
+        report = volume_comparison(c1, c2)
         if not report.hypothesis_checked:
             return "fail", f"generator broke the hypothesis: {report.counterexample}"
         if not report.conclusion_checked:
@@ -121,17 +121,14 @@ def _check_volume_domination(seed: int, instances: int) -> Tuple[str, str]:
 
 def _check_asymptotic_constant(seed: int, instances: int) -> Tuple[str, str]:
     chain = make_unweighted_chain(8)
-    constant, report = asymptotic_constant(
-        bdc_as_graph(chain), 0, make_mirror_model(chain), "0", 1
-    )
+    mirror = associated_bdc(make_mirror_model(chain), "0")
+    constant, report = asymptotic_constant(chain, mirror, 1)
     if constant != 2 or not report.conclusion_checked:
         return "fail", f"mirror pair gave C = {format_rational(constant)}"
     rng = random.Random(f"{seed}:asymptotic")
     for _ in range(instances):
         c1, c2, threshold = chain_pair_outside_hypothesis(rng)
-        value, rep = asymptotic_constant(
-            bdc_as_graph(c1), 0, bdc_as_graph(c2), 0, threshold
-        )
+        value, rep = asymptotic_constant(c1, c2, threshold)
         if not rep.conclusion_checked:
             return (
                 "fail",
@@ -153,7 +150,7 @@ def _check_gap_counterexample() -> Tuple[str, str]:
     lap = laplacian_distance_compare(bdc_as_graph(base), 0, sparse)
     if not lap.conclusion_checked:
         return "fail", "gap domination unexpectedly failed"
-    vol = volume_comparison(bdc_as_graph(base), 0, bdc_as_graph(sparse), 0)
+    vol = volume_comparison(base, sparse)
     if vol.hypothesis_checked or vol.conclusion_checked:
         return "fail", "expected reversed volume growth under the weak hypothesis"
     return "pass", "gap formula exact for r = 1..20; volume conclusion reversed"

@@ -93,9 +93,7 @@ def test_criterion_04_volume_comparison_under_enforced_hypothesis(capsys):
         rng = random.Random("acceptance:04")
         for _ in range(100):
             c1, c2 = chain_pair_with_average_hypothesis(rng)
-            assert stronger_average_growth(
-                bdc_as_graph(c1), 0, bdc_as_graph(c2), 0
-            ).holds
+            assert stronger_average_growth(c1, c2).holds
             common = min(c1.horizon, c2.horizon)
             for r in range(common + 1):
                 assert c1.measures[r] >= c2.measures[r]
@@ -106,7 +104,7 @@ def test_criterion_05_asymptotic_constant(capsys):
         src = make_unweighted_chain(8)
         g1 = bdc_as_graph(src)
         g2 = make_mirror_model(src)
-        constant, report = asymptotic_constant(g1, 0, g2, "0", 1)
+        constant, report = asymptotic_constant(src, associated_bdc(g2, "0"), 1)
         assert constant == Fraction(2)
         d1 = rooted_decomposition(g1, 0)
         d2 = rooted_decomposition(g2, "0")
@@ -117,9 +115,7 @@ def test_criterion_05_asymptotic_constant(capsys):
         rng = random.Random("acceptance:05")
         for _ in range(100):
             c1, c2, threshold = chain_pair_outside_hypothesis(rng)
-            constant, report = asymptotic_constant(
-                bdc_as_graph(c1), 0, bdc_as_graph(c2), 0, threshold
-            )
+            constant, report = asymptotic_constant(c1, c2, threshold)
             assert constant == max(
                 c2.measures[r] / c1.measures[r] for r in range(threshold + 1)
             )

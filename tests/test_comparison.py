@@ -37,6 +37,7 @@ from curvegraph.generators import (
     chain_pair_matched_start,
     chain_pair_outside_hypothesis,
     chain_pair_with_average_hypothesis,
+    random_chain,
 )
 
 from conftest import graphs_with_root
@@ -85,20 +86,20 @@ def test_no_common_radii_raises():
 
 
 def test_average_growth_reflexive(figure1):
-    rel = stronger_average_growth(figure1, "w", figure1, "w")
+    c = associated_bdc(figure1, "w")
+    rel = stronger_average_growth(c, c)
     assert rel.holds
 
 
 def test_chain_vs_mirror_fails_only_at_root():
     src = make_unweighted_chain(8)
-    g1 = bdc_as_graph(src)
-    g2 = make_mirror_model(src)
-    rel = stronger_average_growth(g1, 0, g2, "0")
+    mirror = associated_bdc(make_mirror_model(src), "0")
+    rel = stronger_average_growth(src, mirror)
     assert not rel.holds
     r, side, _detail = rel.first_violation
     assert (r, side) == (0, "outer")
     # from radius 1 on the averaged inequalities hold
-    assert stronger_outside_finite(g1, 0, g2, "0", 1).holds
+    assert stronger_outside_finite(src, mirror, 1).holds
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -106,7 +107,7 @@ def test_chain_vs_mirror_fails_only_at_root():
 def test_enforced_pairs_satisfy_average_growth(seed):
     rng = random.Random(seed)
     c1, c2 = chain_pair_with_average_hypothesis(rng)
-    rel = stronger_average_growth(bdc_as_graph(c1), 0, bdc_as_graph(c2), 0)
+    rel = stronger_average_growth(c1, c2)
     assert rel.holds
 
 
@@ -134,23 +135,50 @@ def test_per_vertex_domination_implies_averaged(gr):
         measures.append(weights[r] / inner_max[r])
     weak = BirthDeathChain(measures=tuple(measures), weights=tuple(weights))
     assert stronger_curvature_growth(g, root, weak).holds
-    assert stronger_average_growth(g, root, bdc_as_graph(weak), 0).holds
+    assert stronger_average_growth(associated_bdc(g, root), weak).holds
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(seed=st.integers(0, 10**6), dominating=st.booleans())
+def test_per_vertex_and_averaged_scans_agree_on_paths(seed, dominating):
+    # each sphere of a chain's path graph is one vertex, so the per-vertex
+    # scan and the averaged scan see the same curvatures
+    rng = random.Random(seed)
+    if dominating:
+        c1, c2 = chain_pair_with_average_hypothesis(rng)
+    else:
+        c1, c2 = random_chain(rng), random_chain(rng)
+    per_vertex = stronger_curvature_growth(bdc_as_graph(c1), 0, c2)
+    averaged = stronger_average_growth(c1, c2)
+    assert per_vertex.holds == averaged.holds
+    assert (per_vertex.first_violation or ())[:2] == (averaged.first_violation or ())[:2]
+    assert per_vertex.common_range == averaged.common_range
+
+
+def test_outer_side_checked_through_the_last_common_radius_but_one():
+    # c1 falls short only on the outer side at r = common - 1
+    c1 = BirthDeathChain(measures=(1, 1, 1), weights=(1, Fraction(1, 2)))
+    c2 = make_unweighted_chain(2)
+    averaged = stronger_average_growth(c1, c2)
+    assert averaged.first_violation == (1, "outer", "averaged outer 1/2 < 1/1")
+    per_vertex = stronger_curvature_growth(bdc_as_graph(c1), 0, c2)
+    assert per_vertex.first_violation == (1, "outer", "vertex 1: k_plus 1/2 < 1/1")
+    assert stronger_outside_finite(c1, c2, 1).first_violation == averaged.first_violation
 
 
 # --- outside a finite set ---
 
 
 def test_outside_finite_rejects_bad_threshold(figure1):
+    c = associated_bdc(figure1, "w")
     with pytest.raises(ValueError):
-        stronger_outside_finite(figure1, "w", figure1, "w", 0)
+        stronger_outside_finite(c, c, 0)
     with pytest.raises(HorizonMismatch):
-        stronger_outside_finite(figure1, "w", figure1, "w", 9)
+        stronger_outside_finite(c, c, 9)
 
 
 def test_chain_vs_gprime_fails_outside_too():
-    g1 = bdc_as_graph(make_unweighted_chain(8))
-    g2 = bdc_as_graph(make_example_gprime(8))
-    rel = stronger_outside_finite(g1, 0, g2, 0, 1)
+    rel = stronger_outside_finite(make_unweighted_chain(8), make_example_gprime(8), 1)
     assert not rel.holds
     assert rel.first_violation[:2] == (1, "inner")
 
@@ -158,15 +186,14 @@ def test_chain_vs_gprime_fails_outside_too():
 def test_full_hypothesis_is_monotone_in_threshold():
     rng = random.Random("monotone")
     c1, c2 = chain_pair_with_average_hypothesis(rng)
-    g1, g2 = bdc_as_graph(c1), bdc_as_graph(c2)
     common = min(c1.horizon, c2.horizon)
     for threshold in range(1, common + 1):
-        assert stronger_outside_finite(g1, 0, g2, 0, threshold).holds
+        assert stronger_outside_finite(c1, c2, threshold).holds
 
 
 def test_growth_relation_serialization():
     src = make_unweighted_chain(5)
-    rel = stronger_average_growth(bdc_as_graph(src), 0, make_mirror_model(src), "0")
+    rel = stronger_average_growth(src, associated_bdc(make_mirror_model(src), "0"))
     text = rel.describe()
     assert text.startswith("stronger-average-curvature: fails at r = 0, outer side")
     payload = rel.to_json_dict()
@@ -179,15 +206,14 @@ def test_growth_relation_serialization():
 
 
 def test_volume_comparison_equality_case(figure1):
-    report = volume_comparison(figure1, "w", figure1, "w")
+    c = associated_bdc(figure1, "w")
+    report = volume_comparison(c, c)
     assert report.hypothesis_checked and report.conclusion_checked
     assert all(row.lhs == row.rhs for row in report.ledger)
 
 
 def test_volume_comparison_gprime_reversal():
-    report = volume_comparison(
-        bdc_as_graph(make_unweighted_chain(8)), 0, bdc_as_graph(make_example_gprime(8)), 0
-    )
+    report = volume_comparison(make_unweighted_chain(8), make_example_gprime(8))
     assert not report.hypothesis_checked
     assert not report.conclusion_checked
     assert report.ledger[0].ok  # r = 0: equal root measures
@@ -200,7 +226,7 @@ def test_volume_comparison_gprime_reversal():
 def test_volume_comparison_property(seed):
     rng = random.Random(seed)
     c1, c2 = chain_pair_with_average_hypothesis(rng)
-    report = volume_comparison(bdc_as_graph(c1), 0, bdc_as_graph(c2), 0)
+    report = volume_comparison(c1, c2)
     assert report.hypothesis_checked
     assert report.conclusion_checked
 
@@ -211,7 +237,7 @@ def test_volume_comparison_property(seed):
 def test_mirror_constant_is_two():
     src = make_unweighted_chain(8)
     constant, report = asymptotic_constant(
-        bdc_as_graph(src), 0, make_mirror_model(src), "0", 1
+        src, associated_bdc(make_mirror_model(src), "0"), 1
     )
     assert constant == 2
     assert report.conclusion_checked
@@ -219,20 +245,15 @@ def test_mirror_constant_is_two():
 
 
 def test_constant_is_one_for_identical_graphs(figure1):
-    constant, report = asymptotic_constant(figure1, "w", figure1, "w", 1)
+    c = associated_bdc(figure1, "w")
+    constant, report = asymptotic_constant(c, c, 1)
     assert constant == 1
     assert report.conclusion_checked
 
 
 def test_constant_requires_hypothesis():
     with pytest.raises(HypothesisFailed):
-        asymptotic_constant(
-            bdc_as_graph(make_unweighted_chain(8)),
-            0,
-            bdc_as_graph(make_example_gprime(8)),
-            0,
-            1,
-        )
+        asymptotic_constant(make_unweighted_chain(8), make_example_gprime(8), 1)
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
@@ -240,9 +261,7 @@ def test_constant_requires_hypothesis():
 def test_constant_property_outside_pairs(seed):
     rng = random.Random(seed)
     c1, c2, threshold = chain_pair_outside_hypothesis(rng)
-    constant, report = asymptotic_constant(
-        bdc_as_graph(c1), 0, bdc_as_graph(c2), 0, threshold
-    )
+    constant, report = asymptotic_constant(c1, c2, threshold)
     assert constant > 0
     assert report.conclusion_checked
 
@@ -251,9 +270,7 @@ def test_constant_is_one_under_full_hypothesis():
     rng = random.Random("full-hypothesis")
     for _ in range(20):
         c1, c2 = chain_pair_with_average_hypothesis(rng)
-        constant, _report = asymptotic_constant(
-            bdc_as_graph(c1), 0, bdc_as_graph(c2), 0, 1
-        )
+        constant, _report = asymptotic_constant(c1, c2, 1)
         assert constant == 1
 
 
@@ -451,7 +468,8 @@ def test_series_partial_sums_nondecreasing(gr):
 
 
 def test_report_json_schema(figure1):
-    report = volume_comparison(figure1, "w", figure1, "w")
+    c = associated_bdc(figure1, "w")
+    report = volume_comparison(c, c)
     payload = report.to_json_dict()
     assert set(payload) >= {"claim", "hypothesis", "conclusion", "status", "ledger"}
     row = payload["ledger"][0]

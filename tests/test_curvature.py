@@ -22,7 +22,9 @@ from curvegraph import (
     ollivier_pair_bruteforce,
     outer_curvature,
     rooted_decomposition,
+    sphere_boundary,
     sphere_curvature,
+    sphere_measure,
     validate_graph,
     verify_witness,
 )
@@ -109,6 +111,14 @@ def test_profile_boundary_identity(gr):
     for r in range(d.horizon):
         row = prof.per_radius[r]
         assert row.avg_outer * row.sphere_volume == row.boundary
+    # every row against the per-vertex averages and sums, from scratch
+    for r, row in enumerate(prof.per_radius):
+        outer = r < d.horizon
+        assert row.radius == r
+        assert row.avg_inner == average_curvature(g, d, r, "inner")
+        assert row.avg_outer == (average_curvature(g, d, r, "outer") if outer else None)
+        assert row.sphere_volume == sphere_measure(g, d, r)
+        assert row.boundary == (sphere_boundary(g, d, r) if outer else None)
 
 
 # --- Ollivier pairs ---

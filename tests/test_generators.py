@@ -3,11 +3,7 @@
 import random
 from fractions import Fraction
 
-from curvegraph import (
-    bdc_as_graph,
-    stronger_average_growth,
-    stronger_outside_finite,
-)
+from curvegraph import stronger_average_growth, stronger_outside_finite
 from curvegraph.generators import (
     chain_pair_matched_start,
     chain_pair_outside_hypothesis,
@@ -60,9 +56,7 @@ def test_average_hypothesis_pairs_dominate():
         c1, c2 = chain_pair_with_average_hypothesis(rng)
         assert c1.horizon == c2.horizon
         assert c1.measures[0] == c2.measures[0]
-        assert stronger_average_growth(
-            bdc_as_graph(c1), 0, bdc_as_graph(c2), 0
-        ).holds
+        assert stronger_average_growth(c1, c2).holds
 
 
 def test_matched_start_pairs_share_root_curvature():
@@ -77,9 +71,7 @@ def test_outside_pairs_dominate_from_threshold():
     for _ in range(40):
         c1, c2, threshold = chain_pair_outside_hypothesis(rng)
         assert 1 <= threshold <= min(c1.horizon, c2.horizon) - 1
-        assert stronger_outside_finite(
-            bdc_as_graph(c1), 0, bdc_as_graph(c2), 0, threshold
-        ).holds
+        assert stronger_outside_finite(c1, c2, threshold).holds
 
 
 def test_unit_sequences_admissible():

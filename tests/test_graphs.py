@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvegraph import (
     AsymmetricDuplicateEdge,
@@ -38,7 +39,7 @@ from curvegraph import (
 )
 from curvegraph.chains import bdc_as_graph
 
-from conftest import bfs_oracle, graphs_with_root
+from conftest import bfs_oracle, graphs_with_root, rationals
 
 
 # --- rationals ---
@@ -274,6 +275,36 @@ def test_graph_json_round_trip(figure1):
     back = graph_from_json(text)
     assert back == figure1
     assert graph_to_json(back) == text
+
+
+@st.composite
+def mixed_label_records(draw):
+    """Vertex and tree-edge records whose labels mix ints and digit strings."""
+    label = st.one_of(
+        st.integers(min_value=0, max_value=12),
+        st.text(alphabet="01+a ", min_size=1, max_size=3),
+    )
+    labels = draw(st.lists(label, min_size=1, max_size=6, unique=True))
+    vertices = [(v, draw(rationals())) for v in labels]
+    edges = [
+        (labels[draw(st.integers(0, i - 1))], labels[i], draw(rationals()))
+        for i in range(1, len(labels))
+    ]
+    return vertices, edges
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(mixed_label_records())
+def test_graph_json_round_trip_property(records):
+    vertices, edges = records
+    names = [str(v) for v, _m in vertices]
+    if len(set(names)) < len(names):
+        # 1 and "1" would both be written as "id": "1"
+        with pytest.raises(DuplicateVertex):
+            validate_graph(vertices, edges)
+        return
+    text = graph_to_json(validate_graph(vertices, edges))
+    assert graph_to_json(graph_from_json(text)) == text
 
 
 def test_graph_json_is_exact(figure1):
