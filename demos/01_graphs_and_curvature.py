@@ -4,8 +4,8 @@ Run with: python3 demos/01_graphs_and_curvature.py
 """
 
 from curvegraph import (
+    associated_bdc,
     average_curvature,
-    curvature_profile,
     format_rational,
     inner_curvature,
     inner_outer,
@@ -55,12 +55,12 @@ for r in range(decomp.horizon):
     assert vol * avg_out == boundary
 
 print()
-print("the same data in one object, with the averaged curvature gap:")
-profile = curvature_profile(g, decomp)
-for row in profile.per_radius:
-    outer = "-" if row.avg_outer is None else format_rational(row.avg_outer)
+print("the same averages read off the associated birth-death chain:")
+chain = associated_bdc(g, "hub")
+for r in range(chain.horizon + 1):
+    outer = "-" if r == chain.horizon else format_rational(chain.outer_curvature(r))
     print(
-        f"  r={row.radius}: avg inner {format_rational(row.avg_inner)},"
-        f" avg outer {outer}, volume {format_rational(row.sphere_volume)}"
+        f"  r={r}: avg inner {format_rational(chain.inner_curvature(r))},"
+        f" avg outer {outer}, volume {format_rational(chain.measures[r])}"
     )
-print(f"gap at radius 0: {format_rational(profile.gap(0))}")
+print(f"gap at radius 0: {format_rational(chain.curvature_gap(0))}")

@@ -114,8 +114,11 @@ class ModelVerdict:
     that sphere whose curvatures differ.
     """
 
-    is_model: bool
     failures: Tuple[Tuple[int, str, VertexId, VertexId], ...]
+
+    @property
+    def is_model(self) -> bool:
+        return not self.failures
 
 
 def is_model(g: WeightedGraph, root: VertexId) -> ModelVerdict:
@@ -136,7 +139,7 @@ def is_model(g: WeightedGraph, root: VertexId) -> ModelVerdict:
                 if fn(g, decomp, v) != baseline:
                     failures.append((r, side, shell[0], v))
                     break
-    return ModelVerdict(is_model=not failures, failures=tuple(failures))
+    return ModelVerdict(failures=tuple(failures))
 
 
 def bdc_as_graph(chain: BirthDeathChain) -> WeightedGraph:
@@ -222,7 +225,7 @@ def make_mirror_model(chain: BirthDeathChain) -> WeightedGraph:
     """
     h = chain.horizon
     if h < 1:
-        raise ValueError("mirror model needs horizon at least 1")
+        raise HorizonExceeded("mirror model needs horizon at least 1", radius=1)
     vertices = [("0", chain.measures[0])]
     for r in range(1, h + 1):
         vertices.append((str(r), chain.measures[r]))

@@ -62,15 +62,20 @@ Payload = Tuple[str, Union[WeightedGraph, BirthDeathChain]]
 
 
 def _read_source(source: str) -> Tuple[str, str]:
-    if source == "-":
-        return sys.stdin.read(), "<stdin>"
+    name = "<stdin>" if source == "-" else source
     try:
+        if source == "-":
+            return sys.stdin.read(), name
         with open(source, "r", encoding="utf-8") as handle:
-            return handle.read(), source
+            return handle.read(), name
     except OSError as exc:
         raise FormatError(
             f"cannot read {source}: {exc.strerror or exc}", path=source
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(
+            f"{name}: not UTF-8 text (byte {exc.start})", path=source
+        ) from None
 
 
 def _load_payload(source: str) -> Payload:
@@ -161,10 +166,12 @@ def _cmd_curvature(args) -> int:
         radii = [args.radius]
     else:
         radii = list(range(decomp.horizon + 1))
+    chain = associated_bdc(g, root)
     rows = [["r", "vertex", "k_minus", "k_plus", "avg_minus", "avg_plus", "m_Sr"]]
     for r in radii:
-        summary = profile.per_radius[r]
-        avg_plus = "" if summary.avg_outer is None else format_rational(summary.avg_outer)
+        avg_minus = format_rational(chain.inner_curvature(r))
+        avg_plus = format_rational(chain.outer_curvature(r)) if r < chain.horizon else ""
+        m_sr = format_rational(chain.measures[r])
         for v in decomp.sphere(r):
             k_minus, k_plus = profile.per_vertex[v]
             rows.append(
@@ -173,9 +180,9 @@ def _cmd_curvature(args) -> int:
                     str(v),
                     format_rational(k_minus),
                     "" if k_plus is None else format_rational(k_plus),
-                    format_rational(summary.avg_inner),
+                    avg_minus,
                     avg_plus,
-                    format_rational(summary.sphere_volume),
+                    m_sr,
                 ]
             )
     _write_csv(rows)

@@ -45,14 +45,22 @@ class GrowthRelation:
     scanning radii upward and, within a radius, outer before inner. The
     measure normalization, when the relation includes it, reports side
     "measure" at radius 0. common_range is the inclusive radius span that
-    was examined; outer-side checks stop one radius earlier.
+    was examined; outer-side checks stop one radius earlier. holds and
+    threshold_radius are read off those two.
     """
 
     kind: str
-    holds: bool
     first_violation: Optional[Tuple[int, str, str]]
-    threshold_radius: int
     common_range: Tuple[int, int]
+
+    @property
+    def holds(self) -> bool:
+        return self.first_violation is None
+
+    @property
+    def threshold_radius(self) -> int:
+        """First radius examined: 0, or R for the outside-a-finite-set form."""
+        return self.common_range[0]
 
     def describe(self) -> str:
         span = f"r = {self.common_range[0]}..{self.common_range[1]}"
@@ -101,20 +109,23 @@ class TheoremReport:
     """Per-radius ledger for one checked statement.
 
     hypothesis_checked records whether the statement's premises held on this
-    input; conclusion_checked whether every ledger row passed. A report never
-    hides a failure: when the hypothesis holds and an asserted conclusion
-    does not, the discrepancy survives into the output and the verification
-    suite fails on it.
+    input; conclusion_checked, read off the ledger, whether every row passed.
+    A report never hides a failure: when the hypothesis holds and an asserted
+    conclusion does not, the discrepancy survives into the output and the
+    verification suite fails on it.
     """
 
     claim: str
     hypothesis_checked: bool
-    conclusion_checked: bool
     ledger: Tuple[LedgerRow, ...]
     counterexample: Optional[str] = None
     status: str = "asserted"
     common_range: Optional[Tuple[int, int]] = None
     subreports: Tuple["TheoremReport", ...] = ()
+
+    @property
+    def conclusion_checked(self) -> bool:
+        return all(row.ok for row in self.ledger)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -219,16 +230,6 @@ def _chain_entries(chain: BirthDeathChain, start: int, common: int):
         yield r, "averaged outer", k_plus, "averaged inner", chain.inner_curvature(r)
 
 
-def _relation(kind, violation, threshold: int, common: int) -> GrowthRelation:
-    return GrowthRelation(
-        kind=kind,
-        holds=violation is None,
-        first_violation=violation,
-        threshold_radius=threshold,
-        common_range=(threshold, common),
-    )
-
-
 def stronger_curvature_growth(
     g: WeightedGraph, x0: VertexId, model_chain: BirthDeathChain
 ) -> GrowthRelation:
@@ -261,7 +262,7 @@ def stronger_curvature_growth(
         )
     else:
         violation = _first_violation(entries, model_chain, common)
-    return _relation("stronger-curvature", violation, 0, common)
+    return GrowthRelation("stronger-curvature", violation, (0, common))
 
 
 def stronger_average_growth(c1: BirthDeathChain, c2: BirthDeathChain) -> GrowthRelation:
@@ -283,7 +284,7 @@ def stronger_average_growth(c1: BirthDeathChain, c2: BirthDeathChain) -> GrowthR
         )
     else:
         violation = _first_violation(_chain_entries(c1, 0, common), c2, common)
-    return _relation("stronger-average-curvature", violation, 0, common)
+    return GrowthRelation("stronger-average-curvature", violation, (0, common))
 
 
 def stronger_outside_finite(
@@ -300,7 +301,7 @@ def stronger_outside_finite(
             common=common,
         )
     violation = _first_violation(_chain_entries(c1, R, common), c2, common)
-    return _relation("stronger-outside-finite-set", violation, R, common)
+    return GrowthRelation("stronger-outside-finite-set", violation, (R, common))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +334,6 @@ def volume_comparison(c1: BirthDeathChain, c2: BirthDeathChain) -> TheoremReport
     return TheoremReport(
         claim="averaged curvature domination gives sphere-volume domination",
         hypothesis_checked=relation.holds,
-        conclusion_checked=not bad,
         ledger=tuple(rows),
         counterexample="; ".join(notes) if notes else None,
         status="asserted",
@@ -384,7 +384,6 @@ def asymptotic_constant(
             f"C = {format_rational(constant)} (threshold R = {R})"
         ),
         hypothesis_checked=True,
-        conclusion_checked=not bad,
         ledger=tuple(rows),
         counterexample=(
             None
@@ -444,7 +443,6 @@ def laplacian_distance_compare(
             "comparison, per vertex"
         ),
         hypothesis_checked=True,
-        conclusion_checked=not bad,
         ledger=tuple(rows),
         counterexample=(
             None
@@ -508,7 +506,6 @@ def partial_sum_equiv_check(
         TheoremReport(
             claim="partial sums of sphere curvatures, first chain vs second",
             hypothesis_checked=True,
-            conclusion_checked=all(row.ok for row in sum_rows),
             ledger=tuple(sum_rows),
             status="recorded",
             common_range=(1, last),
@@ -516,7 +513,6 @@ def partial_sum_equiv_check(
         TheoremReport(
             claim="curvature gaps, first chain vs second",
             hypothesis_checked=True,
-            conclusion_checked=all(row.ok for row in gap_rows),
             ledger=tuple(gap_rows),
             status="recorded",
             common_range=(1, last),
@@ -528,7 +524,6 @@ def partial_sum_equiv_check(
             "radius, strictness included"
         ),
         hypothesis_checked=True,
-        conclusion_checked=not bad,
         ledger=tuple(main_rows),
         counterexample=(
             None if not bad else f"equivalence fails first at R = {bad[0].r}"
@@ -620,7 +615,6 @@ def compcurv_check(
                 "minimum gap"
             ),
             hypothesis_checked=hyp_two,
-            conclusion_checked=all(row.ok for row in two_rows),
             ledger=tuple(two_rows),
             status="asserted",
             common_range=(0, last),
@@ -631,7 +625,6 @@ def compcurv_check(
                 "the graph's"
             ),
             hypothesis_checked=True,
-            conclusion_checked=all(row.ok for row in assoc_rows),
             ledger=tuple(assoc_rows),
             status="asserted",
             common_range=(1, graph_last),
@@ -643,7 +636,6 @@ def compcurv_check(
             "curvature sum domination"
         ),
         hypothesis_checked=hyp_one,
-        conclusion_checked=not bad_main,
         ledger=tuple(main_rows),
         counterexample=(
             hyp_note
@@ -692,7 +684,6 @@ def model_sphere_equality_report(g: WeightedGraph, root: VertexId) -> TheoremRep
     return TheoremReport(
         claim="model graph sphere curvatures equal the associated chain's",
         hypothesis_checked=True,
-        conclusion_checked=not bad,
         ledger=tuple(rows),
         counterexample=(
             None

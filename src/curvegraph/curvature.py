@@ -4,7 +4,10 @@ Three layers live here:
 
 * inner/outer curvature of a vertex relative to a root (edge weight into the
   previous/next sphere divided by the vertex measure), and their
-  measure-weighted sphere averages;
+  measure-weighted sphere averages. Those averages are the curvatures of the
+  associated birth-death chain, which is where the program reads them from;
+  ``average_curvature`` sums a sphere vertex by vertex and stays as the
+  independent check of that chain;
 * Ollivier curvature of a vertex pair via its Laplacian formulation: the
   infimum of the normalized Laplacian difference over 1-Lipschitz functions
   with unit gradient along the pair. The feasible set is a difference
@@ -34,7 +37,6 @@ from .graphs import (
     WeightedGraph,
     distance_map,
     label_key,
-    sphere_boundary,
     sphere_measure,
 )
 
@@ -105,75 +107,28 @@ def average_curvature(
 
 
 @dataclass(frozen=True)
-class RadiusSummary:
-    radius: int
-    avg_inner: Fraction
-    avg_outer: Optional[Fraction]
-    sphere_volume: Fraction
-    boundary: Optional[Fraction]
-
-
-@dataclass(frozen=True)
 class CurvatureProfile:
-    """Per-vertex and per-radius curvature data for one rooted graph.
+    """Inner and outer curvature of every vertex of one rooted graph.
 
-    Outer-side entries are None on the outermost sphere: the data cannot say
-    what lies beyond it. ``valid_radius`` is the last radius whose outer data
-    is trustworthy.
+    The outer entry is None on the outermost sphere: the data cannot say
+    what lies beyond it. The per-radius averages and sphere volumes are the
+    associated chain's (``chains.associated_bdc``), not stored here.
     """
 
     root: VertexId
     per_vertex: Dict[VertexId, Tuple[Fraction, Optional[Fraction]]]
-    per_radius: Tuple[RadiusSummary, ...]
-    valid_radius: int
-
-    def gap(self, r: int) -> Fraction:
-        """Average outer minus average inner curvature at radius r."""
-        if r < 0 or r > self.valid_radius:
-            raise HorizonExceeded(
-                f"gap undefined at radius {r} (valid through {self.valid_radius})",
-                radius=r,
-            )
-        row = self.per_radius[r]
-        return row.avg_outer - row.avg_inner
 
 
 def curvature_profile(g: WeightedGraph, decomp: RootedDecomposition) -> CurvatureProfile:
-    """Per-vertex curvatures, and per-radius averages from one sphere pass.
-
-    Sphere r's averaged outer curvature is its boundary weight over m(S_r),
-    its averaged inner curvature the boundary weight of sphere r - 1 over
-    m(S_r).
-    """
-    h = decomp.horizon
+    """Per-vertex (inner, outer) curvatures around the decomposition's root."""
     per_vertex: Dict[VertexId, Tuple[Fraction, Optional[Fraction]]] = {}
     for v in g.vertices:
         inner = inner_curvature(g, decomp, v)
         outer = None
-        if decomp.dist[v] < h:
+        if decomp.dist[v] < decomp.horizon:
             outer = outer_curvature(g, decomp, v)
         per_vertex[v] = (inner, outer)
-    rows = []
-    inward = Fraction(0)
-    for r in range(h + 1):
-        volume = sphere_measure(g, decomp, r)
-        boundary = sphere_boundary(g, decomp, r) if r < h else None
-        rows.append(
-            RadiusSummary(
-                radius=r,
-                avg_inner=inward / volume,
-                avg_outer=None if boundary is None else boundary / volume,
-                sphere_volume=volume,
-                boundary=boundary,
-            )
-        )
-        inward = boundary
-    return CurvatureProfile(
-        root=decomp.root,
-        per_vertex=per_vertex,
-        per_radius=tuple(rows),
-        valid_radius=h - 1,
-    )
+    return CurvatureProfile(root=decomp.root, per_vertex=per_vertex)
 
 
 # ---------------------------------------------------------------------------

@@ -54,6 +54,10 @@ def parse_rational(value: RationalLike) -> Fraction:
                 return Fraction(text)
             except ZeroDivisionError:
                 raise FormatError(f"zero denominator: {value!r}") from None
+            except ValueError:  # past the interpreter's int digit limit
+                raise FormatError(
+                    f"rational too long: {len(text)} characters"
+                ) from None
         raise FormatError(f"not a rational: {value!r}")
     raise FormatError(f"not a rational: {value!r}")
 
@@ -157,6 +161,8 @@ def validate_graph(
 
     seen: dict = {}
     for u, v, raw_b in edge_records:
+        _check_label(u)
+        _check_label(v)
         for t in (u, v):
             if t not in measure:
                 raise UnknownVertex(f"edge endpoint not a vertex: {t!r}", vertex=str(t))
@@ -192,23 +198,16 @@ def validate_graph(
         for u in order
     }
 
+    g = WeightedGraph(tuple(order), adjacency=adjacency, measure=measure)
     if order:
-        visited = {order[0]}
-        queue = deque([order[0]])
-        while queue:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                if v not in visited:
-                    visited.add(v)
-                    queue.append(v)
-        if len(visited) != len(order):
-            missing = next(v for v in order if v not in visited)
+        reached = distance_map(g, order[0])
+        if len(reached) != len(order):
+            missing = next(v for v in order if v not in reached)
             raise DisconnectedGraph(
                 f"graph is not connected: {missing!r} unreachable from {order[0]!r}",
                 vertex=str(missing),
             )
-
-    return WeightedGraph(tuple(order), adjacency=adjacency, measure=measure)
+    return g
 
 
 def distance_map(g: WeightedGraph, source: VertexId) -> dict:
@@ -370,7 +369,11 @@ def graph_from_json_dict(payload) -> WeightedGraph:
 
 
 def loads_json(text: str, source: str = "<string>"):
-    """Parse JSON, reporting the parse position in the error detail."""
+    """Parse JSON, reporting the parse position in the error detail.
+
+    Nesting past the recursion limit and integers past the interpreter's
+    digit limit are format errors too.
+    """
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -380,6 +383,10 @@ def loads_json(text: str, source: str = "<string>"):
             line=exc.lineno,
             column=exc.colno,
         ) from None
+    except RecursionError:
+        raise FormatError(f"{source}: JSON nested too deeply", source=source) from None
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise FormatError(f"{source}: JSON number too long", source=source) from None
 
 
 def graph_from_json(text: str, source: str = "<string>") -> WeightedGraph:

@@ -274,8 +274,6 @@ def _check_model_sphere_audit() -> Tuple[str, str]:
     for row in report.ledger:
         if row.ok != (row.lhs == row.rhs):
             return "fail", f"inconsistent ok flag at r = {row.r}"
-    if report.conclusion_checked != all(row.ok for row in report.ledger):
-        return "fail", "conclusion flag does not match the ledger"
     deep = rows[2]
     return (
         "recorded",

@@ -1,0 +1,53 @@
+"""The benchmark's tracer still finds, wraps and restores every function it names.
+
+`bench/tracer.py` patches curvegraph functions by name. A refactor that moves
+or renames one of them should fail here rather than in `bench/run.py --trace 1`.
+"""
+
+import importlib
+import sys
+import types
+from pathlib import Path
+
+from curvegraph import cli
+
+TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def _load_tracer():
+    # executed from source, so no bytecode cache is written next to it
+    module = types.ModuleType("bench_tracer")
+    module.__file__ = str(TRACER_PATH)
+    exec(compile(TRACER_PATH.read_text(), str(TRACER_PATH), "exec"), module.__dict__)
+    return module
+
+
+tracer = _load_tracer()
+
+
+def _bindings():
+    return {
+        (name, attr): value
+        for name, module in sys.modules.items()
+        if name.split(".")[0] == "curvegraph"
+        for attr, value in vars(module).items()
+    }
+
+
+def test_every_traced_name_exists():
+    for layer, names in tracer.LAYERS.items():
+        module = importlib.import_module(f"curvegraph.{layer}")
+        for name in names:
+            assert callable(getattr(module, name, None)), f"curvegraph.{layer}.{name}"
+
+
+def test_tracer_restores_every_patched_attribute():
+    before = _bindings()
+    with tracer.Tracer() as trace:
+        during = _bindings()
+        assert cli.run(["verify", "--seed", "7", "--instances", "1"]) == 0
+    assert any(during[key] is not value for key, value in before.items())
+    assert {span[0] for span in trace.spans} >= {"run", "run_verification", "associated_bdc"}
+    after = _bindings()
+    changed = [key for key, value in before.items() if after.get(key) is not value]
+    assert changed == []

@@ -69,6 +69,33 @@ def test_validate_missing_file(capsys, tmp_path):
     assert "absent.json" in payload["detail"]["path"]
 
 
+def test_validate_non_utf8_file(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"m": ["1"], "b": [], "note": "caf\xe9"}')
+    code, _out, err = run_cli(capsys, ["validate", str(path)])
+    assert code == 1
+    assert json.loads(err)["error"] == "format-error"
+
+
+def test_validate_json_nested_too_deeply(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, _out, err = run_cli(capsys, ["validate", str(path)])
+    assert code == 1
+    assert json.loads(err)["error"] == "format-error"
+
+
+@pytest.mark.parametrize(
+    "number", ["1" * 5000, '"1/' + "1" * 5000 + '"'], ids=["int", "rational"]
+)
+def test_validate_number_past_the_digit_limit(capsys, tmp_path, number):
+    path = tmp_path / "long.json"
+    path.write_text('{"m": [%s], "b": []}' % number)
+    code, _out, err = run_cli(capsys, ["validate", str(path)])
+    assert code == 1
+    assert json.loads(err)["error"] == "format-error"
+
+
 def test_validate_disconnected_graph(capsys, monkeypatch):
     raw = json.dumps(
         {
@@ -270,6 +297,14 @@ def test_gen_mirror_rejects_graph_sources(capsys, figure1_file):
     payload = json.loads(err)
     assert payload["error"] == "format-error"
     assert "bdc" in payload["message"]
+
+
+def test_gen_mirror_of_horizon_zero_chain(capsys, tmp_path):
+    src = tmp_path / "point.json"
+    src.write_text('{"m": ["1"], "b": []}')
+    code, out, err = run_cli(capsys, ["gen", "mirror", "--of", str(src)])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "horizon-exceeded"
 
 
 def test_gen_matching_chain(capsys):

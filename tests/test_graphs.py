@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from curvegraph import (
     AsymmetricDuplicateEdge,
+    CurvegraphError,
     DisconnectedGraph,
     DuplicateVertex,
     FormatError,
@@ -18,11 +19,13 @@ from curvegraph import (
     SelfLoop,
     UnknownVertex,
     ball_measure,
+    chain_from_json_dict,
     degree,
     distance,
     distance_map,
     format_rational,
     graph_from_json,
+    graph_from_json_dict,
     graph_to_json,
     inner_outer,
     label_key,
@@ -111,6 +114,9 @@ def test_duplicate_pair_same_weight_tolerated():
         ([("a", 1)], [("a", "b", 1)], UnknownVertex),
         ([(1.5, 1)], [], FormatError),
         ([(-3, 1)], [], FormatError),
+        ([(1, 1), (2, 1)], [(2, True, 1)], FormatError),
+        ([(1, 1), (2, 1)], [(2, 1.0, 1)], FormatError),
+        ([(1, 1), (2, 1)], [(2, ["a"], 1)], FormatError),
     ],
 )
 def test_validation_errors(vertices, edges, exc):
@@ -305,6 +311,45 @@ def test_graph_json_round_trip_property(records):
         return
     text = graph_to_json(validate_graph(vertices, edges))
     assert graph_to_json(graph_from_json(text)) == text
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+# plausible labels and rationals, so that some documents get past the schema
+labels = st.sampled_from([0, 1, "1", "a", "b"]) | json_values
+numbers = st.sampled_from([1, "1/2", "3", 0, "-1"]) | st.integers(1, 9) | json_values
+
+
+@st.composite
+def graph_documents(draw):
+    vertex = st.fixed_dictionaries({"id": labels, "m": numbers})
+    edge = st.fixed_dictionaries({"u": labels, "v": labels, "b": numbers})
+    return {
+        "vertices": draw(st.lists(vertex | json_values, max_size=4)),
+        "edges": draw(st.lists(edge | json_values, max_size=4)),
+    }
+
+
+@st.composite
+def chain_documents(draw):
+    m = draw(st.lists(numbers, max_size=4))
+    fits = max(len(m) - 1, 0)
+    b = draw(st.lists(numbers, min_size=fits, max_size=fits) | st.lists(numbers, max_size=3))
+    return {"m": m, "b": b}
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(graph_documents(), chain_documents())
+def test_json_shaped_payloads_load_or_raise_domain_errors(graph_doc, chain_doc):
+    for load, doc in ((graph_from_json_dict, graph_doc), (chain_from_json_dict, chain_doc)):
+        try:
+            load(doc)
+        except CurvegraphError:
+            pass
 
 
 def test_graph_json_is_exact(figure1):
