@@ -32,20 +32,20 @@ print("per-vertex curvature (inner, outer):")
 for r in range(decomp.horizon + 1):
     for v in decomp.sphere(r):
         if r < decomp.horizon:
-            k_minus, k_plus = inner_outer(g, decomp, v)
+            k_minus, k_plus = inner_outer(decomp, v)
             print(f"  {v}: ({format_rational(k_minus)}, {format_rational(k_plus)})")
         else:
             # the outermost sphere has no next sphere, so the outer side
             # does not exist there
-            k_minus = inner_curvature(g, decomp, v)
+            k_minus = inner_curvature(decomp, v)
             print(f"  {v}: ({format_rational(k_minus)}, -)")
 
 print()
 print("averaged curvature and the volume identity:")
 for r in range(decomp.horizon):
-    vol = sphere_measure(g, decomp, r)
-    avg_out = average_curvature(g, decomp, r, "outer")
-    boundary = sphere_boundary(g, decomp, r)
+    vol = sphere_measure(decomp, r)
+    avg_out = average_curvature(decomp, r, "outer")
+    boundary = sphere_boundary(decomp, r)
     print(
         f"  r={r}: m(S_r)={format_rational(vol)}"
         f"  avg outer={format_rational(avg_out)}"
@@ -56,7 +56,7 @@ for r in range(decomp.horizon):
 
 print()
 print("the same averages read off the associated birth-death chain:")
-chain = associated_bdc(g, "hub")
+chain = associated_bdc(decomp)
 for r in range(chain.horizon + 1):
     outer = "-" if r == chain.horizon else format_rational(chain.outer_curvature(r))
     print(

@@ -22,17 +22,17 @@ from curvegraph import (
     sphere_measure,
 )
 
-g = make_figure1()
-chain = associated_bdc(g, "w")
+rooted = rooted_decomposition(make_figure1(), "w")
+chain = associated_bdc(rooted)
 print("the seven-vertex example reduces to:")
 print(f"  measures  {tuple(format_rational(m) for m in chain.measures)}")
 print(f"  weights   {tuple(format_rational(b) for b in chain.weights)}")
 
-verdict = is_model(g, "w")
+verdict = is_model(rooted)
 print(f"model around w: {verdict.is_model}")
 
 # reducing a chain again is a no-op
-assert associated_bdc(bdc_as_graph(chain), 0) == chain
+assert associated_bdc(rooted_decomposition(bdc_as_graph(chain), 0)) == chain
 print("reducing the chain a second time returns it unchanged")
 
 print()
@@ -51,7 +51,7 @@ print("a mirror model doubles every sphere of its source chain:")
 mirror = make_mirror_model(uc)
 decomp = rooted_decomposition(mirror, "0")
 for r in range(1, 4):
-    doubled = sphere_measure(mirror, decomp, r)
+    doubled = sphere_measure(decomp, r)
     print(
         f"  r={r}: chain volume {format_rational(uc.measures[r])},"
         f" mirror volume {format_rational(doubled)}"

@@ -19,6 +19,7 @@ from curvegraph import (
     make_example_gprime,
     make_mirror_model,
     make_unweighted_chain,
+    rooted_decomposition,
     stronger_average_growth,
     volume_comparison,
 )
@@ -47,7 +48,7 @@ for r in range(1, 5):
 
 print()
 print("domination outside a finite set costs a constant:")
-mirror = associated_bdc(make_mirror_model(uc), "0")
+mirror = associated_bdc(rooted_decomposition(make_mirror_model(uc), "0"))
 constant, report = asymptotic_constant(uc, mirror, 1)
 print(f"  C = {format_rational(constant)}")
 print(report.to_text())

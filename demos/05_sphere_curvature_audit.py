@@ -23,7 +23,7 @@ from curvegraph import (
 
 g = make_figure1()
 decomp = rooted_decomposition(g, "w")
-chain = associated_bdc(g, "w")
+chain = associated_bdc(decomp)
 
 print("graph side, assembled from pair curvatures at radius 2:")
 for y in decomp.sphere(2):
@@ -31,7 +31,7 @@ for y in decomp.sphere(2):
     values = {x: ollivier_pair(g, x, y).value for x in inward}
     shown = ", ".join(f"k({x},{y})={format_rational(v)}" for x, v in values.items())
     print(f"  {y}: {shown}  -> max {format_rational(max(values.values()))}")
-k2 = sphere_curvature(g, decomp, 2)
+k2 = sphere_curvature(decomp, 2)
 print(f"  min over the sphere: k(2) = {format_rational(k2)}")
 
 print()
@@ -40,6 +40,6 @@ print(f"chain side, from the closed form: {format_rational(k2_chain)}")
 
 print()
 print("the audit report records both values without taking sides:")
-report = model_sphere_equality_report(g, "w")
+report = model_sphere_equality_report(decomp)
 print(report.to_text())
 assert report.status == "recorded"

@@ -1,10 +1,11 @@
 """Birth-death chains and the reduction of a rooted graph to one.
 
-A birth-death chain is the weighted path graph on radii 0..horizon; reducing
-a rooted graph to its associated chain aggregates each sphere's measure and
-each inter-sphere boundary weight. A rooted graph is a model when inner and
-outer curvature are constant on every sphere; its associated chain then
-carries the same curvature data.
+A birth-death chain is the weighted path graph on radii 0..horizon. A rooted
+graph is a ``RootedDecomposition`` (``graphs.rooted_decomposition``), and
+the functions here take it as given: reducing it to its associated chain
+aggregates each sphere's measure and each inter-sphere boundary weight. A
+rooted graph is a model when inner and outer curvature are constant on
+every sphere; its associated chain then carries the same curvature data.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from .errors import (
 )
 from .graphs import (
     RationalLike,
+    RootedDecomposition,
     VertexId,
     WeightedGraph,
     format_rational,
     parse_rational,
-    rooted_decomposition,
     sphere_boundary,
     sphere_measure,
     validate_graph,
@@ -97,12 +98,11 @@ class BirthDeathChain:
         return sum(self.measures[: r + 1], Fraction(0))
 
 
-def associated_bdc(g: WeightedGraph, root: VertexId) -> BirthDeathChain:
-    """Collapse each sphere around root to one state of a birth-death chain."""
-    decomp = rooted_decomposition(g, root)
+def associated_bdc(decomp: RootedDecomposition) -> BirthDeathChain:
+    """Collapse each sphere around the root to one state of a birth-death chain."""
     h = decomp.horizon
-    measures = tuple(sphere_measure(g, decomp, r) for r in range(h + 1))
-    weights = tuple(sphere_boundary(g, decomp, r) for r in range(h))
+    measures = tuple(sphere_measure(decomp, r) for r in range(h + 1))
+    weights = tuple(sphere_boundary(decomp, r) for r in range(h))
     return BirthDeathChain(measures=measures, weights=weights)
 
 
@@ -121,22 +121,21 @@ class ModelVerdict:
         return not self.failures
 
 
-def is_model(g: WeightedGraph, root: VertexId) -> ModelVerdict:
+def is_model(decomp: RootedDecomposition) -> ModelVerdict:
     """Check per-sphere constancy of inner and outer curvature.
 
     The outer side is only checked through horizon - 1; the data cannot
     price the outermost sphere's outgoing edges.
     """
-    decomp = rooted_decomposition(g, root)
     failures = []
     for r in range(decomp.horizon + 1):
         shell = decomp.sphere(r)
         for side, fn in (("inner", inner_curvature), ("outer", outer_curvature)):
             if side == "outer" and r == decomp.horizon:
                 continue
-            baseline = fn(g, decomp, shell[0])
+            baseline = fn(decomp, shell[0])
             for v in shell[1:]:
-                if fn(g, decomp, v) != baseline:
+                if fn(decomp, v) != baseline:
                     failures.append((r, side, shell[0], v))
                     break
     return ModelVerdict(failures=tuple(failures))
@@ -150,38 +149,25 @@ def bdc_as_graph(chain: BirthDeathChain) -> WeightedGraph:
 
 
 def sphere_volume_step(
-    subject: Union[BirthDeathChain, WeightedGraph],
-    r: int,
-    root: VertexId = None,
+    subject: Union[BirthDeathChain, RootedDecomposition], r: int
 ) -> Tuple[Fraction, Fraction]:
     """Both sides of m(S_{r+1}) * avg-inner(r+1) = m(S_r) * avg-outer(r).
 
     Works on a chain directly or on a rooted graph via sphere averages; the
     two sides are computed independently and must agree exactly.
     """
+    if r < 0 or r + 1 > subject.horizon:
+        raise HorizonExceeded(
+            f"volume step needs radii {r} and {r + 1} within horizon "
+            f"{subject.horizon}",
+            radius=r,
+        )
     if isinstance(subject, BirthDeathChain):
-        if r < 0 or r + 1 > subject.horizon:
-            raise HorizonExceeded(
-                f"volume step needs radii {r} and {r + 1} within horizon "
-                f"{subject.horizon}",
-                radius=r,
-            )
         lhs = subject.measures[r + 1] * subject.inner_curvature(r + 1)
         rhs = subject.measures[r] * subject.outer_curvature(r)
     else:
-        decomp = rooted_decomposition(subject, root)
-        if r < 0 or r + 1 > decomp.horizon:
-            raise HorizonExceeded(
-                f"volume step needs radii {r} and {r + 1} within horizon "
-                f"{decomp.horizon}",
-                radius=r,
-            )
-        lhs = sphere_measure(subject, decomp, r + 1) * average_curvature(
-            subject, decomp, r + 1, "inner"
-        )
-        rhs = sphere_measure(subject, decomp, r) * average_curvature(
-            subject, decomp, r, "outer"
-        )
+        lhs = sphere_measure(subject, r + 1) * average_curvature(subject, r + 1, "inner")
+        rhs = sphere_measure(subject, r) * average_curvature(subject, r, "outer")
     if lhs != rhs:
         raise CurvegraphError(
             f"volume step identity failed at radius {r}: {lhs} != {rhs}"
@@ -192,6 +178,21 @@ def sphere_volume_step(
 # ---------------------------------------------------------------------------
 # constructors
 # ---------------------------------------------------------------------------
+
+
+def chain_from_curvatures(
+    root_measure: Fraction, outer: Sequence[Fraction], inner: Sequence[Fraction]
+) -> BirthDeathChain:
+    """Chain whose outer curvature at r is outer[r] and inner at r+1 is inner[r].
+
+    Solves b(r) = outer[r] * m(r) and m(r+1) = b(r) / inner[r] upward from m(0).
+    """
+    measures = [root_measure]
+    weights = []
+    for r, k_plus in enumerate(outer):
+        weights.append(k_plus * measures[r])
+        measures.append(weights[r] / inner[r])
+    return BirthDeathChain(measures=tuple(measures), weights=tuple(weights))
 
 
 def make_unweighted_chain(n: int) -> BirthDeathChain:
@@ -259,13 +260,7 @@ def make_ollivier_matching_chain(seq: Sequence[RationalLike]) -> BirthDeathChain
                 f"entry {i} exceeds entry {i - 1}: {values[i]} > {values[i - 1]}",
                 index=i,
             )
-    measures = [Fraction(1)]
-    weights = []
-    for r in range(len(values) - 1):
-        # outer curvature at r equals values[r]; inner at r+1 equals values[r+1]
-        weights.append(values[r] * measures[r])
-        measures.append(weights[r] / values[r + 1])
-    return BirthDeathChain(measures=tuple(measures), weights=tuple(weights))
+    return chain_from_curvatures(Fraction(1), values[:-1], values[1:])
 
 
 def make_figure1() -> WeightedGraph:

@@ -101,7 +101,10 @@ def _resolve_vertex(g: WeightedGraph, token: str):
     if token in g.adjacency:
         return token
     if re.fullmatch(r"\d+", token):
-        number = int(token)
+        try:
+            number = int(token)
+        except ValueError:  # past the interpreter's int digit limit
+            return token
         if number in g.adjacency:
             return number
     return token
@@ -158,15 +161,14 @@ def _cmd_validate(args) -> int:
 
 def _cmd_curvature(args) -> int:
     g = _load_graph(args.file)
-    root = _resolve_vertex(g, args.root)
-    decomp = rooted_decomposition(g, root)
-    profile = curvature_profile(g, decomp)
+    decomp = rooted_decomposition(g, _resolve_vertex(g, args.root))
+    profile = curvature_profile(decomp)
     if args.radius is not None:
         decomp.sphere(args.radius)  # range check
         radii = [args.radius]
     else:
         radii = list(range(decomp.horizon + 1))
-    chain = associated_bdc(g, root)
+    chain = associated_bdc(decomp)
     rows = [["r", "vertex", "k_minus", "k_plus", "avg_minus", "avg_plus", "m_Sr"]]
     for r in radii:
         avg_minus = format_rational(chain.inner_curvature(r))
@@ -206,13 +208,12 @@ def _cmd_ollivier(args) -> int:
 
 def _cmd_sphere_curv(args) -> int:
     g = _load_graph(args.file)
-    root = _resolve_vertex(g, args.root)
-    decomp = rooted_decomposition(g, root)
-    chain = associated_bdc(g, root)
+    decomp = rooted_decomposition(g, _resolve_vertex(g, args.root))
+    chain = associated_bdc(decomp)
     chain_graph = bdc_as_graph(chain)
     rows = [["r", "k_graph", "k_chain"]]
     for r in range(1, decomp.horizon + 1):
-        graph_side = format_rational(sphere_curvature(g, decomp, r))
+        graph_side = format_rational(sphere_curvature(decomp, r))
         if r <= chain.horizon - 1:
             chain_value = bdc_ollivier_closed_form(chain, r - 1, r)
         else:
@@ -226,8 +227,8 @@ def _cmd_sphere_curv(args) -> int:
 
 def _cmd_bdc(args) -> int:
     g = _load_graph(args.file)
-    root = _resolve_vertex(g, args.root)
-    sys.stdout.write(chain_to_json(associated_bdc(g, root)))
+    decomp = rooted_decomposition(g, _resolve_vertex(g, args.root))
+    sys.stdout.write(chain_to_json(associated_bdc(decomp)))
     return 0
 
 
@@ -283,12 +284,11 @@ def _cmd_compare(args) -> int:
     if args.constant and args.outside is None:
         sys.stderr.write("compare: --constant requires --outside\n")
         return 2
-    root1 = _resolve_vertex(g1, args.root1)
-    root2 = _resolve_vertex(g2, args.root2)
-
-    c2 = associated_bdc(g2, root2)
-    per_vertex = stronger_curvature_growth(g1, root1, c2)
-    c1 = associated_bdc(g1, root1)
+    # root2 is checked before root1, and both before horizon-mismatch
+    c2 = associated_bdc(rooted_decomposition(g2, _resolve_vertex(g2, args.root2)))
+    d1 = rooted_decomposition(g1, _resolve_vertex(g1, args.root1))
+    per_vertex = stronger_curvature_growth(d1, c2)
+    c1 = associated_bdc(d1)
     averaged = stronger_average_growth(c1, c2)
     outside = None
     if args.outside is not None:

@@ -2,7 +2,8 @@
 
 The averaged relations and the volume theorems compare two birth-death
 chains; a rooted graph enters them through its associated chain. The
-per-vertex relation and the partial-sum checks read the graph itself.
+per-vertex relation and the partial-sum checks read the rooted graph
+itself, as one ``RootedDecomposition`` that the caller builds once.
 
 Every checker here evaluates its own hypotheses instead of trusting the
 caller, and a failed conclusion is written into the report rather than
@@ -28,12 +29,11 @@ from .curvature import (
 )
 from .errors import CurvegraphError, HorizonExceeded, HorizonMismatch, HypothesisFailed
 from .graphs import (
+    RootedDecomposition,
     VertexId,
-    WeightedGraph,
     format_rational,
     laplacian,
     laplacian_of_distance,
-    rooted_decomposition,
 )
 
 
@@ -231,33 +231,33 @@ def _chain_entries(chain: BirthDeathChain, start: int, common: int):
 
 
 def stronger_curvature_growth(
-    g: WeightedGraph, x0: VertexId, model_chain: BirthDeathChain
+    decomp: RootedDecomposition, model_chain: BirthDeathChain
 ) -> GrowthRelation:
     """Per-vertex domination of a chain's radius curvature functions.
 
-    Holds when m(x0) matches the chain's radius-0 measure and every vertex at
-    radius r has outer curvature >= the chain's and inner curvature <= the
+    Holds when m(root) matches the chain's radius-0 measure and every vertex
+    at radius r has outer curvature >= the chain's and inner curvature <= the
     chain's. Outer checks stop one radius before the common horizon.
     """
-    decomp = rooted_decomposition(g, x0)
     common = min(decomp.horizon, model_chain.horizon)
     _require_span(common, 1, "stronger-curvature")
     entries = (
         (
             r,
             f"vertex {x}: k_plus",
-            outer_curvature(g, decomp, x) if r < common else None,
+            outer_curvature(decomp, x) if r < common else None,
             f"vertex {x}: k_minus",
-            inner_curvature(g, decomp, x),
+            inner_curvature(decomp, x),
         )
         for r in range(common + 1)
         for x in decomp.sphere(r)
     )
-    if g.measure[x0] != model_chain.measures[0]:
+    m_root = decomp.graph.measure[decomp.root]
+    if m_root != model_chain.measures[0]:
         violation = (
             0,
             "measure",
-            f"m(root) {format_rational(g.measure[x0])} != "
+            f"m(root) {format_rational(m_root)} != "
             f"chain m(0) {format_rational(model_chain.measures[0])}",
         )
     else:
@@ -396,7 +396,7 @@ def asymptotic_constant(
 
 
 def laplacian_distance_compare(
-    g: WeightedGraph, x0: VertexId, model_chain: BirthDeathChain
+    decomp: RootedDecomposition, model_chain: BirthDeathChain
 ) -> TheoremReport:
     """Vertexwise curvature-gap domination against a chain, stated two ways.
 
@@ -409,7 +409,6 @@ def laplacian_distance_compare(
     it is a hypothesis too weak for volume comparison, and callers inspect
     where it holds.
     """
-    decomp = rooted_decomposition(g, x0)
     common = min(decomp.horizon, model_chain.horizon)
     _require_span(common, 1, "laplacian-distance comparison")
     chain_graph = bdc_as_graph(model_chain)
@@ -423,9 +422,9 @@ def laplacian_distance_compare(
                 f"chain distance Laplacian is not the negated gap at r = {r}"
             )
         for x in decomp.sphere(r):
-            k_minus, k_plus = inner_outer(g, decomp, x)
+            k_minus, k_plus = inner_outer(decomp, x)
             gap = k_plus - k_minus
-            lap = laplacian_of_distance(g, decomp, x)
+            lap = laplacian_of_distance(decomp, x)
             if lap != -gap:
                 raise CurvegraphError(
                     f"distance Laplacian is not the negated gap at vertex {x!r}"
@@ -535,7 +534,7 @@ def partial_sum_equiv_check(
 
 
 def compcurv_check(
-    model_chain: BirthDeathChain, g: WeightedGraph, x0: VertexId
+    model_chain: BirthDeathChain, decomp: RootedDecomposition
 ) -> TheoremReport:
     """Chain-vs-graph partial-sum comparison with matched start.
 
@@ -546,28 +545,25 @@ def compcurv_check(
     and the unconditional inequality between the graph and its own
     associated chain.
     """
-    decomp = rooted_decomposition(g, x0)
     last = min(model_chain.horizon, decomp.horizon) - 1
     _require_span(last, 1, "partial-sum comparison")
-    root_graph = outer_curvature(g, decomp, x0)
+    root_graph = outer_curvature(decomp, decomp.root)
     root_chain = model_chain.outer_curvature(0)
     if root_chain != root_graph:
         raise HypothesisFailed(
             f"radius-0 outer curvatures differ: chain "
             f"{format_rational(root_chain)} != graph {format_rational(root_graph)}"
         )
-    assoc = associated_bdc(g, x0)
+    assoc = associated_bdc(decomp)
     graph_last = decomp.horizon - 1
-    k_graph = {
-        r: sphere_curvature(g, decomp, r) for r in range(1, graph_last + 1)
-    }
+    k_graph = {r: sphere_curvature(decomp, r) for r in range(1, graph_last + 1)}
     k_chain = _chain_sphere_curvatures(model_chain, last)
     k_assoc = _chain_sphere_curvatures(assoc, graph_last)
 
     # vertex gaps per radius, for the part-one hypothesis and part-two bound
     gaps = {}
     for r in range(last + 1):
-        pairs = [inner_outer(g, decomp, x) for x in decomp.sphere(r)]
+        pairs = [inner_outer(decomp, x) for x in decomp.sphere(r)]
         gaps[r] = [k_plus - k_minus for k_minus, k_plus in pairs]
     hyp_one = True
     hyp_note = None
@@ -652,7 +648,7 @@ def compcurv_check(
     )
 
 
-def model_sphere_equality_report(g: WeightedGraph, root: VertexId) -> TheoremReport:
+def model_sphere_equality_report(decomp: RootedDecomposition) -> TheoremReport:
     """Sphere curvature of a model graph against its associated chain.
 
     Both sides are computed exactly as defined: the graph side as the
@@ -662,7 +658,7 @@ def model_sphere_equality_report(g: WeightedGraph, root: VertexId) -> TheoremRep
     on every model graph (the seven-vertex example disagrees at radius 2)
     and this audit is the instrument that documents it.
     """
-    verdict = is_model(g, root)
+    verdict = is_model(decomp)
     if not verdict.is_model:
         r, side, a, b = verdict.failures[0]
         raise HypothesisFailed(
@@ -671,13 +667,12 @@ def model_sphere_equality_report(g: WeightedGraph, root: VertexId) -> TheoremRep
             radius=r,
             side=side,
         )
-    decomp = rooted_decomposition(g, root)
     last = decomp.horizon - 1
     _require_span(last, 1, "model sphere-curvature audit")
-    chain = associated_bdc(g, root)
+    chain = associated_bdc(decomp)
     rows = []
     for r in range(1, last + 1):
-        lhs = sphere_curvature(g, decomp, r)
+        lhs = sphere_curvature(decomp, r)
         rhs = bdc_ollivier_closed_form(chain, r - 1, r)
         rows.append(LedgerRow(r=r, lhs=lhs, rhs=rhs, ok=lhs == rhs))
     bad = [row for row in rows if not row.ok]
@@ -696,16 +691,14 @@ def model_sphere_equality_report(g: WeightedGraph, root: VertexId) -> TheoremRep
     )
 
 
-def sc_series_partial_sums(
-    g: WeightedGraph, x0: VertexId, R: int
-) -> Tuple[Fraction, ...]:
+def sc_series_partial_sums(decomp: RootedDecomposition, R: int) -> Tuple[Fraction, ...]:
     """Partial sums of ball measure over sphere boundary weight, radii 0..R.
 
     A diagnostic prefix of a series whose divergence this finite data cannot
     decide; each term is m(B_r) divided by the total weight crossing from
     sphere r to sphere r+1, read off the associated chain.
     """
-    chain = associated_bdc(g, x0)
+    chain = associated_bdc(decomp)
     if R < 0 or R > chain.horizon - 1:
         raise HorizonExceeded(
             f"series terms need boundary weights; valid range 0..{chain.horizon - 1}",

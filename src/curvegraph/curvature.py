@@ -49,23 +49,19 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
 # ---------------------------------------------------------------------------
 
 
-def inner_curvature(
-    g: WeightedGraph, decomp: RootedDecomposition, x: VertexId
-) -> Fraction:
+def inner_curvature(decomp: RootedDecomposition, x: VertexId) -> Fraction:
     """Weight into the previous sphere over m(x); zero at the root."""
     r = decomp.radius_of(x)
     if r == 0:
         return Fraction(0)
     acc = Fraction(0)
-    for y, w in g.adjacency[x].items():
+    for y, w in decomp.graph.adjacency[x].items():
         if decomp.dist[y] == r - 1:
             acc += w
-    return acc / g.measure[x]
+    return acc / decomp.graph.measure[x]
 
 
-def outer_curvature(
-    g: WeightedGraph, decomp: RootedDecomposition, x: VertexId
-) -> Fraction:
+def outer_curvature(decomp: RootedDecomposition, x: VertexId) -> Fraction:
     """Weight into the next sphere over m(x); undefined on the outermost sphere."""
     r = decomp.radius_of(x)
     if r == decomp.horizon:
@@ -74,22 +70,18 @@ def outer_curvature(
             radius=r,
         )
     acc = Fraction(0)
-    for y, w in g.adjacency[x].items():
+    for y, w in decomp.graph.adjacency[x].items():
         if decomp.dist[y] == r + 1:
             acc += w
-    return acc / g.measure[x]
+    return acc / decomp.graph.measure[x]
 
 
-def inner_outer(
-    g: WeightedGraph, decomp: RootedDecomposition, x: VertexId
-) -> Tuple[Fraction, Fraction]:
+def inner_outer(decomp: RootedDecomposition, x: VertexId) -> Tuple[Fraction, Fraction]:
     """(inner, outer) curvature of x. Raises on the outermost sphere."""
-    return inner_curvature(g, decomp, x), outer_curvature(g, decomp, x)
+    return inner_curvature(decomp, x), outer_curvature(decomp, x)
 
 
-def average_curvature(
-    g: WeightedGraph, decomp: RootedDecomposition, r: int, side: str
-) -> Fraction:
+def average_curvature(decomp: RootedDecomposition, r: int, side: str) -> Fraction:
     """Measure-weighted average of inner or outer curvature over sphere r."""
     if side not in ("inner", "outer"):
         raise ValueError(f"side must be 'inner' or 'outer', got {side!r}")
@@ -102,8 +94,8 @@ def average_curvature(
     fn = inner_curvature if side == "inner" else outer_curvature
     acc = Fraction(0)
     for x in decomp.sphere(r):
-        acc += fn(g, decomp, x) * g.measure[x]
-    return acc / sphere_measure(g, decomp, r)
+        acc += fn(decomp, x) * decomp.graph.measure[x]
+    return acc / sphere_measure(decomp, r)
 
 
 @dataclass(frozen=True)
@@ -119,14 +111,14 @@ class CurvatureProfile:
     per_vertex: Dict[VertexId, Tuple[Fraction, Optional[Fraction]]]
 
 
-def curvature_profile(g: WeightedGraph, decomp: RootedDecomposition) -> CurvatureProfile:
+def curvature_profile(decomp: RootedDecomposition) -> CurvatureProfile:
     """Per-vertex (inner, outer) curvatures around the decomposition's root."""
     per_vertex: Dict[VertexId, Tuple[Fraction, Optional[Fraction]]] = {}
-    for v in g.vertices:
-        inner = inner_curvature(g, decomp, v)
+    for v in decomp.graph.vertices:
+        inner = inner_curvature(decomp, v)
         outer = None
         if decomp.dist[v] < decomp.horizon:
-            outer = outer_curvature(g, decomp, v)
+            outer = outer_curvature(decomp, v)
         per_vertex[v] = (inner, outer)
     return CurvatureProfile(root=decomp.root, per_vertex=per_vertex)
 
@@ -428,7 +420,7 @@ def verify_witness(g: WeightedGraph, result: OllivierResult) -> None:
 # ---------------------------------------------------------------------------
 
 
-def sphere_curvature(g: WeightedGraph, decomp: RootedDecomposition, r: int) -> Fraction:
+def sphere_curvature(decomp: RootedDecomposition, r: int) -> Fraction:
     """min over y in sphere r of max over inward neighbors x of k(x, y)."""
     if r < 1 or r > decomp.horizon:
         raise HorizonExceeded(
@@ -438,6 +430,7 @@ def sphere_curvature(g: WeightedGraph, decomp: RootedDecomposition, r: int) -> F
     shell = decomp.sphere(r)
     if not shell:
         raise EmptySphere(f"sphere {r} is empty", radius=r)
+    g = decomp.graph
     best = None
     for v in shell:
         worst = None

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Tuple
 
-from .chains import BirthDeathChain
+from .chains import BirthDeathChain, chain_from_curvatures
 from .graphs import VertexId, WeightedGraph, validate_graph
 
 
@@ -57,20 +57,6 @@ def random_chain(
     return BirthDeathChain(measures=measures, weights=weights)
 
 
-def _chain_from_curvatures(
-    root_measure: Fraction,
-    outer: List[Fraction],
-    inner: List[Fraction],
-) -> BirthDeathChain:
-    """Chain whose outer curvature at r is outer[r] and inner at r+1 is inner[r]."""
-    measures = [root_measure]
-    weights = []
-    for r, k_plus in enumerate(outer):
-        weights.append(k_plus * measures[r])
-        measures.append(weights[r] / inner[r])
-    return BirthDeathChain(measures=tuple(measures), weights=tuple(weights))
-
-
 def chain_pair_with_average_hypothesis(
     rng: random.Random, min_horizon: int = 2, max_horizon: int = 8
 ) -> Tuple[BirthDeathChain, BirthDeathChain]:
@@ -85,7 +71,7 @@ def chain_pair_with_average_hypothesis(
     for r in range(c2.horizon):
         outer.append(c2.outer_curvature(r) * _scale_above_one(rng))
         inner.append(c2.inner_curvature(r + 1) / _scale_above_one(rng))
-    c1 = _chain_from_curvatures(c2.measures[0], outer, inner)
+    c1 = chain_from_curvatures(c2.measures[0], outer, inner)
     return c1, c2
 
 
@@ -121,7 +107,7 @@ def chain_pair_outside_hypothesis(
             inner.append(c2.inner_curvature(r + 1) / _scale_above_one(rng))
         else:
             inner.append(random_rational(rng))
-    c1 = _chain_from_curvatures(random_rational(rng), outer, inner)
+    c1 = chain_from_curvatures(random_rational(rng), outer, inner)
     return c1, c2, threshold
 
 

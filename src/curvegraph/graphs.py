@@ -65,7 +65,10 @@ def parse_rational(value: RationalLike) -> Fraction:
 def format_rational(value: RationalLike) -> str:
     """Render a rational canonically as ``p/q`` in lowest terms."""
     q = Fraction(value)
-    return f"{q.numerator}/{q.denominator}"
+    try:
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:  # past the interpreter's int digit limit
+        raise FormatError("rational too long to format") from None
 
 
 def label_key(label: VertexId) -> tuple:
@@ -232,8 +235,14 @@ def distance(g: WeightedGraph, x: VertexId, y: VertexId) -> int:
 
 @dataclass(frozen=True)
 class RootedDecomposition:
-    """Spheres around a root: sphere r holds the vertices at distance r."""
+    """A graph seen from a root: sphere r holds the vertices at distance r.
 
+    Every rooted quantity (curvatures, sphere volumes, the associated chain)
+    takes this one value, so the graph and its spheres cannot disagree.
+    Build it via :func:`rooted_decomposition`.
+    """
+
+    graph: WeightedGraph
     root: VertexId
     dist: Mapping[VertexId, int]
     spheres: Tuple[Tuple[VertexId, ...], ...]
@@ -264,7 +273,7 @@ def rooted_decomposition(g: WeightedGraph, root: VertexId) -> RootedDecompositio
     for v in g.vertices:
         layers[dist[v]].append(v)
     spheres = tuple(tuple(layer) for layer in layers)
-    return RootedDecomposition(root=root, dist=dist, spheres=spheres)
+    return RootedDecomposition(graph=g, root=root, dist=dist, spheres=spheres)
 
 
 def degree(g: WeightedGraph, x: VertexId) -> Fraction:
@@ -289,9 +298,7 @@ def laplacian(g: WeightedGraph, f: Mapping, x: VertexId) -> Fraction:
     return acc / g.measure[x]
 
 
-def laplacian_of_distance(
-    g: WeightedGraph, decomp: RootedDecomposition, x: VertexId
-) -> Fraction:
+def laplacian_of_distance(decomp: RootedDecomposition, x: VertexId) -> Fraction:
     """Delta d(root, .) at x; needs the sphere past x, so not the outermost one."""
     r = decomp.radius_of(x)
     if r == decomp.horizon:
@@ -300,15 +307,16 @@ def laplacian_of_distance(
             "is outside the data",
             radius=r,
         )
-    return laplacian(g, decomp.dist, x)
+    return laplacian(decomp.graph, decomp.dist, x)
 
 
-def sphere_measure(g: WeightedGraph, decomp: RootedDecomposition, r: int) -> Fraction:
+def sphere_measure(decomp: RootedDecomposition, r: int) -> Fraction:
     """m(S_r): total vertex measure of sphere r."""
-    return sum((g.measure[v] for v in decomp.sphere(r)), Fraction(0))
+    measure = decomp.graph.measure
+    return sum((measure[v] for v in decomp.sphere(r)), Fraction(0))
 
 
-def sphere_boundary(g: WeightedGraph, decomp: RootedDecomposition, r: int) -> Fraction:
+def sphere_boundary(decomp: RootedDecomposition, r: int) -> Fraction:
     """Total edge weight between sphere r and sphere r+1."""
     if r < 0 or r >= decomp.horizon:
         raise HorizonExceeded(
@@ -316,17 +324,18 @@ def sphere_boundary(g: WeightedGraph, decomp: RootedDecomposition, r: int) -> Fr
             f"{decomp.horizon}",
             radius=r,
         )
+    adjacency = decomp.graph.adjacency
     total = Fraction(0)
     for x in decomp.spheres[r]:
-        for y, w in g.adjacency[x].items():
+        for y, w in adjacency[x].items():
             if decomp.dist[y] == r + 1:
                 total += w
     return total
 
 
-def ball_measure(g: WeightedGraph, decomp: RootedDecomposition, r: int) -> Fraction:
+def ball_measure(decomp: RootedDecomposition, r: int) -> Fraction:
     """m(B_r): total vertex measure of the ball of radius r."""
-    return sum(sphere_measure(g, decomp, s) for s in range(r + 1))
+    return sum(sphere_measure(decomp, s) for s in range(r + 1))
 
 
 # ---------------------------------------------------------------------------

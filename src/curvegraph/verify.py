@@ -77,11 +77,11 @@ def _check_pair_values() -> Tuple[str, str]:
 
 
 def _check_model_reduction() -> Tuple[str, str]:
-    g = make_figure1()
-    verdict = is_model(g, "w")
+    decomp = rooted_decomposition(make_figure1(), "w")
+    verdict = is_model(decomp)
     if not verdict.is_model:
         return "fail", f"constancy failures: {verdict.failures!r}"
-    chain = associated_bdc(g, "w")
+    chain = associated_bdc(decomp)
     want_m = tuple(Fraction(v) for v in (1, 2, 4, 4))
     want_b = tuple(Fraction(v) for v in (2, 4, 4))
     if chain.measures != want_m or chain.weights != want_b:
@@ -100,7 +100,7 @@ def _check_volume_step(seed: int, instances: int) -> Tuple[str, str]:
         g, root = random_graph(rng)
         decomp = rooted_decomposition(g, root)
         for r in range(decomp.horizon):
-            sphere_volume_step(g, r, root)
+            sphere_volume_step(decomp, r)
             identities += 1
     return "pass", f"{identities} identities on {instances} graphs"
 
@@ -121,7 +121,7 @@ def _check_volume_domination(seed: int, instances: int) -> Tuple[str, str]:
 
 def _check_asymptotic_constant(seed: int, instances: int) -> Tuple[str, str]:
     chain = make_unweighted_chain(8)
-    mirror = associated_bdc(make_mirror_model(chain), "0")
+    mirror = associated_bdc(rooted_decomposition(make_mirror_model(chain), "0"))
     constant, report = asymptotic_constant(chain, mirror, 1)
     if constant != 2 or not report.conclusion_checked:
         return "fail", f"mirror pair gave C = {format_rational(constant)}"
@@ -147,7 +147,7 @@ def _check_gap_counterexample() -> Tuple[str, str]:
         if sparse.measures[r] != r + 1 or sparse.measures[r] <= 1:
             return "fail", f"volume at r = {r} is {format_rational(sparse.measures[r])}"
     base = make_unweighted_chain(depth)
-    lap = laplacian_distance_compare(bdc_as_graph(base), 0, sparse)
+    lap = laplacian_distance_compare(rooted_decomposition(bdc_as_graph(base), 0), sparse)
     if not lap.conclusion_checked:
         return "fail", "gap domination unexpectedly failed"
     vol = volume_comparison(base, sparse)
@@ -190,13 +190,12 @@ def _check_sum_gap_equivalence(seed: int, instances: int) -> Tuple[str, str]:
 
 
 def _check_associated_domination(seed: int, instances: int) -> Tuple[str, str]:
-    fig = make_figure1()
-    decomp = rooted_decomposition(fig, "w")
-    assoc = associated_bdc(fig, "w")
+    decomp = rooted_decomposition(make_figure1(), "w")
+    assoc = associated_bdc(decomp)
     chain_sum = sum(
         (bdc_ollivier_closed_form(assoc, r - 1, r) for r in (1, 2)), Fraction(0)
     )
-    graph_sum = sum((sphere_curvature(fig, decomp, r) for r in (1, 2)), Fraction(0))
+    graph_sum = sum((sphere_curvature(decomp, r) for r in (1, 2)), Fraction(0))
     if chain_sum != 2 or graph_sum != 0:
         return (
             "fail",
@@ -208,9 +207,10 @@ def _check_associated_domination(seed: int, instances: int) -> Tuple[str, str]:
     done = 0
     while done < wanted:
         g, root = random_graph(rng)
-        if rooted_decomposition(g, root).horizon < 2:
+        decomp = rooted_decomposition(g, root)
+        if decomp.horizon < 2:
             continue
-        report = compcurv_check(associated_bdc(g, root), g, root)
+        report = compcurv_check(associated_bdc(decomp), decomp)
         for rep in (report,) + report.subreports:
             if rep.status == "asserted" and rep.hypothesis_checked:
                 if not rep.conclusion_checked:
@@ -265,7 +265,7 @@ def _check_integrality_oracle(seed: int, instances: int) -> Tuple[str, str]:
 
 
 def _check_model_sphere_audit() -> Tuple[str, str]:
-    report = model_sphere_equality_report(make_figure1(), "w")
+    report = model_sphere_equality_report(rooted_decomposition(make_figure1(), "w"))
     if report.status != "recorded":
         return "fail", f"unexpected status {report.status!r}"
     rows = {row.r: row for row in report.ledger}

@@ -65,9 +65,9 @@ def test_criterion_01_pair_curvatures_on_the_seven_vertex_example(capsys):
 
 def test_criterion_02_example_is_a_model_with_known_chain(capsys):
     with criterion(capsys, 2, "seven-vertex example reduces to (1,2,4,4)/(2,4,4)"):
-        g = make_figure1()
-        assert is_model(g, "w").is_model
-        assert associated_bdc(g, "w") == BirthDeathChain(
+        decomp = rooted_decomposition(make_figure1(), "w")
+        assert is_model(decomp).is_model
+        assert associated_bdc(decomp) == BirthDeathChain(
             measures=(1, 2, 4, 4), weights=(2, 4, 4)
         )
 
@@ -79,12 +79,10 @@ def test_criterion_03_sphere_volume_identity(capsys):
             g, root = random_graph(rng, max_vertices=40)
             decomp = rooted_decomposition(g, root)
             for r in range(decomp.horizon):
-                lhs = sphere_measure(g, decomp, r + 1) * average_curvature(
-                    g, decomp, r + 1, "inner"
+                lhs = sphere_measure(decomp, r + 1) * average_curvature(
+                    decomp, r + 1, "inner"
                 )
-                rhs = sphere_measure(g, decomp, r) * average_curvature(
-                    g, decomp, r, "outer"
-                )
+                rhs = sphere_measure(decomp, r) * average_curvature(decomp, r, "outer")
                 assert lhs == rhs
 
 
@@ -104,12 +102,12 @@ def test_criterion_05_asymptotic_constant(capsys):
         src = make_unweighted_chain(8)
         g1 = bdc_as_graph(src)
         g2 = make_mirror_model(src)
-        constant, report = asymptotic_constant(src, associated_bdc(g2, "0"), 1)
-        assert constant == Fraction(2)
         d1 = rooted_decomposition(g1, 0)
         d2 = rooted_decomposition(g2, "0")
+        constant, report = asymptotic_constant(src, associated_bdc(d2), 1)
+        assert constant == Fraction(2)
         for r in range(9):
-            assert constant * sphere_measure(g1, d1, r) >= sphere_measure(g2, d2, r)
+            assert constant * sphere_measure(d1, r) >= sphere_measure(d2, r)
         assert report.conclusion_checked
 
         rng = random.Random("acceptance:05")
@@ -171,9 +169,9 @@ def test_criterion_09_chain_sums_dominate_graph_sums(capsys):
     with criterion(capsys, 9, "associated chain curvature sums dominate, 50 graphs"):
         g = make_figure1()
         decomp = rooted_decomposition(g, "w")
-        chain = associated_bdc(g, "w")
+        chain = associated_bdc(decomp)
         chain_sum = sum(bdc_ollivier_closed_form(chain, r - 1, r) for r in (1, 2))
-        graph_sum = sum(sphere_curvature(g, decomp, r) for r in (1, 2))
+        graph_sum = sum(sphere_curvature(decomp, r) for r in (1, 2))
         assert (chain_sum, graph_sum) == (Fraction(2), Fraction(0))
 
         rng = random.Random("acceptance:09")
@@ -183,11 +181,11 @@ def test_criterion_09_chain_sums_dominate_graph_sums(capsys):
             decomp = rooted_decomposition(g, root)
             if decomp.horizon < 2:
                 continue
-            chain = associated_bdc(g, root)
+            chain = associated_bdc(decomp)
             sum_chain = sum_graph = Fraction(0)
             for r in range(1, decomp.horizon):
                 sum_chain += bdc_ollivier_closed_form(chain, r - 1, r)
-                sum_graph += sphere_curvature(g, decomp, r)
+                sum_graph += sphere_curvature(decomp, r)
                 assert sum_chain >= sum_graph
             done += 1
 
@@ -226,15 +224,15 @@ def test_criterion_11_solver_matches_exhaustive_enumeration(capsys):
 def test_criterion_12_sphere_audit_is_recorded_not_assumed(capsys):
     with criterion(capsys, 12, "model sphere audit records both radius-2 values"):
         g = make_figure1()
-        report = model_sphere_equality_report(g, "w")
+        decomp = rooted_decomposition(g, "w")
+        report = model_sphere_equality_report(decomp)
         assert report.status == "recorded"
         rows = {row.r: row for row in report.ledger}
         assert set(rows) == {1, 2}
         # internal consistency: each side re-derived from first principles
-        decomp = rooted_decomposition(g, "w")
-        chain = associated_bdc(g, "w")
+        chain = associated_bdc(decomp)
         for r, row in rows.items():
-            assert row.lhs == sphere_curvature(g, decomp, r)
+            assert row.lhs == sphere_curvature(decomp, r)
             assert row.rhs == bdc_ollivier_closed_form(chain, r - 1, r)
             assert row.ok == (row.lhs == row.rhs)
         # the radius-2 graph value is the min-max of criterion-1 pair inputs

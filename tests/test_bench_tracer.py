@@ -2,6 +2,7 @@
 
 `bench/tracer.py` patches curvegraph functions by name. A refactor that moves
 or renames one of them should fail here rather than in `bench/run.py --trace 1`.
+The same spans guard that each command decomposes a graph once per root.
 """
 
 import importlib
@@ -9,7 +10,10 @@ import sys
 import types
 from pathlib import Path
 
-from curvegraph import cli
+import pytest
+
+from curvegraph import cli, make_figure1
+from curvegraph.graphs import graph_to_json
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
@@ -51,3 +55,22 @@ def test_tracer_restores_every_patched_attribute():
     after = _bindings()
     changed = [key for key, value in before.items() if after.get(key) is not value]
     assert changed == []
+
+
+@pytest.mark.parametrize(
+    "argv, passes",
+    [
+        (["curvature", "{g}", "--root", "w"], 1),
+        (["sphere-curv", "{g}", "--root", "w"], 1),
+        (["bdc", "{g}", "--root", "w"], 1),
+        (["compare", "{g}", "{g}", "--root1", "w", "--root2", "w"], 2),
+    ],
+    ids=["curvature", "sphere-curv", "bdc", "compare"],
+)
+def test_one_rooted_pass_per_root(capsys, tmp_path, argv, passes):
+    path = tmp_path / "figure1.json"
+    path.write_text(graph_to_json(make_figure1()))
+    with tracer.Tracer() as trace:
+        assert cli.run([str(path) if arg == "{g}" else arg for arg in argv]) == 0
+    capsys.readouterr()
+    assert [span[0] for span in trace.spans].count("rooted_decomposition") == passes

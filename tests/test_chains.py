@@ -74,20 +74,20 @@ def test_chain_curvature_accessors():
 
 
 def test_figure1_associated_chain(figure1):
-    c = associated_bdc(figure1, "w")
+    c = associated_bdc(rooted_decomposition(figure1, "w"))
     assert c.measures == (1, 2, 4, 4)
     assert c.weights == (2, 4, 4)
 
 
 def test_chain_reduction_fixed_point():
     c = BirthDeathChain(measures=(1, 2, 4), weights=(2, 4))
-    assert associated_bdc(bdc_as_graph(c), 0) == c
+    assert associated_bdc(rooted_decomposition(bdc_as_graph(c), 0)) == c
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
 @given(chains())
 def test_round_trip_on_random_chains(chain):
-    assert associated_bdc(bdc_as_graph(chain), 0) == chain
+    assert associated_bdc(rooted_decomposition(bdc_as_graph(chain), 0)) == chain
 
 
 @settings(derandomize=True, deadline=None)
@@ -95,20 +95,20 @@ def test_round_trip_on_random_chains(chain):
 def test_reduction_matches_averages(gr):
     g, root = gr
     d = rooted_decomposition(g, root)
-    c = associated_bdc(g, root)
+    c = associated_bdc(d)
     assert c.horizon == d.horizon
     for r in range(d.horizon + 1):
-        assert c.measures[r] == sphere_measure(g, d, r)
-        assert c.inner_curvature(r) == average_curvature(g, d, r, "inner")
+        assert c.measures[r] == sphere_measure(d, r)
+        assert c.inner_curvature(r) == average_curvature(d, r, "inner")
         if r < d.horizon:
-            assert c.outer_curvature(r) == average_curvature(g, d, r, "outer")
+            assert c.outer_curvature(r) == average_curvature(d, r, "outer")
 
 
 # --- model detection ---
 
 
 def test_figure1_is_model(figure1):
-    verdict = is_model(figure1, "w")
+    verdict = is_model(rooted_decomposition(figure1, "w"))
     assert verdict.is_model
     assert verdict.failures == ()
 
@@ -126,7 +126,7 @@ def test_broken_figure1_is_not_model():
             ("y'", "z'", 3),
         ],
     )
-    verdict = is_model(g, "w")
+    verdict = is_model(rooted_decomposition(g, "w"))
     assert not verdict.is_model
     r, side, a, b = verdict.failures[0]
     assert (r, side) == (1, "outer")
@@ -134,14 +134,15 @@ def test_broken_figure1_is_not_model():
 
 
 def test_unweighted_chain_is_model():
-    assert is_model(bdc_as_graph(make_unweighted_chain(4)), 0).is_model
+    path = bdc_as_graph(make_unweighted_chain(4))
+    assert is_model(rooted_decomposition(path, 0)).is_model
 
 
 # --- volume step identity ---
 
 
 def test_volume_step_figure1(figure1):
-    lhs, rhs = sphere_volume_step(figure1, 1, "w")
+    lhs, rhs = sphere_volume_step(rooted_decomposition(figure1, "w"), 1)
     assert lhs == rhs == 4
 
 
@@ -160,7 +161,7 @@ def test_volume_step_property(gr):
     g, root = gr
     d = rooted_decomposition(g, root)
     for r in range(d.horizon):
-        lhs, rhs = sphere_volume_step(g, r, root)
+        lhs, rhs = sphere_volume_step(d, r)
         assert lhs == rhs
 
 
@@ -187,23 +188,23 @@ def test_mirror_model_shape_and_curvatures():
     src = make_unweighted_chain(5)
     m = make_mirror_model(src)
     assert len(m.vertices) == 11
-    verdict = is_model(m, "0")
-    assert verdict.is_model
     d = rooted_decomposition(m, "0")
+    verdict = is_model(d)
+    assert verdict.is_model
     assert d.horizon == 5
     for r in range(1, 6):
-        assert sphere_measure(m, d, r) == 2 * src.measures[r]
-        assert average_curvature(m, d, r, "inner") == src.inner_curvature(r)
+        assert sphere_measure(d, r) == 2 * src.measures[r]
+        assert average_curvature(d, r, "inner") == src.inner_curvature(r)
         if r < 5:
-            assert average_curvature(m, d, r, "outer") == src.outer_curvature(r)
-    assert sphere_measure(m, d, 0) == src.measures[0]
-    assert average_curvature(m, d, 0, "outer") == 2 * src.outer_curvature(0)
+            assert average_curvature(d, r, "outer") == src.outer_curvature(r)
+    assert sphere_measure(d, 0) == src.measures[0]
+    assert average_curvature(d, 0, "outer") == 2 * src.outer_curvature(0)
 
 
 def test_mirror_model_of_weighted_chain():
     src = BirthDeathChain(measures=(2, 3, 5), weights=("1/2", 7))
     m = make_mirror_model(src)
-    c = associated_bdc(m, "0")
+    c = associated_bdc(rooted_decomposition(m, "0"))
     assert c.measures == (2, 6, 10)
     assert c.weights == (1, 14)
 

@@ -147,6 +147,45 @@ def test_curvature_unknown_root(capsys, figure1_file):
     assert json.loads(err)["error"] == "unknown-vertex"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["curvature", "--root", "1" * 5000], ["ollivier", "--pair", "w," + "1" * 5000]],
+    ids=["root", "pair"],
+)
+def test_vertex_token_past_the_digit_limit(capsys, figure1_file, argv):
+    code, out, err = run_cli(capsys, [argv[0], figure1_file] + argv[1:])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "unknown-vertex"
+
+
+def test_values_past_the_digit_limit_fail_to_format(capsys, tmp_path):
+    # every input rational is below the digit limit, but products of them
+    # are not: the commands that print such values give a format error
+    path = tmp_path / "long.json"
+    path.write_text(
+        json.dumps(
+            {
+                "vertices": [
+                    {"id": "a", "m": "1/" + "3" * 2999 + "7"},
+                    {"id": "b", "m": "1"},
+                ],
+                "edges": [{"u": "a", "v": "b", "b": "1" * 3000 + "/7"}],
+            }
+        )
+    )
+    for argv in (["validate"], ["bdc", "--root", "a"]):
+        code, _out, _err = run_cli(capsys, argv[:1] + [str(path)] + argv[1:])
+        assert code == 0
+    for argv in (
+        ["curvature", "--root", "a"],
+        ["ollivier", "--pair", "a,b"],
+        ["sphere-curv", "--root", "a"],
+    ):
+        code, out, err = run_cli(capsys, argv[:1] + [str(path)] + argv[1:])
+        assert (code, out) == (1, "")
+        assert json.loads(err)["error"] == "format-error"
+
+
 # --- ollivier ---
 
 

@@ -46,8 +46,8 @@ from conftest import graphs_with_root
 # --- stronger curvature growth (per vertex) ---
 
 
-def test_model_dominates_its_own_chain(figure1):
-    rel = stronger_curvature_growth(figure1, "w", associated_bdc(figure1, "w"))
+def test_model_dominates_its_own_chain(figure1_decomp):
+    rel = stronger_curvature_growth(figure1_decomp, associated_bdc(figure1_decomp))
     assert rel.holds
     assert rel.first_violation is None
     assert rel.common_range == (0, 3)
@@ -55,7 +55,7 @@ def test_model_dominates_its_own_chain(figure1):
 
 def test_chain_vs_gprime_fails_inner_at_one():
     g = bdc_as_graph(make_unweighted_chain(8))
-    rel = stronger_curvature_growth(g, 0, make_example_gprime(8))
+    rel = stronger_curvature_growth(rooted_decomposition(g, 0), make_example_gprime(8))
     assert not rel.holds
     r, side, detail = rel.first_violation
     assert (r, side) == (1, "inner")
@@ -64,14 +64,15 @@ def test_chain_vs_gprime_fails_inner_at_one():
 
 def test_mirror_dominates_source_chain():
     src = make_unweighted_chain(6)
-    rel = stronger_curvature_growth(make_mirror_model(src), "0", src)
+    mirror = rooted_decomposition(make_mirror_model(src), "0")
+    rel = stronger_curvature_growth(mirror, src)
     assert rel.holds
 
 
 def test_root_measure_checked_first():
     g = bdc_as_graph(make_unweighted_chain(4))
     chain = BirthDeathChain(measures=(2, 1, 1), weights=(1, 1))
-    rel = stronger_curvature_growth(g, 0, chain)
+    rel = stronger_curvature_growth(rooted_decomposition(g, 0), chain)
     assert rel.first_violation[0] == 0
     assert rel.first_violation[1] == "measure"
 
@@ -79,21 +80,23 @@ def test_root_measure_checked_first():
 def test_no_common_radii_raises():
     single = validate_graph([("a", 1)], [])
     with pytest.raises(HorizonMismatch):
-        stronger_curvature_growth(single, "a", make_unweighted_chain(3))
+        stronger_curvature_growth(
+            rooted_decomposition(single, "a"), make_unweighted_chain(3)
+        )
 
 
 # --- stronger average growth ---
 
 
-def test_average_growth_reflexive(figure1):
-    c = associated_bdc(figure1, "w")
+def test_average_growth_reflexive(figure1_decomp):
+    c = associated_bdc(figure1_decomp)
     rel = stronger_average_growth(c, c)
     assert rel.holds
 
 
 def test_chain_vs_mirror_fails_only_at_root():
     src = make_unweighted_chain(8)
-    mirror = associated_bdc(make_mirror_model(src), "0")
+    mirror = associated_bdc(rooted_decomposition(make_mirror_model(src), "0"))
     rel = stronger_average_growth(src, mirror)
     assert not rel.holds
     r, side, _detail = rel.first_violation
@@ -121,11 +124,11 @@ def test_per_vertex_domination_implies_averaged(gr):
     assume(d.horizon >= 1)
     outer_min = []
     for r in range(d.horizon):
-        low = min(outer_curvature(g, d, x) for x in d.sphere(r))
+        low = min(outer_curvature(d, x) for x in d.sphere(r))
         assume(low > 0)
         outer_min.append(low)
     inner_max = [
-        max(inner_curvature(g, d, x) for x in d.sphere(r))
+        max(inner_curvature(d, x) for x in d.sphere(r))
         for r in range(1, d.horizon + 1)
     ]
     measures = [g.measure[root]]
@@ -134,8 +137,8 @@ def test_per_vertex_domination_implies_averaged(gr):
         weights.append(k_plus * measures[r])
         measures.append(weights[r] / inner_max[r])
     weak = BirthDeathChain(measures=tuple(measures), weights=tuple(weights))
-    assert stronger_curvature_growth(g, root, weak).holds
-    assert stronger_average_growth(associated_bdc(g, root), weak).holds
+    assert stronger_curvature_growth(d, weak).holds
+    assert stronger_average_growth(associated_bdc(d), weak).holds
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -148,7 +151,8 @@ def test_per_vertex_and_averaged_scans_agree_on_paths(seed, dominating):
         c1, c2 = chain_pair_with_average_hypothesis(rng)
     else:
         c1, c2 = random_chain(rng), random_chain(rng)
-    per_vertex = stronger_curvature_growth(bdc_as_graph(c1), 0, c2)
+    path = rooted_decomposition(bdc_as_graph(c1), 0)
+    per_vertex = stronger_curvature_growth(path, c2)
     averaged = stronger_average_growth(c1, c2)
     assert per_vertex.holds == averaged.holds
     assert (per_vertex.first_violation or ())[:2] == (averaged.first_violation or ())[:2]
@@ -161,7 +165,8 @@ def test_outer_side_checked_through_the_last_common_radius_but_one():
     c2 = make_unweighted_chain(2)
     averaged = stronger_average_growth(c1, c2)
     assert averaged.first_violation == (1, "outer", "averaged outer 1/2 < 1/1")
-    per_vertex = stronger_curvature_growth(bdc_as_graph(c1), 0, c2)
+    path = rooted_decomposition(bdc_as_graph(c1), 0)
+    per_vertex = stronger_curvature_growth(path, c2)
     assert per_vertex.first_violation == (1, "outer", "vertex 1: k_plus 1/2 < 1/1")
     assert stronger_outside_finite(c1, c2, 1).first_violation == averaged.first_violation
 
@@ -169,8 +174,8 @@ def test_outer_side_checked_through_the_last_common_radius_but_one():
 # --- outside a finite set ---
 
 
-def test_outside_finite_rejects_bad_threshold(figure1):
-    c = associated_bdc(figure1, "w")
+def test_outside_finite_rejects_bad_threshold(figure1_decomp):
+    c = associated_bdc(figure1_decomp)
     with pytest.raises(ValueError):
         stronger_outside_finite(c, c, 0)
     with pytest.raises(HorizonMismatch):
@@ -193,7 +198,8 @@ def test_full_hypothesis_is_monotone_in_threshold():
 
 def test_growth_relation_serialization():
     src = make_unweighted_chain(5)
-    rel = stronger_average_growth(src, associated_bdc(make_mirror_model(src), "0"))
+    mirror = associated_bdc(rooted_decomposition(make_mirror_model(src), "0"))
+    rel = stronger_average_growth(src, mirror)
     text = rel.describe()
     assert text.startswith("stronger-average-curvature: fails at r = 0, outer side")
     payload = rel.to_json_dict()
@@ -205,8 +211,8 @@ def test_growth_relation_serialization():
 # --- volume comparison ---
 
 
-def test_volume_comparison_equality_case(figure1):
-    c = associated_bdc(figure1, "w")
+def test_volume_comparison_equality_case(figure1_decomp):
+    c = associated_bdc(figure1_decomp)
     report = volume_comparison(c, c)
     assert report.hypothesis_checked and report.conclusion_checked
     assert all(row.lhs == row.rhs for row in report.ledger)
@@ -237,15 +243,15 @@ def test_volume_comparison_property(seed):
 def test_mirror_constant_is_two():
     src = make_unweighted_chain(8)
     constant, report = asymptotic_constant(
-        src, associated_bdc(make_mirror_model(src), "0"), 1
+        src, associated_bdc(rooted_decomposition(make_mirror_model(src), "0")), 1
     )
     assert constant == 2
     assert report.conclusion_checked
     assert all(row.lhs == row.rhs for row in report.ledger if row.r >= 1)
 
 
-def test_constant_is_one_for_identical_graphs(figure1):
-    c = associated_bdc(figure1, "w")
+def test_constant_is_one_for_identical_graphs(figure1_decomp):
+    c = associated_bdc(figure1_decomp)
     constant, report = asymptotic_constant(c, c, 1)
     assert constant == 1
     assert report.conclusion_checked
@@ -279,7 +285,8 @@ def test_constant_is_one_under_full_hypothesis():
 
 def test_gap_domination_chain_over_gprime():
     report = laplacian_distance_compare(
-        bdc_as_graph(make_unweighted_chain(10)), 0, make_example_gprime(10)
+        rooted_decomposition(bdc_as_graph(make_unweighted_chain(10)), 0),
+        make_example_gprime(10),
     )
     assert report.status == "recorded"
     assert report.conclusion_checked
@@ -290,7 +297,7 @@ def test_gap_domination_chain_over_gprime():
 
 def test_gap_comparison_equality_case():
     c = make_unweighted_chain(6)
-    report = laplacian_distance_compare(bdc_as_graph(c), 0, c)
+    report = laplacian_distance_compare(rooted_decomposition(bdc_as_graph(c), 0), c)
     assert report.conclusion_checked
     assert all(row.lhs == row.rhs for row in report.ledger)
 
@@ -299,9 +306,10 @@ def test_gap_comparison_equality_case():
 @given(graphs_with_root())
 def test_gap_comparison_internal_identities(gr):
     g, root = gr
-    assume(rooted_decomposition(g, root).horizon >= 1)
+    d = rooted_decomposition(g, root)
+    assume(d.horizon >= 1)
     # the identity checks inside raise if either formulation disagrees
-    report = laplacian_distance_compare(g, root, associated_bdc(g, root))
+    report = laplacian_distance_compare(d, associated_bdc(d))
     assert all(row.vertex is not None for row in report.ledger)
 
 
@@ -357,8 +365,8 @@ def test_partial_sum_equiv_property(seed):
 # --- chain vs graph partial sums ---
 
 
-def test_compcurv_on_figure1(figure1):
-    report = compcurv_check(associated_bdc(figure1, "w"), figure1, "w")
+def test_compcurv_on_figure1(figure1_decomp):
+    report = compcurv_check(associated_bdc(figure1_decomp), figure1_decomp)
     assert report.hypothesis_checked
     assert report.conclusion_checked
     rows = {row.r: (row.lhs, row.rhs) for row in report.ledger}
@@ -372,7 +380,7 @@ def test_compcurv_on_figure1(figure1):
 
 def test_compcurv_reflexive_on_chains():
     c = make_unweighted_chain(6)
-    report = compcurv_check(c, bdc_as_graph(c), 0)
+    report = compcurv_check(c, rooted_decomposition(bdc_as_graph(c), 0))
     assert report.conclusion_checked
     assert all(row.lhs == row.rhs for row in report.ledger)
 
@@ -381,8 +389,7 @@ def test_compcurv_requires_matched_root_curvature():
     with pytest.raises(HypothesisFailed):
         compcurv_check(
             BirthDeathChain(measures=(1, 1, 1, 1), weights=(2, 1, 1)),
-            bdc_as_graph(make_unweighted_chain(3)),
-            0,
+            rooted_decomposition(bdc_as_graph(make_unweighted_chain(3)), 0),
         )
 
 
@@ -390,8 +397,9 @@ def test_compcurv_requires_matched_root_curvature():
 @given(graphs_with_root(max_vertices=7))
 def test_compcurv_asserted_parts_hold(gr):
     g, root = gr
-    assume(rooted_decomposition(g, root).horizon >= 2)
-    report = compcurv_check(associated_bdc(g, root), g, root)
+    d = rooted_decomposition(g, root)
+    assume(d.horizon >= 2)
+    report = compcurv_check(associated_bdc(d), d)
     for rep in (report,) + report.subreports:
         if rep.status == "asserted" and rep.hypothesis_checked:
             assert rep.conclusion_checked, rep.claim
@@ -400,8 +408,8 @@ def test_compcurv_asserted_parts_hold(gr):
 # --- model sphere audit ---
 
 
-def test_model_audit_figure1(figure1):
-    report = model_sphere_equality_report(figure1, "w")
+def test_model_audit_figure1(figure1_decomp):
+    report = model_sphere_equality_report(figure1_decomp)
     assert report.status == "recorded"
     assert not report.conclusion_checked
     rows = {row.r: row for row in report.ledger}
@@ -411,16 +419,16 @@ def test_model_audit_figure1(figure1):
 
 
 def test_model_audit_chain_agrees():
-    report = model_sphere_equality_report(bdc_as_graph(make_unweighted_chain(5)), 0)
+    path = bdc_as_graph(make_unweighted_chain(5))
+    report = model_sphere_equality_report(rooted_decomposition(path, 0))
     assert report.conclusion_checked
 
 
 def test_model_audit_mirror_disagrees_at_root_sphere():
     # the mirror is a two-sided line: flat at the glue point, while the
     # folded chain doubles the outward weight there
-    report = model_sphere_equality_report(
-        make_mirror_model(make_unweighted_chain(5)), "0"
-    )
+    mirror = make_mirror_model(make_unweighted_chain(5))
+    report = model_sphere_equality_report(rooted_decomposition(mirror, "0"))
     assert not report.conclusion_checked
     rows = {row.r: row for row in report.ledger}
     assert (rows[1].lhs, rows[1].rhs) == (0, 2)
@@ -433,7 +441,7 @@ def test_model_audit_rejects_non_models():
         [("o", 1), ("a", 1), ("b", 2)], [("o", "a", 1), ("o", "b", 1)]
     )
     with pytest.raises(HypothesisFailed):
-        model_sphere_equality_report(g, "o")
+        model_sphere_equality_report(rooted_decomposition(g, "o"))
 
 
 # --- series diagnostic ---
@@ -441,13 +449,13 @@ def test_model_audit_rejects_non_models():
 
 def test_series_partial_sums_unweighted_chain():
     g = bdc_as_graph(make_unweighted_chain(6))
-    sums = sc_series_partial_sums(g, 0, 4)
+    sums = sc_series_partial_sums(rooted_decomposition(g, 0), 4)
     assert sums == (1, 3, 6, 10, 15)
 
 
 def test_series_partial_sums_gprime():
     g = bdc_as_graph(make_example_gprime(6))
-    sums = sc_series_partial_sums(g, 0, 3)
+    sums = sc_series_partial_sums(rooted_decomposition(g, 0), 3)
     terms = [sums[0]] + [sums[i] - sums[i - 1] for i in range(1, len(sums))]
     assert terms == [
         Fraction((r + 1) * (r + 2), 2) * (r + 1) ** 2 for r in range(4)
@@ -460,15 +468,15 @@ def test_series_partial_sums_nondecreasing(gr):
     g, root = gr
     d = rooted_decomposition(g, root)
     assume(d.horizon >= 1)
-    sums = sc_series_partial_sums(g, root, d.horizon - 1)
+    sums = sc_series_partial_sums(d, d.horizon - 1)
     assert all(sums[i] < sums[i + 1] for i in range(len(sums) - 1))
 
 
 # --- report serialization ---
 
 
-def test_report_json_schema(figure1):
-    c = associated_bdc(figure1, "w")
+def test_report_json_schema(figure1_decomp):
+    c = associated_bdc(figure1_decomp)
     report = volume_comparison(c, c)
     payload = report.to_json_dict()
     assert set(payload) >= {"claim", "hypothesis", "conclusion", "status", "ledger"}
@@ -478,8 +486,8 @@ def test_report_json_schema(figure1):
     json.dumps(payload)  # serializable as-is
 
 
-def test_report_text_rendering(figure1):
-    report = compcurv_check(associated_bdc(figure1, "w"), figure1, "w")
+def test_report_text_rendering(figure1_decomp):
+    report = compcurv_check(associated_bdc(figure1_decomp), figure1_decomp)
     text = report.to_text()
     assert text.startswith("claim:")
     assert "status=asserted" in text

@@ -35,16 +35,16 @@ from conftest import bfs_oracle, chains, graphs_with_root
 # --- inner / outer ---
 
 
-def test_figure1_inner_outer(figure1, figure1_decomp):
-    assert outer_curvature(figure1, figure1_decomp, "x") == 2
-    assert inner_curvature(figure1, figure1_decomp, "y'") == 1
-    assert inner_curvature(figure1, figure1_decomp, "w") == 0
-    assert inner_outer(figure1, figure1_decomp, "y") == (1, 1)
+def test_figure1_inner_outer(figure1_decomp):
+    assert outer_curvature(figure1_decomp, "x") == 2
+    assert inner_curvature(figure1_decomp, "y'") == 1
+    assert inner_curvature(figure1_decomp, "w") == 0
+    assert inner_outer(figure1_decomp, "y") == (1, 1)
 
 
-def test_outer_curvature_outermost_raises(figure1, figure1_decomp):
+def test_outer_curvature_outermost_raises(figure1_decomp):
     with pytest.raises(HorizonExceeded):
-        outer_curvature(figure1, figure1_decomp, "z")
+        outer_curvature(figure1_decomp, "z")
 
 
 def test_gprime_curvature_formulas():
@@ -61,34 +61,34 @@ def test_same_sphere_edges_count_for_neither():
     )
     d = rooted_decomposition(g, "o")
     # the weight-5 sideways edge a-b is invisible to both directions
-    assert inner_outer(g, d, "a") == (1, 1)
-    assert inner_outer(g, d, "b") == (1, 0)
+    assert inner_outer(d, "a") == (1, 1)
+    assert inner_outer(d, "b") == (1, 0)
 
 
 # --- averages and the profile ---
 
 
-def test_figure1_average_inner_at_two(figure1, figure1_decomp):
-    assert average_curvature(figure1, figure1_decomp, 2, "inner") == 1
+def test_figure1_average_inner_at_two(figure1_decomp):
+    assert average_curvature(figure1_decomp, 2, "inner") == 1
 
 
 def test_chain_averages_are_one():
     g = bdc_as_graph(make_unweighted_chain(5))
     d = rooted_decomposition(g, 0)
     for r in range(1, 5):
-        assert average_curvature(g, d, r, "inner") == 1
-        assert average_curvature(g, d, r, "outer") == 1
+        assert average_curvature(d, r, "inner") == 1
+        assert average_curvature(d, r, "outer") == 1
 
 
-def test_average_curvature_range_checks(figure1, figure1_decomp):
+def test_average_curvature_range_checks(figure1_decomp):
     with pytest.raises(HorizonExceeded):
-        average_curvature(figure1, figure1_decomp, 3, "outer")
+        average_curvature(figure1_decomp, 3, "outer")
     with pytest.raises(ValueError):
-        average_curvature(figure1, figure1_decomp, 1, "sideways")
+        average_curvature(figure1_decomp, 1, "sideways")
 
 
-def test_figure1_profile(figure1, figure1_decomp):
-    prof = curvature_profile(figure1, figure1_decomp)
+def test_figure1_profile(figure1_decomp):
+    prof = curvature_profile(figure1_decomp)
     assert prof.root == "w"
     assert prof.per_vertex["y'"] == (1, 1)
     assert prof.per_vertex["z"] == (1, None)
@@ -99,7 +99,7 @@ def test_figure1_profile(figure1, figure1_decomp):
 def test_profile_boundary_identity(gr):
     g, root = gr
     d = rooted_decomposition(g, root)
-    prof = curvature_profile(g, d)
+    prof = curvature_profile(d)
     assert prof.per_vertex[root][0] == 0  # k_minus vanishes at the root
     # every vertex against its edge sums, over an independent BFS
     dist = bfs_oracle(g, root)
@@ -113,7 +113,7 @@ def test_profile_boundary_identity(gr):
     # the outward weights of sphere r add up to its boundary weight
     for r in range(horizon):
         total = sum(prof.per_vertex[x][1] * g.measure[x] for x in d.sphere(r))
-        assert total == sphere_boundary(g, d, r)
+        assert total == sphere_boundary(d, r)
 
 
 # --- Ollivier pairs ---
@@ -165,12 +165,10 @@ def test_scale_invariance_of_pair_curvature(figure1, figure1_decomp):
         assert ollivier_pair(scaled, u, v).value == ollivier_pair(figure1, u, v).value
     d2 = rooted_decomposition(scaled, "w")
     for x in figure1.vertices:
-        assert inner_curvature(scaled, d2, x) == inner_curvature(
-            figure1, figure1_decomp, x
-        )
+        assert inner_curvature(d2, x) == inner_curvature(figure1_decomp, x)
     for r in range(3):
-        assert average_curvature(scaled, d2, r, "outer") == average_curvature(
-            figure1, figure1_decomp, r, "outer"
+        assert average_curvature(d2, r, "outer") == average_curvature(
+            figure1_decomp, r, "outer"
         )
 
 
@@ -199,18 +197,18 @@ def test_solver_matches_bruteforce_on_small_supports(gr):
 def test_chain_sphere_curvatures():
     g = bdc_as_graph(make_unweighted_chain(5))
     d = rooted_decomposition(g, 0)
-    assert sphere_curvature(g, d, 1) == 1
-    assert sphere_curvature(g, d, 2) == 0
+    assert sphere_curvature(d, 1) == 1
+    assert sphere_curvature(d, 2) == 0
 
 
-def test_figure1_sphere_curvatures(figure1, figure1_decomp):
-    assert sphere_curvature(figure1, figure1_decomp, 1) == 1
-    assert sphere_curvature(figure1, figure1_decomp, 2) == -1
-    assert sphere_curvature(figure1, figure1_decomp, 3) == 1
+def test_figure1_sphere_curvatures(figure1_decomp):
+    assert sphere_curvature(figure1_decomp, 1) == 1
+    assert sphere_curvature(figure1_decomp, 2) == -1
+    assert sphere_curvature(figure1_decomp, 3) == 1
     with pytest.raises(HorizonExceeded):
-        sphere_curvature(figure1, figure1_decomp, 4)
+        sphere_curvature(figure1_decomp, 4)
     with pytest.raises(HorizonExceeded):
-        sphere_curvature(figure1, figure1_decomp, 0)
+        sphere_curvature(figure1_decomp, 0)
 
 
 # --- birth-death closed form ---
@@ -220,7 +218,7 @@ def test_closed_form_examples():
     uc = make_unweighted_chain(6)
     assert bdc_ollivier_closed_form(uc, 0, 1) == 1
     assert bdc_ollivier_closed_form(uc, 1, 3) == 0
-    fig_chain = associated_bdc(make_figure1(), "w")
+    fig_chain = associated_bdc(rooted_decomposition(make_figure1(), "w"))
     assert bdc_ollivier_closed_form(fig_chain, 0, 1) == 1
 
 

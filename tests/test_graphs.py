@@ -196,9 +196,9 @@ def test_spheres_partition_and_measures_add_up(gr):
     seen = [v for shell in d.spheres for v in shell]
     assert sorted(seen, key=str) == sorted(g.vertices, key=str)
     assert d.spheres[0] == (root,)
-    total = sum(sphere_measure(g, d, r) for r in range(d.horizon + 1))
+    total = sum(sphere_measure(d, r) for r in range(d.horizon + 1))
     assert total == sum(g.measure.values(), Fraction(0))
-    assert ball_measure(g, d, d.horizon) == total
+    assert ball_measure(d, d.horizon) == total
     # every non-root vertex has an inward neighbor
     for r in range(1, d.horizon + 1):
         for v in d.sphere(r):
@@ -227,10 +227,10 @@ def test_laplacian_rejects_partial_function(figure1):
 def test_laplacian_of_distance_on_chain():
     g = bdc_as_graph(make_unweighted_chain(5))
     d = rooted_decomposition(g, 0)
-    assert laplacian_of_distance(g, d, 0) == -1
-    assert all(laplacian_of_distance(g, d, r) == 0 for r in range(1, 5))
+    assert laplacian_of_distance(d, 0) == -1
+    assert all(laplacian_of_distance(d, r) == 0 for r in range(1, 5))
     with pytest.raises(HorizonExceeded):
-        laplacian_of_distance(g, d, 5)
+        laplacian_of_distance(d, 5)
 
 
 def test_figure1_minimizing_function_value(figure1):
@@ -239,8 +239,8 @@ def test_figure1_minimizing_function_value(figure1):
     assert laplacian(figure1, f, "y") - laplacian(figure1, f, "x") == -1
 
 
-def test_figure1_laplacian_of_distance_at_y(figure1, figure1_decomp):
-    assert laplacian_of_distance(figure1, figure1_decomp, "y") == 0
+def test_figure1_laplacian_of_distance_at_y(figure1_decomp):
+    assert laplacian_of_distance(figure1_decomp, "y") == 0
 
 
 @settings(derandomize=True, deadline=None)
@@ -250,8 +250,8 @@ def test_laplacian_distance_identity(gr):
     d = rooted_decomposition(g, root)
     for r in range(d.horizon):
         for x in d.sphere(r):
-            k_minus, k_plus = inner_outer(g, d, x)
-            assert laplacian_of_distance(g, d, x) == k_minus - k_plus
+            k_minus, k_plus = inner_outer(d, x)
+            assert laplacian_of_distance(d, x) == k_minus - k_plus
 
 
 @settings(derandomize=True, deadline=None, max_examples=50)
@@ -265,12 +265,12 @@ def test_greens_identity(gr):
     assert lhs == rhs
 
 
-def test_sphere_boundary_examples(figure1, figure1_decomp):
-    assert sphere_boundary(figure1, figure1_decomp, 0) == 2
-    assert sphere_boundary(figure1, figure1_decomp, 1) == 4
-    assert sphere_boundary(figure1, figure1_decomp, 2) == 4
+def test_sphere_boundary_examples(figure1_decomp):
+    assert sphere_boundary(figure1_decomp, 0) == 2
+    assert sphere_boundary(figure1_decomp, 1) == 4
+    assert sphere_boundary(figure1_decomp, 2) == 4
     with pytest.raises(HorizonExceeded):
-        sphere_boundary(figure1, figure1_decomp, 3)
+        sphere_boundary(figure1_decomp, 3)
 
 
 # --- JSON ---
