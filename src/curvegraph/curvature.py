@@ -12,7 +12,9 @@ Three layers live here:
   infimum of the normalized Laplacian difference over 1-Lipschitz functions
   with unit gradient along the pair. The feasible set is a difference
   constraint polytope with integer bounds, so an integer optimizer exists;
-  the solver returns the lexicographically smallest one;
+  the solver returns the lexicographically smallest one. Its cost is local:
+  the support metric is BFS cut at d(x, y) + 2, and the min-cost flow runs
+  a heap Dijkstra over only the Lipschitz arcs not implied through x or y;
 * the min-max sphere curvature built from pair curvatures, plus the closed
   form it collapses to on birth-death chains.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import lcm
 from typing import Dict, Optional, Tuple, TYPE_CHECKING
 
@@ -146,12 +149,17 @@ class OllivierResult:
 
 
 def _pair_support(g: WeightedGraph, x: VertexId, y: VertexId):
-    """Vertices the pair objective can see, with their full-graph metric."""
+    """Vertices the pair objective can see, with their metric.
+
+    Each support vertex lies within 1 of x or y, so every distance among them
+    is at most d(x, y) + 2, and each BFS stops at that radius.
+    """
     members = {x, y}
     members.update(g.adjacency[x])
     members.update(g.adjacency[y])
     support = tuple(sorted(members, key=label_key))
-    dist = {u: distance_map(g, u) for u in support}
+    d = 1 if y in g.adjacency[x] else distance_map(g, x)[y]
+    dist = {u: distance_map(g, u, d + 2) for u in support}
     return support, dist
 
 
@@ -181,99 +189,83 @@ def _witness_value(
     return (lap(y) - lap(x)) / d
 
 
-def _dense_dijkstra(n, cmat, pi, flow, s):
+def _dijkstra(arcs, into, pi, flow, s):
     """Shortest reduced-cost distances from s in the residual network.
 
-    Forward arcs exist between all ordered pairs; the backward arc u->v
-    exists while flow on (v, u) is positive. The potential invariant keeps
-    every residual reduced cost nonnegative.
+    Forward arcs are ``arcs[u]``; the backward arc u->v, listed in
+    ``into[u]`` with the negated cost, exists while flow on (v, u) is
+    positive. The potential invariant keeps every residual reduced cost
+    nonnegative, so a settled node is never improved. Unreached nodes get
+    None.
     """
-    INF = float("inf")
-    dist = [INF] * n
-    parent: list = [None] * n
-    done = [False] * n
+    dist: list = [None] * len(arcs)
+    parent: list = [None] * len(arcs)
     dist[s] = 0
-    for _ in range(n):
-        u = -1
-        best = INF
-        for i in range(n):
-            if not done[i] and dist[i] < best:
-                best = dist[i]
-                u = i
-        if u < 0:
-            break
-        done[u] = True
-        du = dist[u]
-        piu = pi[u]
-        for v in range(n):
-            if v == u or done[v]:
-                continue
-            cand = du + cmat[u][v] + piu - pi[v]
-            if cand < dist[v]:
+    heap = [(0, s)]
+    while heap:
+        du, u = heappop(heap)
+        if du > dist[u]:
+            continue
+        base = du + pi[u]
+        for v, c in arcs[u]:
+            cand = base + c - pi[v]
+            if dist[v] is None or cand < dist[v]:
                 dist[v] = cand
                 parent[v] = (u, False)
-            if flow.get((v, u), 0) > 0:
-                cand = du - cmat[v][u] + piu - pi[v]
-                if cand < dist[v]:
-                    dist[v] = cand
-                    parent[v] = (u, True)
+                heappush(heap, (cand, v))
+        for v, c in into[u]:
+            cand = base + c - pi[v]
+            if flow.get((v, u), 0) > 0 and (dist[v] is None or cand < dist[v]):
+                dist[v] = cand
+                parent[v] = (u, True)
+                heappush(heap, (cand, v))
     return dist, parent
 
 
-def _min_cost_flow_potentials(n, cmat, supply, pi):
+def _min_cost_flow_potentials(arcs, supply, pi):
     """Exact uncapacitated min-cost flow; returns the final potentials.
 
-    ``supply[i]`` is the required net inflow at node i (integers summing to
-    zero); ``pi`` must make every arc's reduced cost nonnegative on entry.
-    The returned potentials are an optimal solution of the flow LP's dual.
+    ``arcs[u]`` lists (v, cost) for each arc u->v; ``supply[i]`` is the
+    required net inflow at node i (integers summing to zero); ``pi`` must
+    make every arc's reduced cost nonnegative on entry. The returned
+    potentials are an optimal solution of the flow LP's dual.
     """
+    n = len(arcs)
+    into: list = [[] for _ in range(n)]
+    for u in range(n):
+        for v, c in arcs[u]:
+            into[v].append((u, -c))
     flow: dict = {}
     need = list(supply)
     guard = 100 * (n + 2) ** 2
     while True:
-        s = -1
-        for i in range(n):
-            if need[i] < 0:
-                s = i
-                break
-        if s < 0:
-            break
-        dist, parent = _dense_dijkstra(n, cmat, pi, flow, s)
-        t = -1
-        for i in range(n):
-            if need[i] > 0 and (t < 0 or dist[i] < dist[t]):
-                t = i
-        if t < 0 or dist[t] == float("inf"):
+        s = next((i for i in range(n) if need[i] < 0), None)
+        if s is None:
+            return pi
+        dist, parent = _dijkstra(arcs, into, pi, flow, s)
+        reached = [i for i in range(n) if need[i] > 0 and dist[i] is not None]
+        if not reached:
             raise CurvegraphError("internal flow error: no route to a sink")
-        quota = min(-need[s], need[t])
+        t = min(reached, key=dist.__getitem__)
+        path = []
         node = t
         while node != s:
             prev, backward = parent[node]
-            if backward:
-                quota = min(quota, flow[(node, prev)])
+            path.append((prev, node, backward))
             node = prev
-        node = t
-        while node != s:
-            prev, backward = parent[node]
+        quota = min([-need[s], need[t]] + [flow[v, u] for u, v, back in path if back])
+        for u, v, backward in path:
             if backward:
-                left = flow[(node, prev)] - quota
-                if left:
-                    flow[(node, prev)] = left
-                else:
-                    del flow[(node, prev)]
+                flow[v, u] -= quota
             else:
-                flow[(prev, node)] = flow.get((prev, node), 0) + quota
-            node = prev
+                flow[u, v] = flow.get((u, v), 0) + quota
         need[s] += quota
         need[t] -= quota
         dt = dist[t]
-        for i in range(n):
-            di = dist[i]
-            pi[i] += dt if di > dt else di
+        pi = [p + (dt if di is None else min(di, dt)) for p, di in zip(pi, dist)]
         guard -= 1
         if guard <= 0:
             raise CurvegraphError("internal flow error: iteration guard tripped")
-    return pi
 
 
 def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
@@ -313,17 +305,28 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
     if sum(supply) != 0:
         raise CurvegraphError("internal error: unbalanced supplies")
 
-    cmat = [[0] * n for _ in range(n)]
-    for i, u in enumerate(support):
-        for j, v in enumerate(support):
-            if i != j:
-                cmat[i][j] = dist[u][v]
-    cmat[ix][iy] = -d  # forces witness[y] - witness[x] = d
+    # Lipschitz arcs u->v of cost d(u, v), except those with x or y (not an
+    # endpoint) on a shortest u-v path: the two arcs through it imply them.
+    # x->y costs -d, which forces witness[y] - witness[x] = d.
+    dx, dy = dist[x], dist[y]
+    arcs = []
+    for u in support:
+        du = dist[u]
+        arcs.append(
+            [
+                (j, du[v])
+                for j, v in enumerate(support)
+                if v != u
+                and not (x != u and x != v and du[x] + dx[v] == du[v])
+                and not (y != u and y != v and du[y] + dy[v] == du[v])
+            ]
+        )
+    arcs[ix] = [(j, -d if j == iy else c) for j, c in arcs[ix]]
 
     # Closed-form valid initial potentials: shortest distances with the one
     # negative arc folded in.
     pi = [min(0, dist[y][u] - d) for u in support]
-    pi = _min_cost_flow_potentials(n, cmat, supply, pi)
+    pi = _min_cost_flow_potentials(arcs, supply, pi)
 
     base = pi[ix]
     witness = {support[i]: base - pi[i] for i in range(n)}

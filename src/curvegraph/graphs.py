@@ -17,7 +17,7 @@ import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Tuple, Union
+from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import (
     AsymmetricDuplicateEdge,
@@ -213,16 +213,22 @@ def validate_graph(
     return g
 
 
-def distance_map(g: WeightedGraph, source: VertexId) -> dict:
-    """Combinatorial distances from source to every vertex (BFS)."""
+def distance_map(
+    g: WeightedGraph, source: VertexId, radius: Optional[int] = None
+) -> dict:
+    """Combinatorial distances from source (BFS): to every vertex, or, given
+    a radius, to exactly the vertices within it."""
     g.require_vertex(source)
     dist = {source: 0}
     queue = deque([source])
     while queue:
         u = queue.popleft()
+        du = dist[u]
+        if du == radius:
+            continue
         for v in g.adjacency[u]:
             if v not in dist:
-                dist[v] = dist[u] + 1
+                dist[v] = du + 1
                 queue.append(v)
     return dist
 

@@ -2,7 +2,8 @@
 
 `bench/tracer.py` patches curvegraph functions by name. A refactor that moves
 or renames one of them should fail here rather than in `bench/run.py --trace 1`.
-The same spans guard that each command decomposes a graph once per root.
+The same spans guard that each command decomposes a graph once per root, and
+that a pair's BFS work does not grow with the graph around it.
 """
 
 import importlib
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from curvegraph import cli, make_figure1
+from curvegraph import cli, make_figure1, ollivier_pair, validate_graph
 from curvegraph.graphs import graph_to_json
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -74,3 +75,23 @@ def test_one_rooted_pass_per_root(capsys, tmp_path, argv, passes):
         assert cli.run([str(path) if arg == "{g}" else arg for arg in argv]) == 0
     capsys.readouterr()
     assert [span[0] for span in trace.spans].count("rooted_decomposition") == passes
+
+
+def _grid(side):
+    vertices = [(i * side + j, 1) for i in range(side) for j in range(side)]
+    edges = [(v, v + 1, 1) for v, _ in vertices if v % side + 1 < side]
+    edges += [(v, v + side, 1) for v, _ in vertices if v + side < side * side]
+    return validate_graph(vertices, edges)
+
+
+def _pair_bfs_work(side):
+    g = _grid(side)
+    with tracer.Tracer() as trace:
+        ollivier_pair(g, 4 * side + 4, 4 * side + 5)
+    return sum(span[4] for span in trace.spans if span[0] == "distance_map")
+
+
+def test_pair_metric_is_local():
+    # the edge (4, 4)-(4, 5) of a 10x10 grid and of a 30x30 grid: every
+    # support vertex's BFS, cut at d + 2 = 3, stays inside both grids
+    assert _pair_bfs_work(10) == _pair_bfs_work(30)

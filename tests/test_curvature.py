@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvegraph import (
     BadRadiusOrder,
@@ -28,8 +29,9 @@ from curvegraph import (
     verify_witness,
 )
 from curvegraph.chains import associated_bdc, bdc_as_graph
+from curvegraph.curvature import _pair_support
 
-from conftest import bfs_oracle, chains, graphs_with_root
+from conftest import bfs_oracle, chains, graphs_with_root, rationals
 
 
 # --- inner / outer ---
@@ -172,23 +174,86 @@ def test_scale_invariance_of_pair_curvature(figure1, figure1_decomp):
         )
 
 
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(graphs_with_root(max_vertices=10))
+def test_pair_support_metric_matches_bfs_oracle(gr):
+    g, _ = gr
+    maps = {v: bfs_oracle(g, v) for v in g.vertices}
+    for x in g.vertices:
+        for y in g.vertices:
+            if x == y:
+                continue
+            support, dist = _pair_support(g, x, y)
+            members = {x, y} | set(g.adjacency[x]) | set(g.adjacency[y])
+            assert set(support) == members
+            for u in support:
+                assert {v: dist[u][v] for v in support} == {
+                    v: maps[u][v] for v in support
+                }
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
-@given(graphs_with_root(max_vertices=7))
+@given(graphs_with_root(max_vertices=10))
 def test_solver_matches_bruteforce_on_small_supports(gr):
     g, _ = gr
-    for u, v, _w in g.edges:
-        support = {u, v}
-        support.update(x for x, _ in g.neighbors(u))
-        support.update(x for x, _ in g.neighbors(v))
-        if len(support) > 10:
-            continue
-        solved = ollivier_pair(g, u, v)
-        brute = ollivier_pair_bruteforce(g, u, v)
-        assert solved.value == brute.value
-        # both search rules pick the lexicographically smallest optimum
-        assert solved.witness == brute.witness
-        verify_witness(g, solved)
-        verify_witness(g, brute)
+    for u in g.vertices:
+        reach = bfs_oracle(g, u)
+        for v in g.vertices:
+            # adjacent pairs and pairs at distance 2 and 3, each once
+            if not (u < v and reach[v] <= 3):
+                continue
+            support = {u, v} | set(g.adjacency[u]) | set(g.adjacency[v])
+            if len(support) > 10:
+                continue
+            solved = ollivier_pair(g, u, v)
+            brute = ollivier_pair_bruteforce(g, u, v)
+            assert solved.distance == reach[v]
+            assert solved.value == brute.value
+            # both search rules pick the lexicographically smallest optimum
+            assert solved.witness == brute.witness
+            verify_witness(g, solved)
+            verify_witness(g, brute)
+
+
+def test_arc_between_neighbors_through_an_outside_vertex():
+    # a ~ x and b ~ y meet at c outside the support, so d(a, b) = 2 with no
+    # shortest path through x or y: the constraint |f(a) - f(b)| <= 2 is not
+    # implied by any other and decides the value (0 without it)
+    g = validate_graph(
+        [(v, 1) for v in "abcxy"],
+        [("x", "y", 1), ("x", "a", 1), ("y", "b", 1), ("a", "c", 1), ("b", "c", 1)],
+    )
+    solved = ollivier_pair(g, "x", "y")
+    brute = ollivier_pair_bruteforce(g, "x", "y")
+    assert solved.value == brute.value == 1
+    assert solved.witness == brute.witness
+    verify_witness(g, solved)
+
+
+@st.composite
+def hub_pairs(draw):
+    """Adjacent hubs 0 and 1 with 1-60 leaves each: a tree with rational data."""
+    left, right = (draw(st.integers(min_value=1, max_value=60)) for _ in range(2))
+    n = 2 + left + right
+    weight = rationals(max_num=99, max_den=99)
+    vertices = [(v, draw(weight)) for v in range(n)]
+    edges = [(0, 1, draw(weight))]
+    edges += [(0 if v < 2 + left else 1, v, draw(weight)) for v in range(2, n)]
+    return validate_graph(vertices, edges)
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(hub_pairs())
+def test_high_degree_hubs_match_the_tree_edge_closed_form(g):
+    # a flow guard tripping would raise out of ollivier_pair
+    result = ollivier_pair(g, 0, 1)
+    mx, my = g.measure[0], g.measure[1]
+    b = g.adjacency[0][1]
+    expected = b * (1 / mx + 1 / my)
+    expected -= sum((w for z, w in g.neighbors(0) if z != 1), Fraction(0)) / mx
+    expected -= sum((w for z, w in g.neighbors(1) if z != 0), Fraction(0)) / my
+    assert result.value == expected
+    verify_witness(g, result)
 
 
 # --- sphere curvature ---

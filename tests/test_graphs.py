@@ -174,7 +174,11 @@ def test_single_vertex_decomposition():
 @given(graphs_with_root())
 def test_distance_matches_bfs_oracle(gr):
     g, root = gr
-    assert distance_map(g, root) == bfs_oracle(g, root)
+    full = bfs_oracle(g, root)
+    assert distance_map(g, root) == full
+    for radius in range(max(full.values()) + 2):
+        within = {v: k for v, k in full.items() if k <= radius}
+        assert distance_map(g, root, radius) == within
 
 
 @settings(derandomize=True, deadline=None)
