@@ -7,7 +7,9 @@ itself, as one ``RootedDecomposition`` that the caller builds once.
 
 Every checker here evaluates its own hypotheses instead of trusting the
 caller, and a failed conclusion is written into the report rather than
-raised: the reports double as an audit trail. Reports carry a status flag;
+raised: the reports double as an audit trail. A builder hands its report
+the ledger, a failure template and any hypothesis note; the report derives
+its counterexample and radius span from them. Reports carry a status flag;
 "asserted" reports are the ones the verification suite is allowed to fail
 on, "recorded" reports document computed values without judging them.
 """
@@ -17,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Dict, Optional, Tuple
+from operator import ge, le
+from typing import List, Optional, Tuple
 
 from .chains import BirthDeathChain, associated_bdc, bdc_as_graph, is_model
 from .curvature import (
@@ -113,19 +116,38 @@ class TheoremReport:
     A report never hides a failure: when the hypothesis holds and an asserted
     conclusion does not, the discrepancy survives into the output and the
     verification suite fails on it.
+
+    The ledger is never empty, because every builder first requires at
+    least one common radius; common_range is its first and last radius.
+    The counterexample is the hypothesis note, if any, followed by the first
+    failing row rendered through the failure template (fields r, lhs, rhs
+    and vertex). A report without a template names no failing row.
     """
 
     claim: str
     hypothesis_checked: bool
     ledger: Tuple[LedgerRow, ...]
-    counterexample: Optional[str] = None
+    failure: Optional[str] = None
+    note: Optional[str] = None
     status: str = "asserted"
-    common_range: Optional[Tuple[int, int]] = None
     subreports: Tuple["TheoremReport", ...] = ()
 
     @property
     def conclusion_checked(self) -> bool:
         return all(row.ok for row in self.ledger)
+
+    @property
+    def common_range(self) -> Tuple[int, int]:
+        return self.ledger[0].r, self.ledger[-1].r
+
+    @property
+    def counterexample(self) -> Optional[str]:
+        parts = [] if self.note is None else [self.note]
+        bad = next((row for row in self.ledger if not row.ok), None)
+        if bad is not None and self.failure is not None:
+            lhs, rhs = format_rational(bad.lhs), format_rational(bad.rhs)
+            parts.append(self.failure.format(r=bad.r, lhs=lhs, rhs=rhs, vertex=bad.vertex))
+        return "; ".join(parts) or None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -137,26 +159,22 @@ class TheoremReport:
         }
         if self.counterexample is not None:
             out["counterexample"] = self.counterexample
-        if self.common_range is not None:
-            out["common_range"] = list(self.common_range)
+        out["common_range"] = list(self.common_range)
         if self.subreports:
             out["subreports"] = [sub.to_json_dict() for sub in self.subreports]
         return out
 
     def to_text(self, indent: str = "") -> str:
-        lines = [f"{indent}claim: {self.claim}"]
-        header = (
+        lines = [
+            f"{indent}claim: {self.claim}",
             f"{indent}  status={self.status}"
             f"  hypothesis={'pass' if self.hypothesis_checked else 'FAIL'}"
             f"  conclusion={'pass' if self.conclusion_checked else 'FAIL'}"
-        )
-        if self.common_range is not None:
-            header += f"  radii={self.common_range[0]}..{self.common_range[1]}"
-        lines.append(header)
+            f"  radii={self.common_range[0]}..{self.common_range[1]}",
+        ]
         if self.counterexample is not None:
             lines.append(f"{indent}  counterexample: {self.counterexample}")
-        if self.ledger:
-            lines.extend(self._ledger_lines(indent + "  "))
+        lines.extend(self._ledger_lines(indent + "  "))
         for sub in self.subreports:
             lines.append(sub.to_text(indent + "  "))
         return "\n".join(lines)
@@ -321,23 +339,17 @@ def volume_comparison(c1: BirthDeathChain, c2: BirthDeathChain) -> TheoremReport
     for r in range(common + 1):
         lhs, rhs = c1.measures[r], c2.measures[r]
         rows.append(LedgerRow(r=r, lhs=lhs, rhs=rhs, ok=lhs >= rhs))
-    notes = []
+    note = None
     if not relation.holds:
         r, side, detail = relation.first_violation
-        notes.append(f"hypothesis fails at r = {r} ({side}): {detail}")
-    bad = [row for row in rows if not row.ok]
-    if bad:
-        notes.append(
-            f"volume inequality fails first at r = {bad[0].r}: "
-            f"{format_rational(bad[0].lhs)} < {format_rational(bad[0].rhs)}"
-        )
+        note = f"hypothesis fails at r = {r} ({side}): {detail}"
     return TheoremReport(
         claim="averaged curvature domination gives sphere-volume domination",
         hypothesis_checked=relation.holds,
         ledger=tuple(rows),
-        counterexample="; ".join(notes) if notes else None,
+        failure="volume inequality fails first at r = {r}: {lhs} < {rhs}",
+        note=note,
         status="asserted",
-        common_range=(0, common),
     )
 
 
@@ -377,7 +389,6 @@ def asymptotic_constant(
             raise CurvegraphError(
                 f"volume recursion disagrees with direct measure at r = {r + 1}"
             )
-    bad = [row for row in rows if not row.ok]
     return constant, TheoremReport(
         claim=(
             "domination outside a finite set gives volume domination up to "
@@ -385,13 +396,8 @@ def asymptotic_constant(
         ),
         hypothesis_checked=True,
         ledger=tuple(rows),
-        counterexample=(
-            None
-            if not bad
-            else f"scaled volume inequality fails first at r = {bad[0].r}"
-        ),
+        failure="scaled volume inequality fails first at r = {r}",
         status="asserted",
-        common_range=(0, common),
     )
 
 
@@ -435,7 +441,6 @@ def laplacian_distance_compare(
                     f"gap and Laplacian formulations disagree at vertex {x!r}"
                 )
             rows.append(LedgerRow(r=r, lhs=gap, rhs=chain_gap, ok=ok, vertex=x))
-    bad = [row for row in rows if not row.ok]
     return TheoremReport(
         claim=(
             "curvature-gap domination, equivalently distance-Laplacian "
@@ -443,21 +448,21 @@ def laplacian_distance_compare(
         ),
         hypothesis_checked=True,
         ledger=tuple(rows),
-        counterexample=(
-            None
-            if not bad
-            else f"gap domination fails first at r = {bad[0].r}, "
-            f"vertex {bad[0].vertex}"
-        ),
+        failure="gap domination fails first at r = {r}, vertex {vertex}",
         status="recorded",
-        common_range=(0, common - 1),
     )
 
 
-def _chain_sphere_curvatures(chain: BirthDeathChain, last: int) -> Dict[int, Fraction]:
-    return {
-        r: bdc_ollivier_closed_form(chain, r - 1, r) for r in range(1, last + 1)
-    }
+def _chain_sphere_curvatures(chain: BirthDeathChain, last: int) -> List[Fraction]:
+    return [bdc_ollivier_closed_form(chain, r - 1, r) for r in range(1, last + 1)]
+
+
+def _sum_rows(k_a, k_b, ok) -> List[LedgerRow]:
+    """Rows of the running sums of two lists from radius 1, over the shorter."""
+    return [
+        LedgerRow(r=r, lhs=a, rhs=b, ok=ok(a, b))
+        for r, (a, b) in enumerate(zip(accumulate(k_a), accumulate(k_b)), start=1)
+    ]
 
 
 def partial_sum_equiv_check(
@@ -479,42 +484,38 @@ def partial_sum_equiv_check(
         )
     last = min(chain_a.horizon, chain_b.horizon) - 1
     _require_span(last, 1, "partial-sum equivalence")
-    k_a = _chain_sphere_curvatures(chain_a, last)
-    k_b = _chain_sphere_curvatures(chain_b, last)
-    main_rows, sum_rows, gap_rows = [], [], []
-    sum_a = sum_b = Fraction(0)
-    for R in range(1, last + 1):
-        sum_a += k_a[R]
-        sum_b += k_b[R]
-        gap_a = chain_a.curvature_gap(R)
-        gap_b = chain_b.curvature_gap(R)
-        sum_rows.append(LedgerRow(r=R, lhs=sum_a, rhs=sum_b, ok=sum_a <= sum_b))
+    sum_rows = _sum_rows(
+        _chain_sphere_curvatures(chain_a, last),
+        _chain_sphere_curvatures(chain_b, last),
+        le,
+    )
+    main_rows, gap_rows = [], []
+    for row in sum_rows:
+        R = row.r
+        gap_a, gap_b = chain_a.curvature_gap(R), chain_b.curvature_gap(R)
         gap_rows.append(LedgerRow(r=R, lhs=gap_a, rhs=gap_b, ok=gap_a >= gap_b))
-        lhs = sum_a - sum_b
+        lhs = row.lhs - row.rhs
         rhs = gap_b - gap_a
         if lhs != rhs:
             raise CurvegraphError(
                 f"telescoping identity broken at R = {R}: {lhs} != {rhs}"
             )
-        equivalent = ((sum_a <= sum_b) == (gap_a >= gap_b)) and (
-            (sum_a < sum_b) == (gap_a > gap_b)
+        equivalent = (row.ok == (gap_a >= gap_b)) and (
+            (row.lhs < row.rhs) == (gap_a > gap_b)
         )
         main_rows.append(LedgerRow(r=R, lhs=lhs, rhs=rhs, ok=equivalent))
-    bad = [row for row in main_rows if not row.ok]
     subreports = (
         TheoremReport(
             claim="partial sums of sphere curvatures, first chain vs second",
             hypothesis_checked=True,
             ledger=tuple(sum_rows),
             status="recorded",
-            common_range=(1, last),
         ),
         TheoremReport(
             claim="curvature gaps, first chain vs second",
             hypothesis_checked=True,
             ledger=tuple(gap_rows),
             status="recorded",
-            common_range=(1, last),
         ),
     )
     return TheoremReport(
@@ -524,11 +525,8 @@ def partial_sum_equiv_check(
         ),
         hypothesis_checked=True,
         ledger=tuple(main_rows),
-        counterexample=(
-            None if not bad else f"equivalence fails first at R = {bad[0].r}"
-        ),
+        failure="equivalence fails first at R = {r}",
         status="asserted",
-        common_range=(1, last),
         subreports=subreports,
     )
 
@@ -554,66 +552,39 @@ def compcurv_check(
             f"radius-0 outer curvatures differ: chain "
             f"{format_rational(root_chain)} != graph {format_rational(root_graph)}"
         )
-    assoc = associated_bdc(decomp)
     graph_last = decomp.horizon - 1
-    k_graph = {r: sphere_curvature(decomp, r) for r in range(1, graph_last + 1)}
-    k_chain = _chain_sphere_curvatures(model_chain, last)
-    k_assoc = _chain_sphere_curvatures(assoc, graph_last)
-
+    k_graph = [sphere_curvature(decomp, r) for r in range(1, graph_last + 1)]
+    k_assoc = _chain_sphere_curvatures(associated_bdc(decomp), graph_last)
+    chain_gaps = [model_chain.curvature_gap(r) for r in range(last + 1)]
     # vertex gaps per radius, for the part-one hypothesis and part-two bound
-    gaps = {}
+    gaps = []
     for r in range(last + 1):
         pairs = [inner_outer(decomp, x) for x in decomp.sphere(r)]
-        gaps[r] = [k_plus - k_minus for k_minus, k_plus in pairs]
-    hyp_one = True
-    hyp_note = None
-    for r in range(last + 1):
-        chain_gap = model_chain.curvature_gap(r)
-        for x, gap in zip(decomp.sphere(r), gaps[r]):
-            if chain_gap > gap:
-                hyp_one = False
-                hyp_note = (
-                    f"chain gap {format_rational(chain_gap)} exceeds vertex "
-                    f"{x} gap {format_rational(gap)} at r = {r}"
-                )
-                break
-        if not hyp_one:
-            break
-
-    main_rows, two_rows, assoc_rows = [], [], []
-    sum_chain = sum_graph = Fraction(0)
-    for R in range(1, last + 1):
-        sum_chain += k_chain[R]
-        sum_graph += k_graph[R]
-        main_rows.append(
-            LedgerRow(r=R, lhs=sum_chain, rhs=sum_graph, ok=sum_chain >= sum_graph)
-        )
-    hyp_two = all(row.lhs <= row.rhs for row in main_rows)
-    for R in range(last + 1):
-        lhs = model_chain.curvature_gap(R)
-        rhs = min(gaps[R])
-        two_rows.append(LedgerRow(r=R, lhs=lhs, rhs=rhs, ok=lhs >= rhs))
-    sum_assoc = sum_graph_full = Fraction(0)
-    for R in range(1, graph_last + 1):
-        sum_assoc += k_assoc[R]
-        sum_graph_full += k_graph[R]
-        assoc_rows.append(
-            LedgerRow(
-                r=R, lhs=sum_assoc, rhs=sum_graph_full, ok=sum_assoc >= sum_graph_full
-            )
-        )
-
-    bad_main = [row for row in main_rows if not row.ok]
+        gaps.append([k_plus - k_minus for k_minus, k_plus in pairs])
+    hyp_note = next(
+        (
+            f"chain gap {format_rational(chain_gap)} exceeds vertex "
+            f"{x} gap {format_rational(gap)} at r = {r}"
+            for r, chain_gap in enumerate(chain_gaps)
+            for x, gap in zip(decomp.sphere(r), gaps[r])
+            if chain_gap > gap
+        ),
+        None,
+    )
+    main_rows = _sum_rows(_chain_sphere_curvatures(model_chain, last), k_graph, ge)
+    two_rows = [
+        LedgerRow(r=r, lhs=lhs, rhs=rhs, ok=lhs >= rhs)
+        for r, (lhs, rhs) in enumerate(zip(chain_gaps, map(min, gaps)))
+    ]
     subreports = (
         TheoremReport(
             claim=(
                 "graph sum domination bounds the chain gap by the sphere "
                 "minimum gap"
             ),
-            hypothesis_checked=hyp_two,
+            hypothesis_checked=all(row.lhs <= row.rhs for row in main_rows),
             ledger=tuple(two_rows),
             status="asserted",
-            common_range=(0, last),
         ),
         TheoremReport(
             claim=(
@@ -621,29 +592,21 @@ def compcurv_check(
                 "the graph's"
             ),
             hypothesis_checked=True,
-            ledger=tuple(assoc_rows),
+            ledger=tuple(_sum_rows(k_assoc, k_graph, ge)),
             status="asserted",
-            common_range=(1, graph_last),
         ),
     )
+    # a failed hypothesis is the counterexample; no row text follows it
     return TheoremReport(
         claim=(
             "chain gap lower bound on vertex gaps gives chain sphere-"
             "curvature sum domination"
         ),
-        hypothesis_checked=hyp_one,
+        hypothesis_checked=hyp_note is None,
         ledger=tuple(main_rows),
-        counterexample=(
-            hyp_note
-            if hyp_note is not None
-            else (
-                None
-                if not bad_main
-                else f"sum domination fails first at R = {bad_main[0].r}"
-            )
-        ),
+        failure="sum domination fails first at R = {r}" if hyp_note is None else None,
+        note=hyp_note,
         status="asserted",
-        common_range=(1, last),
         subreports=subreports,
     )
 
@@ -675,19 +638,12 @@ def model_sphere_equality_report(decomp: RootedDecomposition) -> TheoremReport:
         lhs = sphere_curvature(decomp, r)
         rhs = bdc_ollivier_closed_form(chain, r - 1, r)
         rows.append(LedgerRow(r=r, lhs=lhs, rhs=rhs, ok=lhs == rhs))
-    bad = [row for row in rows if not row.ok]
     return TheoremReport(
         claim="model graph sphere curvatures equal the associated chain's",
         hypothesis_checked=True,
         ledger=tuple(rows),
-        counterexample=(
-            None
-            if not bad
-            else f"values differ first at r = {bad[0].r}: graph "
-            f"{format_rational(bad[0].lhs)}, chain {format_rational(bad[0].rhs)}"
-        ),
+        failure="values differ first at r = {r}: graph {lhs}, chain {rhs}",
         status="recorded",
-        common_range=(1, last),
     )
 
 

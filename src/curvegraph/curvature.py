@@ -152,13 +152,14 @@ def _pair_support(g: WeightedGraph, x: VertexId, y: VertexId):
     """Vertices the pair objective can see, with their metric.
 
     Each support vertex lies within 1 of x or y, so every distance among them
-    is at most d(x, y) + 2, and each BFS stops at that radius.
+    is at most d(x, y) + 2, and each BFS stops at that radius. d(x, y) itself
+    comes from a BFS that stops once it reaches y.
     """
     members = {x, y}
     members.update(g.adjacency[x])
     members.update(g.adjacency[y])
     support = tuple(sorted(members, key=label_key))
-    d = 1 if y in g.adjacency[x] else distance_map(g, x)[y]
+    d = 1 if y in g.adjacency[x] else distance_map(g, x, target=y)[y]
     dist = {u: distance_map(g, u, d + 2) for u in support}
     return support, dist
 

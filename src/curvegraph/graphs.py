@@ -214,10 +214,15 @@ def validate_graph(
 
 
 def distance_map(
-    g: WeightedGraph, source: VertexId, radius: Optional[int] = None
+    g: WeightedGraph,
+    source: VertexId,
+    radius: Optional[int] = None,
+    target: Optional[VertexId] = None,
 ) -> dict:
     """Combinatorial distances from source (BFS): to every vertex, or, given
-    a radius, to exactly the vertices within it."""
+    a radius, to exactly the vertices within it. Given a target, it returns
+    once the target is discovered: the target's distance is exact, and other
+    vertices as far from the source may be missing."""
     g.require_vertex(source)
     dist = {source: 0}
     queue = deque([source])
@@ -229,6 +234,8 @@ def distance_map(
         for v in g.adjacency[u]:
             if v not in dist:
                 dist[v] = du + 1
+                if v == target:
+                    return dist
                 queue.append(v)
     return dist
 
@@ -236,7 +243,7 @@ def distance_map(
 def distance(g: WeightedGraph, x: VertexId, y: VertexId) -> int:
     """Length of a shortest edge path between x and y."""
     g.require_vertex(y)
-    return distance_map(g, x)[y]
+    return distance_map(g, x, target=y)[y]
 
 
 @dataclass(frozen=True)

@@ -84,14 +84,20 @@ def _grid(side):
     return validate_graph(vertices, edges)
 
 
-def _pair_bfs_work(side):
+def _pair_bfs_work(side, x, y):
     g = _grid(side)
     with tracer.Tracer() as trace:
-        ollivier_pair(g, 4 * side + 4, 4 * side + 5)
+        ollivier_pair(g, x[0] * side + x[1], y[0] * side + y[1])
     return sum(span[4] for span in trace.spans if span[0] == "distance_map")
 
 
-def test_pair_metric_is_local():
-    # the edge (4, 4)-(4, 5) of a 10x10 grid and of a 30x30 grid: every
-    # support vertex's BFS, cut at d + 2 = 3, stays inside both grids
-    assert _pair_bfs_work(10) == _pair_bfs_work(30)
+@pytest.mark.parametrize(
+    "side, x, y",
+    [(10, (4, 4), (4, 5)), (14, (5, 5), (5, 7))],
+    ids=["edge", "distance-2"],
+)
+def test_pair_metric_is_local(side, x, y):
+    # the same pair on a side x side grid and on a 30x30 grid: every support
+    # vertex's BFS, cut at d + 2, stays inside both grids (3 for the edge,
+    # 4 for the distance-2 pair), and the BFS from x that finds d stops at y
+    assert _pair_bfs_work(side, x, y) == _pair_bfs_work(30, x, y)

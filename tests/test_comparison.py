@@ -494,3 +494,122 @@ def test_report_text_rendering(figure1_decomp):
     assert "  ok" in text
     # subreports render indented beneath the main claim
     assert "\n  claim:" in text
+
+
+# --- counterexamples and radius spans ---
+
+
+def _header(report):
+    return report.to_text().splitlines()[1]
+
+
+def test_volume_counterexample_leads_with_the_hypothesis_note():
+    report = volume_comparison(make_unweighted_chain(8), make_example_gprime(8))
+    expected = (
+        "hypothesis fails at r = 1 (inner): averaged inner 1/1 > 1/2; "
+        "volume inequality fails first at r = 1: 1/1 < 2/1"
+    )
+    assert report.counterexample == expected
+    assert report.common_range == (0, 8)
+    assert _header(report) == (
+        "  status=asserted  hypothesis=FAIL  conclusion=FAIL  radii=0..8"
+    )
+    assert report.to_text().splitlines()[2] == f"  counterexample: {expected}"
+    payload = report.to_json_dict()
+    assert list(payload) == [
+        "claim", "hypothesis", "conclusion", "status", "ledger",
+        "counterexample", "common_range",
+    ]
+    assert payload["counterexample"] == expected
+    assert payload["common_range"] == [0, 8]
+
+
+def test_model_audit_counterexample_and_span(figure1_decomp):
+    report = model_sphere_equality_report(figure1_decomp)
+    expected = "values differ first at r = 2: graph -1/1, chain 1/1"
+    assert report.counterexample == expected
+    assert report.common_range == (1, 2)
+    assert _header(report) == (
+        "  status=recorded  hypothesis=pass  conclusion=FAIL  radii=1..2"
+    )
+    assert report.to_text().splitlines()[2] == f"  counterexample: {expected}"
+    payload = report.to_json_dict()
+    assert payload["counterexample"] == expected
+    assert payload["common_range"] == [1, 2]
+
+
+def test_gap_counterexample_names_the_first_failing_vertex(figure1_decomp):
+    # y and y' both fail at radius 2; the counterexample names the first
+    chain = BirthDeathChain(measures=(1, 1, 1, 1), weights=(2, 1, 4))
+    report = laplacian_distance_compare(figure1_decomp, chain)
+    expected = "gap domination fails first at r = 2, vertex y"
+    assert [row.vertex for row in report.ledger if not row.ok] == ["y", "y'"]
+    assert report.counterexample == expected
+    assert report.common_range == (0, 2)
+    assert _header(report) == (
+        "  status=recorded  hypothesis=pass  conclusion=FAIL  radii=0..2"
+    )
+    assert report.to_json_dict()["counterexample"] == expected
+
+
+def test_compcurv_hypothesis_note_replaces_the_row_text(figure1_decomp):
+    chain = BirthDeathChain(measures=(1, 1, 1, 1), weights=(2, 1, 4))
+    report = compcurv_check(chain, figure1_decomp)
+    assert not report.hypothesis_checked
+    assert not report.conclusion_checked
+    expected = "chain gap 3/1 exceeds vertex y gap 0/1 at r = 2"
+    assert report.counterexample == expected
+    assert report.common_range == (1, 2)
+    assert _header(report) == (
+        "  status=asserted  hypothesis=FAIL  conclusion=FAIL  radii=1..2"
+    )
+    assert report.to_json_dict()["counterexample"] == expected
+    part_two, assoc = report.subreports
+    assert (part_two.common_range, assoc.common_range) == ((0, 2), (1, 2))
+    assert not part_two.conclusion_checked
+    assert part_two.counterexample is None
+
+
+def test_recorded_partial_sums_carry_no_counterexample():
+    report = partial_sum_equiv_check(
+        make_unweighted_chain(3), BirthDeathChain(measures=(1, 1, 1, 1), weights=(1, 1, 2))
+    )
+    assert report.conclusion_checked
+    sums, gaps = report.subreports
+    assert not sums.conclusion_checked
+    for sub in (sums, gaps):
+        assert sub.counterexample is None
+        assert sub.common_range == (1, 2)
+        assert "counterexample" not in sub.to_json_dict()
+        assert "counterexample:" not in sub.to_text()
+    assert list(sums.to_json_dict()) == [
+        "claim", "hypothesis", "conclusion", "status", "ledger", "common_range",
+    ]
+    assert _header(sums) == (
+        "  status=recorded  hypothesis=pass  conclusion=FAIL  radii=1..2"
+    )
+
+
+def _passing_reports(decomp):
+    chain = associated_bdc(decomp)
+    yield volume_comparison(chain, chain)
+    yield asymptotic_constant(chain, chain, 1)[1]
+    yield laplacian_distance_compare(decomp, make_unweighted_chain(3))
+    yield partial_sum_equiv_check(chain, chain)
+    yield compcurv_check(chain, decomp).subreports[1]
+    c = make_unweighted_chain(5)
+    yield model_sphere_equality_report(rooted_decomposition(bdc_as_graph(c), 0))
+
+
+def test_passing_reports_carry_no_counterexample(figure1_decomp):
+    spans = []
+    for report in _passing_reports(figure1_decomp):
+        assert report.conclusion_checked, report.claim
+        assert report.counterexample is None
+        assert "counterexample" not in report.to_json_dict()
+        assert "counterexample:" not in report.to_text()
+        assert _header(report).endswith(
+            f"radii={report.common_range[0]}..{report.common_range[1]}"
+        )
+        spans.append(report.common_range)
+    assert spans == [(0, 3), (0, 3), (0, 2), (1, 2), (1, 2), (1, 4)]

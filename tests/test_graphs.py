@@ -179,6 +179,11 @@ def test_distance_matches_bfs_oracle(gr):
     for radius in range(max(full.values()) + 2):
         within = {v: k for v, k in full.items() if k <= radius}
         assert distance_map(g, root, radius) == within
+    for target in g.vertices:
+        # a search that stops at the target has already found every nearer vertex
+        found = distance_map(g, root, target=target)
+        assert found.items() <= full.items()
+        assert {v for v, k in full.items() if k < full[target]} | {target} <= set(found)
 
 
 @settings(derandomize=True, deadline=None)
