@@ -155,10 +155,11 @@ def _pair_support(g: WeightedGraph, x: VertexId, y: VertexId):
     is at most d(x, y) + 2, and each BFS stops at that radius. d(x, y) itself
     comes from a BFS that stops once it reaches y.
     """
-    members = {x, y}
-    members.update(g.adjacency[x])
-    members.update(g.adjacency[y])
-    support = tuple(sorted(members, key=label_key))
+    g.require_vertex(x)
+    g.require_vertex(y)
+    if x == y:
+        raise SameVertex(f"pair curvature needs two distinct vertices, got {x!r}")
+    support = tuple(sorted({x, y, *g.adjacency[x], *g.adjacency[y]}, key=label_key))
     d = 1 if y in g.adjacency[x] else distance_map(g, x, target=y)[y]
     dist = {u: distance_map(g, u, d + 2) for u in support}
     return support, dist
@@ -167,14 +168,11 @@ def _pair_support(g: WeightedGraph, x: VertexId, y: VertexId):
 def _objective_coefficients(g: WeightedGraph, x: VertexId, y: VertexId) -> dict:
     """Coefficients c with Delta f(y) - Delta f(x) = sum_u c[u] f(u)."""
     coef: dict = {}
-    my = g.measure[y]
-    mx = g.measure[x]
-    for z, w in g.adjacency[y].items():
-        coef[y] = coef.get(y, Fraction(0)) + w / my
-        coef[z] = coef.get(z, Fraction(0)) - w / my
-    for z, w in g.adjacency[x].items():
-        coef[x] = coef.get(x, Fraction(0)) - w / mx
-        coef[z] = coef.get(z, Fraction(0)) + w / mx
+    for v, m in ((y, g.measure[y]), (x, -g.measure[x])):
+        for z, w in g.adjacency[v].items():
+            q = w / m
+            coef[v] = coef.get(v, 0) + q
+            coef[z] = coef.get(z, 0) - q
     return coef
 
 
@@ -190,17 +188,37 @@ def _witness_value(
     return (lap(y) - lap(x)) / d
 
 
-def _dijkstra(arcs, into, pi, flow, s):
+def _check_witness(support, dist, witness, x, y) -> None:
+    """Raise unless witness is an integer 1-Lipschitz function on exactly the
+    support, with witness[y] - witness[x] = d(x, y) and witness[x] = 0."""
+    if set(witness) != set(support):
+        raise CurvegraphError("witness does not cover the pair support")
+    for u in support:
+        if not isinstance(witness[u], int):
+            raise CurvegraphError(f"witness value at {u!r} is not an integer")
+    for i, u in enumerate(support):
+        for v in support[i + 1 :]:
+            if abs(witness[u] - witness[v]) > dist[u][v]:
+                raise CurvegraphError(
+                    f"witness violates the Lipschitz bound on ({u!r}, {v!r})"
+                )
+    if witness[y] - witness[x] != dist[x][y]:
+        raise CurvegraphError("witness gradient along the pair is not 1")
+    if witness[x] != 0:
+        raise CurvegraphError("witness is not normalized to 0 at x")
+
+
+def _dijkstra(arcs, out, flow, pi, s):
     """Shortest reduced-cost distances from s in the residual network.
 
-    Forward arcs are ``arcs[u]``; the backward arc u->v, listed in
-    ``into[u]`` with the negated cost, exists while flow on (v, u) is
-    positive. The potential invariant keeps every residual reduced cost
-    nonnegative, so a settled node is never improved. Unreached nodes get
-    None.
+    ``out[u]`` lists the ids of the arcs leaving u; a reverse arc (odd id)
+    is open while its forward arc carries flow. The potential invariant
+    keeps every open arc's reduced cost nonnegative, so a settled node is
+    never improved. ``parent[v]`` is the arc that reached v; unreached
+    nodes get None.
     """
-    dist: list = [None] * len(arcs)
-    parent: list = [None] * len(arcs)
+    dist: list = [None] * len(out)
+    parent: list = [None] * len(out)
     dist[s] = 0
     heap = [(0, s)]
     while heap:
@@ -208,17 +226,14 @@ def _dijkstra(arcs, into, pi, flow, s):
         if du > dist[u]:
             continue
         base = du + pi[u]
-        for v, c in arcs[u]:
+        for a in out[u]:
+            if a & 1 and not flow[a >> 1]:
+                continue
+            v, c = arcs[a]
             cand = base + c - pi[v]
             if dist[v] is None or cand < dist[v]:
                 dist[v] = cand
-                parent[v] = (u, False)
-                heappush(heap, (cand, v))
-        for v, c in into[u]:
-            cand = base + c - pi[v]
-            if flow.get((v, u), 0) > 0 and (dist[v] is None or cand < dist[v]):
-                dist[v] = cand
-                parent[v] = (u, True)
+                parent[v] = a
                 heappush(heap, (cand, v))
     return dist, parent
 
@@ -226,24 +241,27 @@ def _dijkstra(arcs, into, pi, flow, s):
 def _min_cost_flow_potentials(arcs, supply, pi):
     """Exact uncapacitated min-cost flow; returns the final potentials.
 
-    ``arcs[u]`` lists (v, cost) for each arc u->v; ``supply[i]`` is the
-    required net inflow at node i (integers summing to zero); ``pi`` must
-    make every arc's reduced cost nonnegative on entry. The returned
-    potentials are an optimal solution of the flow LP's dual.
+    ``arcs`` is the residual network, a list of paired (head, cost) arcs:
+    arc 2k is the k-th network arc, with no capacity bound, and arc 2k + 1
+    is its reverse, with the negated cost, open while ``flow[k] > 0``. The
+    tail of arc a is the head of arc a ^ 1. ``supply[i]`` is the required
+    net inflow at node i (integers summing to zero). Invariant: every open
+    arc u->v has reduced cost c + pi[u] - pi[v] >= 0. ``pi`` must meet it on
+    entry, when no reverse arc is open; each augmentation along a shortest
+    path keeps it. The returned potentials solve the flow LP's dual.
     """
-    n = len(arcs)
-    into: list = [[] for _ in range(n)]
-    for u in range(n):
-        for v, c in arcs[u]:
-            into[v].append((u, -c))
-    flow: dict = {}
+    n = len(supply)
+    out: list = [[] for _ in range(n)]
+    for a in range(len(arcs)):
+        out[arcs[a ^ 1][0]].append(a)
+    flow = [0] * (len(arcs) // 2)
     need = list(supply)
     guard = 100 * (n + 2) ** 2
     while True:
         s = next((i for i in range(n) if need[i] < 0), None)
         if s is None:
             return pi
-        dist, parent = _dijkstra(arcs, into, pi, flow, s)
+        dist, parent = _dijkstra(arcs, out, flow, pi, s)
         reached = [i for i in range(n) if need[i] > 0 and dist[i] is not None]
         if not reached:
             raise CurvegraphError("internal flow error: no route to a sink")
@@ -251,15 +269,11 @@ def _min_cost_flow_potentials(arcs, supply, pi):
         path = []
         node = t
         while node != s:
-            prev, backward = parent[node]
-            path.append((prev, node, backward))
-            node = prev
-        quota = min([-need[s], need[t]] + [flow[v, u] for u, v, back in path if back])
-        for u, v, backward in path:
-            if backward:
-                flow[v, u] -= quota
-            else:
-                flow[u, v] = flow.get((u, v), 0) + quota
+            path.append(parent[node])
+            node = arcs[parent[node] ^ 1][0]
+        quota = min([-need[s], need[t]] + [flow[a >> 1] for a in path if a & 1])
+        for a in path:
+            flow[a >> 1] += -quota if a & 1 else quota
         need[s] += quota
         need[t] -= quota
         dt = dist[t]
@@ -278,14 +292,8 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
     difference-constraint system; a secondary perturbation picks the
     lexicographically smallest optimal witness.
     """
-    g.require_vertex(x)
-    g.require_vertex(y)
-    if x == y:
-        raise SameVertex(f"pair curvature needs two distinct vertices, got {x!r}")
     support, dist = _pair_support(g, x, y)
-    n = len(support)
-    index = {u: i for i, u in enumerate(support)}
-    ix, iy = index[x], index[y]
+    ix = support.index(x)
     d = dist[x][y]
 
     coef = _objective_coefficients(g, x, y)
@@ -294,49 +302,37 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
     # add an all-ones secondary weight (balanced at the gauge vertex x). The
     # optimal face is a lattice, so this selects its componentwise-minimal,
     # hence lexicographically smallest, integer point.
-    den = 1
-    for q in coef.values():
-        den = lcm(den, q.denominator)
+    den = lcm(*(q.denominator for q in coef.values()))
     width = 1 + sum(2 * dist[x][u] for u in support)
     scale = den * width
-    supply = []
-    for u in support:
-        base = scale * coef.get(u, Fraction(0))
-        supply.append(base.numerator + (1 - n if u == x else 1))
+    supply = [(scale * coef.get(u, 0)).numerator + 1 for u in support]
+    supply[ix] -= len(support)
     if sum(supply) != 0:
         raise CurvegraphError("internal error: unbalanced supplies")
 
-    # Lipschitz arcs u->v of cost d(u, v), except those with x or y (not an
-    # endpoint) on a shortest u-v path: the two arcs through it imply them.
-    # x->y costs -d, which forces witness[y] - witness[x] = d.
+    # Lipschitz arcs u->v of cost d(u, v), each followed by its reverse,
+    # except those with x or y (not an endpoint) on a shortest u-v path: the
+    # two arcs through it imply them. x->y costs -d, which forces
+    # witness[y] - witness[x] = d.
     dx, dy = dist[x], dist[y]
-    arcs = []
-    for u in support:
+    arcs: list = []
+    for i, u in enumerate(support):
         du = dist[u]
-        arcs.append(
-            [
-                (j, du[v])
-                for j, v in enumerate(support)
-                if v != u
-                and not (x != u and x != v and du[x] + dx[v] == du[v])
-                and not (y != u and y != v and du[y] + dy[v] == du[v])
-            ]
-        )
-    arcs[ix] = [(j, -d if j == iy else c) for j, c in arcs[ix]]
+        for j, v in enumerate(support):
+            if v != u and not (
+                (x != u and x != v and du[x] + dx[v] == du[v])
+                or (y != u and y != v and du[y] + dy[v] == du[v])
+            ):
+                c = -d if (u == x and v == y) else du[v]
+                arcs += ((j, c), (i, -c))
 
     # Closed-form valid initial potentials: shortest distances with the one
     # negative arc folded in.
-    pi = [min(0, dist[y][u] - d) for u in support]
+    pi = [min(0, dy[u] - d) for u in support]
     pi = _min_cost_flow_potentials(arcs, supply, pi)
 
-    base = pi[ix]
-    witness = {support[i]: base - pi[i] for i in range(n)}
-    if witness[y] - witness[x] != d:
-        raise CurvegraphError("internal solver error: pair gradient not unit")
-    for i, u in enumerate(support):
-        for v in support[i + 1 :]:
-            if abs(witness[u] - witness[v]) > dist[u][v]:
-                raise CurvegraphError("internal solver error: witness not Lipschitz")
+    witness = {u: pi[ix] - pi[i] for i, u in enumerate(support)}
+    _check_witness(support, dist, witness, x, y)
     value = _witness_value(g, x, y, witness, d)
     return OllivierResult(
         x=x, y=y, distance=d, value=value, witness=witness, support=support
@@ -350,10 +346,6 @@ def ollivier_pair_bruteforce(g: WeightedGraph, x: VertexId, y: VertexId) -> Olli
     assignment inside the Lipschitz box and keeps the first minimizer. Meant
     for small supports only.
     """
-    g.require_vertex(x)
-    g.require_vertex(y)
-    if x == y:
-        raise SameVertex(f"pair curvature needs two distinct vertices, got {x!r}")
     support, dist = _pair_support(g, x, y)
     d = dist[x][y]
     free = [u for u in support if u != x and u != y]
@@ -378,43 +370,28 @@ def ollivier_pair_bruteforce(g: WeightedGraph, x: VertexId, y: VertexId) -> Olli
         for a in range(lo, hi + 1):
             assigned[v] = a
             walk(k + 1, assigned)
-        if v in assigned:
-            del assigned[v]
+        assigned.pop(v, None)
 
     walk(0, dict(pinned))
     if best[0] is None:
         raise CurvegraphError("internal oracle error: no feasible assignment")
     return OllivierResult(
-        x=x,
-        y=y,
-        distance=d,
-        value=best[0],
-        witness=best[1],
-        support=support,
+        x=x, y=y, distance=d, value=best[0], witness=best[1], support=support
     )
 
 
 def verify_witness(g: WeightedGraph, result: OllivierResult) -> None:
-    """Re-check the three witness invariants from scratch; raise on failure."""
+    """Re-check the witness invariants and value from scratch; raise on failure.
+
+    The replay recomputes the support metric and, through the definitional
+    Laplacian (``_witness_value``), the value. It shares no state with the
+    solve, so a fault in the solver's metric cannot hide in its own check.
+    """
     support, dist = _pair_support(g, result.x, result.y)
-    if tuple(sorted(result.witness, key=label_key)) != support:
-        raise CurvegraphError("witness does not cover the pair support")
-    for u in support:
-        if not isinstance(result.witness[u], int):
-            raise CurvegraphError(f"witness value at {u!r} is not an integer")
-    for i, u in enumerate(support):
-        for v in support[i + 1 :]:
-            if abs(result.witness[u] - result.witness[v]) > dist[u][v]:
-                raise CurvegraphError(
-                    f"witness violates the Lipschitz bound on ({u!r}, {v!r})"
-                )
     d = dist[result.x][result.y]
     if result.distance != d:
         raise CurvegraphError("recorded pair distance is wrong")
-    if result.witness[result.y] - result.witness[result.x] != d:
-        raise CurvegraphError("witness gradient along the pair is not 1")
-    if result.witness[result.x] != 0:
-        raise CurvegraphError("witness is not normalized to 0 at x")
+    _check_witness(support, dist, result.witness, result.x, result.y)
     if _witness_value(g, result.x, result.y, result.witness, d) != result.value:
         raise CurvegraphError("witness does not reproduce the reported value")
 

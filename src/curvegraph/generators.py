@@ -17,9 +17,9 @@ from .chains import BirthDeathChain, chain_from_curvatures
 from .graphs import VertexId, WeightedGraph, validate_graph
 
 
-def random_rational(rng: random.Random, max_num: int = 9, max_den: int = 9) -> Fraction:
-    """Positive rational with small numerator and denominator."""
-    return Fraction(rng.randint(1, max_num), rng.randint(1, max_den))
+def random_rational(rng: random.Random) -> Fraction:
+    """Positive rational with numerator and denominator in 1..9."""
+    return Fraction(rng.randint(1, 9), rng.randint(1, 9))
 
 
 def _scale_above_one(rng: random.Random) -> Fraction:
@@ -58,14 +58,14 @@ def random_chain(
 
 
 def chain_pair_with_average_hypothesis(
-    rng: random.Random, min_horizon: int = 2, max_horizon: int = 8
+    rng: random.Random,
 ) -> Tuple[BirthDeathChain, BirthDeathChain]:
     """Pair where the first chain dominates the second by construction.
 
     Root measures match; the first chain's outer curvatures are scaled up
     and its inner curvatures scaled down relative to the second's.
     """
-    c2 = random_chain(rng, min_horizon, max_horizon)
+    c2 = random_chain(rng)
     outer = []
     inner = []
     for r in range(c2.horizon):
@@ -76,24 +76,24 @@ def chain_pair_with_average_hypothesis(
 
 
 def chain_pair_matched_start(
-    rng: random.Random, min_horizon: int = 2, max_horizon: int = 8
+    rng: random.Random,
 ) -> Tuple[BirthDeathChain, BirthDeathChain]:
     """Independent chains forced to share the radius-0 outer curvature."""
-    c1 = random_chain(rng, min_horizon, max_horizon)
-    c2 = random_chain(rng, min_horizon, max_horizon)
+    c1 = random_chain(rng)
+    c2 = random_chain(rng)
     weights = (c1.outer_curvature(0) * c2.measures[0],) + c2.weights[1:]
     return c1, BirthDeathChain(measures=c2.measures, weights=weights)
 
 
 def chain_pair_outside_hypothesis(
-    rng: random.Random, min_horizon: int = 2, max_horizon: int = 8
+    rng: random.Random,
 ) -> Tuple[BirthDeathChain, BirthDeathChain, int]:
     """Pair dominating only from a threshold radius on, plus that threshold.
 
     Below the threshold both curvature sides are drawn freely, so the full
     hypothesis generally fails there; root measures are unrelated too.
     """
-    c2 = random_chain(rng, min_horizon, max_horizon)
+    c2 = random_chain(rng)
     h = c2.horizon
     threshold = rng.randint(1, h - 1)
     outer = []

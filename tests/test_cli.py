@@ -61,6 +61,15 @@ def test_validate_chain_payload(capsys, monkeypatch):
     assert json.loads(out) == {"m": ["1/1", "3/2"], "b": ["1/2"]}
 
 
+def test_validate_payload_neither_graph_nor_chain(capsys, monkeypatch):
+    raw = '{"x": 1}'
+    code, out, err = run_cli(capsys, ["validate"], stdin=raw, monkeypatch=monkeypatch)
+    assert (code, out) == (1, "")
+    payload = json.loads(err)
+    assert payload["error"] == "format-error"
+    assert "cannot tell a graph from a chain" in payload["message"]
+
+
 def test_validate_missing_file(capsys, tmp_path):
     code, _out, err = run_cli(capsys, ["validate", str(tmp_path / "absent.json")])
     assert code == 1
@@ -304,6 +313,21 @@ def test_gen_chain(capsys):
     code, out, _err = run_cli(capsys, ["gen", "chain", "--n", "3"])
     assert code == 0
     assert json.loads(out) == {"m": ["1/1"] * 4, "b": ["1/1"] * 3}
+
+
+@pytest.mark.parametrize("n", ["0", "x"])
+def test_gen_chain_rejects_a_horizon_that_is_not_positive(capsys, n):
+    code, out, err = run_cli(capsys, ["gen", "chain", "--n", n])
+    assert (code, out) == (2, "")
+    assert "--n" in err
+
+
+def test_gen_figure1_round_trips(capsys, monkeypatch):
+    code, out, _err = run_cli(capsys, ["gen", "figure1"])
+    assert code == 0
+    assert out == graph_to_json(make_figure1())
+    code, again, err = run_cli(capsys, ["validate"], stdin=out, monkeypatch=monkeypatch)
+    assert (code, again, err) == (0, out, "")
 
 
 def test_gen_gprime_measures(capsys):

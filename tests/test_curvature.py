@@ -1,5 +1,6 @@
 """Inner/outer, averaged, Ollivier pair, and sphere curvatures."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from curvegraph import (
     BadRadiusOrder,
+    CurvegraphError,
     HorizonExceeded,
     SameVertex,
     WeightedGraph,
@@ -254,6 +256,47 @@ def test_high_degree_hubs_match_the_tree_edge_closed_form(g):
     expected -= sum((w for z, w in g.neighbors(1) if z != 0), Fraction(0)) / my
     assert result.value == expected
     verify_witness(g, result)
+
+
+# Each fault breaks exactly one witness invariant of figure 1's pair (x, y),
+# whose witness is {w: -1, x: 0, y: 1, y': -1, z: 2} with value -1.
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (
+            lambda r: replace(r, witness={u: f for u, f in r.witness.items() if f < 2}),
+            "witness does not cover the pair support",
+        ),
+        (
+            lambda r: replace(r, witness={**r.witness, "w": Fraction(-1)}),
+            "witness value at 'w' is not an integer",
+        ),
+        (
+            lambda r: replace(r, witness={**r.witness, "w": -2}),
+            "witness violates the Lipschitz bound on ('w', 'x')",
+        ),
+        (lambda r: replace(r, distance=2), "recorded pair distance is wrong"),
+        (
+            lambda r: replace(r, witness=dict.fromkeys(r.witness, 0)),
+            "witness gradient along the pair is not 1",
+        ),
+        (
+            lambda r: replace(r, witness={u: f + 1 for u, f in r.witness.items()}),
+            "witness is not normalized to 0 at x",
+        ),
+        (
+            lambda r: replace(r, value=r.value + 1),
+            "witness does not reproduce the reported value",
+        ),
+    ],
+    ids=["cover", "integer", "lipschitz", "distance", "gradient", "zero-at-x", "value"],
+)
+def test_verify_witness_rejects_each_single_fault(figure1, fault, message):
+    result = ollivier_pair(figure1, "x", "y")
+    verify_witness(figure1, result)
+    with pytest.raises(CurvegraphError) as caught:
+        verify_witness(figure1, fault(result))
+    assert str(caught.value) == message
 
 
 # --- sphere curvature ---
