@@ -13,8 +13,13 @@ Three layers live here:
   with unit gradient along the pair. The feasible set is a difference
   constraint polytope with integer bounds, so an integer optimizer exists;
   the solver returns the lexicographically smallest one. Its cost is local:
-  the support metric is BFS cut at d(x, y) + 2, and the min-cost flow runs
-  a heap Dijkstra over only the Lipschitz arcs not implied through x or y;
+  an adjacent pair's support metric is read from adjacency alone (every
+  distance is 0 to 3), a farther pair's from BFS cut at d(x, y) + 2; the
+  objective is integers over one denominator; and the min-cost flow runs
+  heap Dijkstras, each stopped at the nearest sink, over only the Lipschitz
+  arcs not implied through x or y. ``verify_witness`` replays a result
+  against the definitional ``Fraction`` Laplacian, sharing none of that
+  arithmetic;
 * the min-max sphere curvature built from pair curvatures, plus the closed
   form it collapses to on birth-death chains.
 """
@@ -152,28 +157,57 @@ def _pair_support(g: WeightedGraph, x: VertexId, y: VertexId):
     """Vertices the pair objective can see, with their metric.
 
     Each support vertex lies within 1 of x or y, so every distance among them
-    is at most d(x, y) + 2, and each BFS stops at that radius. d(x, y) itself
-    comes from a BFS that stops once it reaches y.
+    is at most d(x, y) + 2. For an adjacent pair that bound is 3, and the
+    metric needs no search: two support vertices are at distance 1 when they
+    are joined, 2 when they share a neighbour, and 3 otherwise. A farther
+    pair finds d(x, y) with a BFS that stops once it reaches y, and each
+    support vertex's distances with a BFS cut at d(x, y) + 2.
     """
     g.require_vertex(x)
     g.require_vertex(y)
     if x == y:
         raise SameVertex(f"pair curvature needs two distinct vertices, got {x!r}")
-    support = tuple(sorted({x, y, *g.adjacency[x], *g.adjacency[y]}, key=label_key))
-    d = 1 if y in g.adjacency[x] else distance_map(g, x, target=y)[y]
-    dist = {u: distance_map(g, u, d + 2) for u in support}
+    adjacency = g.adjacency
+    support = tuple(sorted({x, y, *adjacency[x], *adjacency[y]}, key=label_key))
+    if y not in adjacency[x]:
+        d = distance_map(g, x, target=y)[y]
+        return support, {u: distance_map(g, u, d + 2) for u in support}
+    dist = {u: {u: 0} for u in support}
+    for i, u in enumerate(support):
+        near = adjacency[u]
+        row = dist[u]
+        for v in support[i + 1 :]:
+            if v in near:
+                duv = 1
+            elif near.keys().isdisjoint(adjacency[v].keys()):
+                duv = 3
+            else:
+                duv = 2
+            row[v] = dist[v][u] = duv
     return support, dist
 
 
-def _objective_coefficients(g: WeightedGraph, x: VertexId, y: VertexId) -> dict:
-    """Coefficients c with Delta f(y) - Delta f(x) = sum_u c[u] f(u)."""
-    coef: dict = {}
-    for v, m in ((y, g.measure[y]), (x, -g.measure[x])):
+def _objective_coefficients(g: WeightedGraph, x: VertexId, y: VertexId):
+    """Integers c and den with Delta f(y) - Delta f(x) = sum_u c[u] f(u) / den.
+
+    Each w/m enters as the integers w.num * m.den over w.den * m.num, and den
+    is the lcm of those denominators, so no ``Fraction`` is built. den may be
+    an unreduced multiple of the coefficients' least common denominator.
+    """
+    terms = []
+    for v, sign in ((y, 1), (x, -1)):
+        m = g.measure[v]
         for z, w in g.adjacency[v].items():
-            q = w / m
-            coef[v] = coef.get(v, 0) + q
-            coef[z] = coef.get(z, 0) - q
-    return coef
+            terms.append(
+                (v, z, sign * w.numerator * m.denominator, w.denominator * m.numerator)
+            )
+    den = lcm(*(term[3] for term in terms))
+    coef: dict = {}
+    for v, z, num, q_den in terms:
+        q = num * (den // q_den)
+        coef[v] = coef.get(v, 0) + q
+        coef[z] = coef.get(z, 0) - q
+    return coef, den
 
 
 def _witness_value(
@@ -194,7 +228,7 @@ def _check_witness(support, dist, witness, x, y) -> None:
     if set(witness) != set(support):
         raise CurvegraphError("witness does not cover the pair support")
     for u in support:
-        if not isinstance(witness[u], int):
+        if type(witness[u]) is not int:
             raise CurvegraphError(f"witness value at {u!r} is not an integer")
     for i, u in enumerate(support):
         for v in support[i + 1 :]:
@@ -208,14 +242,17 @@ def _check_witness(support, dist, witness, x, y) -> None:
         raise CurvegraphError("witness is not normalized to 0 at x")
 
 
-def _dijkstra(arcs, out, flow, pi, s):
-    """Shortest reduced-cost distances from s in the residual network.
+def _dijkstra(arcs, out, flow, pi, need, s):
+    """Shortest reduced-cost path from s to the nearest sink (need > 0).
 
     ``out[u]`` lists the ids of the arcs leaving u; a reverse arc (odd id)
     is open while its forward arc carries flow. The potential invariant
     keeps every open arc's reduced cost nonnegative, so a settled node is
-    never improved. ``parent[v]`` is the arc that reached v; unreached
-    nodes get None.
+    never improved, and the search stops at the first sink it settles.
+    Returns (t, dist, parent): the sink, or None when no sink is reachable;
+    each node's distance, exact for the nodes settled before t, tentative
+    (and at least dist[t]) or None for the rest; and ``parent[v]``, the arc
+    that reached v.
     """
     dist: list = [None] * len(out)
     parent: list = [None] * len(out)
@@ -225,6 +262,8 @@ def _dijkstra(arcs, out, flow, pi, s):
         du, u = heappop(heap)
         if du > dist[u]:
             continue
+        if need[u] > 0:
+            return u, dist, parent
         base = du + pi[u]
         for a in out[u]:
             if a & 1 and not flow[a >> 1]:
@@ -235,7 +274,7 @@ def _dijkstra(arcs, out, flow, pi, s):
                 dist[v] = cand
                 parent[v] = a
                 heappush(heap, (cand, v))
-    return dist, parent
+    return None, dist, parent
 
 
 def _min_cost_flow_potentials(arcs, supply, pi):
@@ -248,7 +287,9 @@ def _min_cost_flow_potentials(arcs, supply, pi):
     net inflow at node i (integers summing to zero). Invariant: every open
     arc u->v has reduced cost c + pi[u] - pi[v] >= 0. ``pi`` must meet it on
     entry, when no reverse arc is open; each augmentation along a shortest
-    path keeps it. The returned potentials solve the flow LP's dual.
+    path to the nearest sink t keeps it, once every node's potential grows
+    by its distance, capped at dist[t] (the nodes the search did not settle
+    get dist[t]). The returned potentials solve the flow LP's dual.
     """
     n = len(supply)
     out: list = [[] for _ in range(n)]
@@ -261,11 +302,9 @@ def _min_cost_flow_potentials(arcs, supply, pi):
         s = next((i for i in range(n) if need[i] < 0), None)
         if s is None:
             return pi
-        dist, parent = _dijkstra(arcs, out, flow, pi, s)
-        reached = [i for i in range(n) if need[i] > 0 and dist[i] is not None]
-        if not reached:
+        t, dist, parent = _dijkstra(arcs, out, flow, pi, need, s)
+        if t is None:
             raise CurvegraphError("internal flow error: no route to a sink")
-        t = min(reached, key=dist.__getitem__)
         path = []
         node = t
         while node != s:
@@ -296,16 +335,17 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
     ix = support.index(x)
     d = dist[x][y]
 
-    coef = _objective_coefficients(g, x, y)
+    coef, den = _objective_coefficients(g, x, y)
 
     # Integer supplies: scale the objective past the perturbation gap, then
     # add an all-ones secondary weight (balanced at the gauge vertex x). The
     # optimal face is a lattice, so this selects its componentwise-minimal,
-    # hence lexicographically smallest, integer point.
-    den = lcm(*(q.denominator for q in coef.values()))
+    # hence lexicographically smallest, integer point. At integer points the
+    # primary objective sum c[u] f(u) is an integer, so two different values
+    # of it differ by at least width in the supplies, more than the secondary
+    # sum of f can vary; an unreduced den only widens that gap.
     width = 1 + sum(2 * dist[x][u] for u in support)
-    scale = den * width
-    supply = [(scale * coef.get(u, 0)).numerator + 1 for u in support]
+    supply = [width * coef[u] + 1 for u in support]
     supply[ix] -= len(support)
     if sum(supply) != 0:
         raise CurvegraphError("internal error: unbalanced supplies")
@@ -333,7 +373,7 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
 
     witness = {u: pi[ix] - pi[i] for i, u in enumerate(support)}
     _check_witness(support, dist, witness, x, y)
-    value = _witness_value(g, x, y, witness, d)
+    value = Fraction(sum(c * witness[u] for u, c in coef.items()), den * d)
     return OllivierResult(
         x=x, y=y, distance=d, value=value, witness=witness, support=support
     )

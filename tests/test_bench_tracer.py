@@ -2,8 +2,9 @@
 
 `bench/tracer.py` patches curvegraph functions by name. A refactor that moves
 or renames one of them should fail here rather than in `bench/run.py --trace 1`.
-The same spans guard that each command decomposes a graph once per root, and
-that a pair's BFS work does not grow with the graph around it.
+The same spans guard that each command decomposes a graph once per root, that
+an adjacent pair runs no BFS, and that a farther pair's BFS work does not grow
+with the graph around it.
 """
 
 import importlib
@@ -88,16 +89,23 @@ def _pair_bfs_work(side, x, y):
     g = _grid(side)
     with tracer.Tracer() as trace:
         ollivier_pair(g, x[0] * side + x[1], y[0] * side + y[1])
-    return sum(span[4] for span in trace.spans if span[0] == "distance_map")
+    spans = [span for span in trace.spans if span[0] == "distance_map"]
+    return len(spans), sum(span[4] for span in spans)
 
 
 @pytest.mark.parametrize(
-    "side, x, y",
-    [(10, (4, 4), (4, 5)), (14, (5, 5), (5, 7))],
+    "side, x, y, searched",
+    [(10, (4, 4), (4, 5), False), (14, (5, 5), (5, 7), True)],
     ids=["edge", "distance-2"],
 )
-def test_pair_metric_is_local(side, x, y):
-    # the same pair on a side x side grid and on a 30x30 grid: every support
-    # vertex's BFS, cut at d + 2, stays inside both grids (3 for the edge,
-    # 4 for the distance-2 pair), and the BFS from x that finds d stops at y
-    assert _pair_bfs_work(side, x, y) == _pair_bfs_work(30, x, y)
+def test_pair_metric_is_local(side, x, y, searched):
+    # the same pair on a side x side grid and on a 30x30 grid: the edge reads
+    # its metric from adjacency and runs no BFS at all; the distance-2 pair's
+    # BFS from each support vertex, cut at d + 2 = 4, stays inside both grids,
+    # and the BFS from x that finds d stops at y
+    calls, vertices = _pair_bfs_work(side, x, y)
+    assert (calls, vertices) == _pair_bfs_work(30, x, y)
+    if searched:
+        assert calls > 0 and vertices > 0
+    else:
+        assert (calls, vertices) == (0, 0)

@@ -1,12 +1,15 @@
 """End-to-end command tests, run in process through cli.run."""
 
+import hashlib
 import io
 import json
+import random
 import sys
+from fractions import Fraction
 
 import pytest
 
-from curvegraph import cli, make_figure1
+from curvegraph import cli, make_figure1, validate_graph
 from curvegraph.graphs import graph_to_json
 
 
@@ -282,6 +285,54 @@ def test_sphere_curv_on_chain_inputs(capsys, monkeypatch):
     assert code == 0
     lines = out.splitlines()[1:]
     assert all(line.split(",")[1] == line.split(",")[2] for line in lines)
+
+
+# --- pair-curvature output, pinned ---
+
+
+def _seeded_graph(seed, n, edge_list):
+    rng = random.Random(seed)
+
+    def rational():
+        return Fraction(rng.randint(1, 9), rng.randint(1, 9))
+
+    vertices = [(v, rational()) for v in range(n)]
+    return validate_graph(vertices, [(u, v, rational()) for u, v in edge_list])
+
+
+def _pinned_grid():
+    side = 12
+    edges = [(v, v + 1) for v in range(side * side) if v % side + 1 < side]
+    edges += [(v, v + side) for v in range(side * side - side)]
+    return _seeded_graph("pin:grid", side * side, edges)
+
+
+def _pinned_hubs():
+    leaves = 30
+    edges = [(0, 1)] + [(0, 2 + k) for k in range(leaves)]
+    edges += [(1, 2 + leaves + k) for k in range(leaves)]
+    return _seeded_graph("pin:hubs", 2 + 2 * leaves, edges)
+
+
+# sha256 of stdout, recorded with the pair solver that ran before the
+# adjacency metric, the integer objective and the early-exit Dijkstra; a
+# faster kernel must print the same bytes
+PINNED_DIGESTS = {
+    ("grid", "ollivier"): "ac150cbe5c937b9e4a29dfc13953796b411f11569aa0c47aab1645b24b924b4b",
+    ("grid", "sphere-curv"): "1820c013a84f7f0cbeccbffcfe17c9e7ab6b55c61e403015a260578f749b175b",
+    ("hubs", "ollivier"): "42b2dc8b6f3dfc108705c53c9d676e2354d31a87675b356e484b6fb1dbcdd286",
+    ("hubs", "sphere-curv"): "21197257b7e2371df658b82b554d86f3aeeddf81b45af0b6db73a38a71072ec9",
+}
+
+
+@pytest.mark.parametrize("graph, command", sorted(PINNED_DIGESTS))
+def test_pair_curvature_output_is_pinned(capsys, tmp_path, graph, command):
+    path = tmp_path / f"{graph}.json"
+    path.write_text(graph_to_json({"grid": _pinned_grid, "hubs": _pinned_hubs}[graph]()))
+    mode = ["--all-adjacent"] if command == "ollivier" else ["--root", "0"]
+    code, out, err = run_cli(capsys, [command, str(path), *mode])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[graph, command]
 
 
 # --- bdc ---

@@ -1,7 +1,9 @@
 """Inner/outer, averaged, Ollivier pair, and sphere curvatures."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -232,6 +234,54 @@ def test_arc_between_neighbors_through_an_outside_vertex():
     verify_witness(g, solved)
 
 
+def _connected_graphs(max_n):
+    """(n, edges) for every connected graph on 1..max_n vertices, one per
+    isomorphism class; classes are told apart by trying every relabelling."""
+    found = []
+    for n in range(1, max_n + 1):
+        slots = list(combinations(range(n), 2))
+        relabellings = list(permutations(range(n)))
+        seen = set()
+        for mask in range(1 << len(slots)):
+            edges = [e for k, e in enumerate(slots) if mask >> k & 1]
+            reached = {0}
+            for _ in range(n):
+                reached |= {v for e in edges if reached.intersection(e) for v in e}
+            if len(reached) < n:
+                continue
+            form = min(
+                tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges))
+                for p in relabellings
+            )
+            if form not in seen:
+                seen.add(form)
+                found.append((n, edges))
+    return found
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["unit", "rational"])
+def test_solver_matches_bruteforce_on_every_graph_up_to_5_vertices(rational):
+    # every ordered pair, adjacent or not, of every connected graph on at
+    # most 5 vertices: ties between sinks in the flow solve and every
+    # support shape these sizes allow are covered by exhaustion
+    graphs = _connected_graphs(5)
+    assert len(graphs) == 31  # 1 + 1 + 2 + 6 + 21 classes on 1..5 vertices
+    rng = random.Random(5)
+
+    def draw():
+        return Fraction(rng.randint(1, 9), rng.randint(1, 9)) if rational else 1
+
+    for n, edges in graphs:
+        g = validate_graph([(v, draw()) for v in range(n)], [(u, v, draw()) for u, v in edges])
+        for x, y in permutations(range(n), 2):
+            solved = ollivier_pair(g, x, y)
+            brute = ollivier_pair_bruteforce(g, x, y)
+            assert solved.distance == brute.distance
+            assert solved.value == brute.value
+            assert solved.witness == brute.witness
+            verify_witness(g, solved)
+
+
 @st.composite
 def hub_pairs(draw):
     """Adjacent hubs 0 and 1 with 1-60 leaves each: a tree with rational data."""
@@ -272,6 +322,10 @@ def test_high_degree_hubs_match_the_tree_edge_closed_form(g):
             "witness value at 'w' is not an integer",
         ),
         (
+            lambda r: replace(r, witness={**r.witness, "y": True}),
+            "witness value at 'y' is not an integer",
+        ),
+        (
             lambda r: replace(r, witness={**r.witness, "w": -2}),
             "witness violates the Lipschitz bound on ('w', 'x')",
         ),
@@ -289,7 +343,9 @@ def test_high_degree_hubs_match_the_tree_edge_closed_form(g):
             "witness does not reproduce the reported value",
         ),
     ],
-    ids=["cover", "integer", "lipschitz", "distance", "gradient", "zero-at-x", "value"],
+    ids=[
+        "cover", "integer", "bool", "lipschitz", "distance", "gradient", "zero-at-x", "value"
+    ],
 )
 def test_verify_witness_rejects_each_single_fault(figure1, fault, message):
     result = ollivier_pair(figure1, "x", "y")
