@@ -298,9 +298,14 @@ def _min_cost_flow_potentials(arcs, supply, pi):
     flow = [0] * (len(arcs) // 2)
     need = list(supply)
     guard = 100 * (n + 2) ** 2
+    # the source is the lowest node with need < 0; an augmentation raises
+    # need[s] at most to 0 and lowers need[t] at most to 0, so no node turns
+    # into a source and the lowest one only moves up
+    s = 0
     while True:
-        s = next((i for i in range(n) if need[i] < 0), None)
-        if s is None:
+        while s < n and need[s] >= 0:
+            s += 1
+        if s == n:
             return pi
         t, dist, parent = _dijkstra(arcs, out, flow, pi, need, s)
         if t is None:

@@ -13,10 +13,10 @@ they must be total on the graph wherever the Laplacian is applied.
 from __future__ import annotations
 
 import json
-import re
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import (
@@ -35,36 +35,38 @@ from .errors import (
 VertexId = Union[str, int]
 RationalLike = Union[int, str, Fraction]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-
-
 def parse_rational(value: RationalLike) -> Fraction:
     """Parse an exact rational from an int, a Fraction, or a ``p/q`` string.
 
-    Floats and decimal strings are rejected: exactness is the whole point.
+    A string, after surrounding whitespace is stripped, must match
+    ``[+-]?digits(/digits)?``, where a digit is any Unicode decimal digit
+    (category Nd, what ``str.isdecimal`` accepts). Floats, decimal strings,
+    underscores and inner whitespace are rejected: exactness is the whole
+    point. A Fraction is returned as it is.
     """
-    if isinstance(value, bool):
-        raise FormatError(f"not a rational: {value!r}")
-    if isinstance(value, (int, Fraction)):
-        return Fraction(value)
+    if type(value) is Fraction:
+        return value
     if isinstance(value, str):
         text = value.strip()
-        if _RATIONAL_RE.match(text):
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        if digits.isdecimal() and (den.isdecimal() or not slash):
             try:
-                return Fraction(text)
+                return Fraction(int(num), int(den) if slash else 1)
             except ZeroDivisionError:
                 raise FormatError(f"zero denominator: {value!r}") from None
             except ValueError:  # past the interpreter's int digit limit
                 raise FormatError(
                     f"rational too long: {len(text)} characters"
                 ) from None
-        raise FormatError(f"not a rational: {value!r}")
+    elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
     raise FormatError(f"not a rational: {value!r}")
 
 
 def format_rational(value: RationalLike) -> str:
     """Render a rational canonically as ``p/q`` in lowest terms."""
-    q = Fraction(value)
+    q = value if isinstance(value, Fraction) else Fraction(value)
     try:
         return f"{q.numerator}/{q.denominator}"
     except ValueError:  # past the interpreter's int digit limit
@@ -87,9 +89,11 @@ def label_key(label: VertexId) -> tuple:
 
 
 def _check_label(label) -> None:
-    if isinstance(label, bool) or not isinstance(label, (str, int)):
+    if isinstance(label, str):
+        return
+    if isinstance(label, bool) or not isinstance(label, int):
         raise FormatError(f"vertex label must be a string or an integer: {label!r}")
-    if isinstance(label, int) and label < 0:
+    if label < 0:
         raise FormatError(f"integer vertex labels must be nonnegative: {label!r}")
 
 
@@ -156,12 +160,14 @@ def validate_graph(
         taken.add(key)
         keys[label] = key
         m = parse_rational(raw_m)
-        if m <= 0:
+        if m.numerator <= 0:
             raise NonPositiveMeasure(
                 f"measure of {label!r} must be positive, got {m}", vertex=str(label)
             )
         measure[label] = m
 
+    order = sorted(measure, key=keys.__getitem__)
+    rank = {v: i for i, v in enumerate(order)}
     seen: dict = {}
     for u, v, raw_b in edge_records:
         _check_label(u)
@@ -172,13 +178,13 @@ def validate_graph(
         if u == v:
             raise SelfLoop(f"self-loop at {u!r}", vertex=str(u))
         b = parse_rational(raw_b)
-        if b < 0:
+        if b.numerator < 0:
             raise NonPositiveEdgeWeight(
                 f"weight of ({u!r}, {v!r}) must be nonnegative, got {b}",
                 u=str(u),
                 v=str(v),
             )
-        pair = (u, v) if keys[u] < keys[v] else (v, u)
+        pair = (u, v) if rank[u] < rank[v] else (v, u)
         if pair in seen:
             if seen[pair] != b:
                 raise AsymmetricDuplicateEdge(
@@ -190,14 +196,13 @@ def validate_graph(
             continue
         seen[pair] = b
 
-    order = sorted(measure, key=keys.__getitem__)
     nbrs = {u: {} for u in order}
     for (u, v), b in seen.items():
-        if b > 0:
+        if b.numerator:
             nbrs[u][v] = b
             nbrs[v][u] = b
     adjacency = {
-        u: {v: nbrs[u][v] for v in sorted(nbrs[u], key=keys.__getitem__)}
+        u: {v: nbrs[u][v] for v in sorted(nbrs[u], key=rank.__getitem__)}
         for u in order
     }
 
@@ -379,9 +384,7 @@ def graph_from_json_dict(payload) -> WeightedGraph:
     for entry in payload["vertices"]:
         if not isinstance(entry, dict) or "id" not in entry or "m" not in entry:
             raise FormatError(f"bad vertex entry: {entry!r}")
-        label = entry["id"]
-        _check_label(label)
-        vertex_records.append((label, entry["m"]))
+        vertex_records.append((entry["id"], entry["m"]))
     edge_records = []
     for entry in payload["edges"]:
         if not isinstance(entry, dict) or not {"u", "v", "b"} <= set(entry):
@@ -416,4 +419,25 @@ def graph_from_json(text: str, source: str = "<string>") -> WeightedGraph:
 
 
 def graph_to_json(g: WeightedGraph) -> str:
-    return json.dumps(graph_to_json_dict(g), indent=2) + "\n"
+    """Canonical JSON text: byte for byte ``json.dumps(graph_to_json_dict(g),
+    indent=2)`` and a newline, written from one template per record."""
+    measure = g.measure
+    vertices = [
+        f'    {{\n      "id": {_quote(str(v))},\n'
+        f'      "m": "{format_rational(measure[v])}"\n    }}'
+        for v in g.vertices
+    ]
+    edges = [
+        f'    {{\n      "u": {_quote(str(u))},\n      "v": {_quote(str(v))},\n'
+        f'      "b": "{format_rational(w)}"\n    }}'
+        for u, v, w in g.edges
+    ]
+    return (
+        f'{{\n  "vertices": {_json_array(vertices)},\n'
+        f'  "edges": {_json_array(edges)}\n}}\n'
+    )
+
+
+def _json_array(items: list) -> str:
+    """An indented array of already rendered items, as ``json.dumps`` writes it."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"

@@ -335,6 +335,23 @@ def test_pair_curvature_output_is_pinned(capsys, tmp_path, graph, command):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[graph, command]
 
 
+# sha256 of `validate` stdout, recorded with the regex rational parser and
+# the json.dumps renderer; the template renderer must print the same bytes
+PINNED_VALIDATE_DIGESTS = {
+    "grid": "f3a111c032454b75dc8fdd82fc0943ea7607ca8e5349abafe1c1be800fbc7309",
+    "hubs": "6b1ca2ecfbe733a2023f2fd51bb8d3cb45feef6195f4a09bcff5a6cc817cf15b",
+}
+
+
+@pytest.mark.parametrize("graph", sorted(PINNED_VALIDATE_DIGESTS))
+def test_validate_output_is_pinned(capsys, tmp_path, graph):
+    path = tmp_path / f"{graph}.json"
+    path.write_text(graph_to_json({"grid": _pinned_grid, "hubs": _pinned_hubs}[graph]()))
+    code, out, err = run_cli(capsys, ["validate", str(path)])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VALIDATE_DIGESTS[graph]
+
+
 # --- bdc ---
 
 

@@ -1,5 +1,7 @@
 """Graph construction, distances, spheres, and the Laplacian."""
 
+import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,6 +29,7 @@ from curvegraph import (
     graph_from_json,
     graph_from_json_dict,
     graph_to_json,
+    graph_to_json_dict,
     inner_outer,
     label_key,
     laplacian,
@@ -53,13 +56,60 @@ def test_parse_rational_forms():
     assert parse_rational("3") == Fraction(3)
     assert parse_rational("-6/4") == Fraction(-3, 2)
     assert parse_rational(" 7/2 ") == Fraction(7, 2)
-    assert parse_rational(Fraction(5, 3)) == Fraction(5, 3)
+    q = Fraction(5, 3)
+    assert parse_rational(q) is q
 
 
 @pytest.mark.parametrize("bad", ["1.5", "1e3", "a/b", "", "1/0", 2.5, None, True])
 def test_parse_rational_rejects(bad):
     with pytest.raises(FormatError):
         parse_rational(bad)
+
+
+_OLD_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+
+
+def _old_parse_rational(value):
+    """The regex parser that parse_rational replaced, kept as its oracle."""
+    if isinstance(value, bool):
+        raise FormatError(f"not a rational: {value!r}")
+    if isinstance(value, (int, Fraction)):
+        return Fraction(value)
+    if isinstance(value, str):
+        text = value.strip()
+        if _OLD_RATIONAL_RE.match(text):
+            try:
+                return Fraction(text)
+            except ZeroDivisionError:
+                raise FormatError(f"zero denominator: {value!r}") from None
+            except ValueError:
+                raise FormatError(f"rational too long: {len(text)} characters") from None
+    raise FormatError(f"not a rational: {value!r}")
+
+
+def _outcome(parse, value):
+    try:
+        q = parse(value)
+    except FormatError as exc:
+        return "error", str(exc)
+    return type(q), q
+
+
+RATIONAL_CORPUS = [
+    "+3", "-0/5", " 7/14 ", "\u0661/\u0662", "\u00b2", "1_000", "1/+2", "+-1",
+    "1//2", "/4", "3/", "1/0", "9" * 5000 + "/7", True, 2.5, None,
+]
+
+
+@pytest.mark.parametrize("value", RATIONAL_CORPUS, ids=lambda v: repr(v)[:12])
+def test_parse_rational_matches_the_regex_grammar(value):
+    assert _outcome(parse_rational, value) == _outcome(_old_parse_rational, value)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(st.text(alphabet="+-/ 0123579\u0661\u0662\u00b2_\n", max_size=8))
+def test_parse_rational_matches_the_regex_grammar_property(text):
+    assert _outcome(parse_rational, text) == _outcome(_old_parse_rational, text)
 
 
 def test_format_rational_always_p_over_q():
@@ -80,6 +130,8 @@ def test_single_vertex_graph_is_valid():
     g = validate_graph([("a", 1)], [])
     assert g.vertices == ("a",)
     assert degree(g, "a") == 0
+    assert graph_to_json(g) == _dumps_oracle(g)
+    assert '"edges": []' in graph_to_json(g)
 
 
 def test_figure1_validates(figure1):
@@ -320,6 +372,32 @@ def test_graph_json_round_trip_property(records):
         return
     text = graph_to_json(validate_graph(vertices, edges))
     assert graph_to_json(graph_from_json(text)) == text
+
+
+@st.composite
+def escaped_label_graphs(draw):
+    """Connected graphs, the empty one too, whose labels mix ints with strings
+    that JSON escapes."""
+    label = st.integers(min_value=0, max_value=30) | st.text(
+        alphabet='a1"\\\n\x00\u00e9\U0001f600', min_size=1, max_size=4
+    )
+    labels = draw(st.lists(label, max_size=7, unique_by=str))
+    vertices = [(v, draw(rationals())) for v in labels]
+    edges = [
+        (labels[draw(st.integers(0, i - 1))], labels[i], draw(rationals()))
+        for i in range(1, len(labels))
+    ]
+    return validate_graph(vertices, edges)
+
+
+def _dumps_oracle(g):
+    return json.dumps(graph_to_json_dict(g), indent=2) + "\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(escaped_label_graphs())
+def test_graph_to_json_matches_json_dumps(g):
+    assert graph_to_json(g) == _dumps_oracle(g)
 
 
 json_values = st.recursive(
