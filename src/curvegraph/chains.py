@@ -28,9 +28,9 @@ from .graphs import (
     RootedDecomposition,
     VertexId,
     WeightedGraph,
+    _lcd_add,
     format_rational,
     parse_rational,
-    sphere_boundary,
     sphere_measure,
     validate_graph,
 )
@@ -58,10 +58,10 @@ class BirthDeathChain:
                 f"{len(measures) - 1} weights, got {len(weights)}"
             )
         for r, m in enumerate(measures):
-            if m <= 0:
+            if m.numerator <= 0:
                 raise NonPositiveEntry(f"measure at radius {r} must be positive", radius=r)
         for r, b in enumerate(weights):
-            if b <= 0:
+            if b.numerator <= 0:
                 raise NonPositiveEntry(f"weight at radius {r} must be positive", radius=r)
         object.__setattr__(self, "measures", measures)
         object.__setattr__(self, "weights", weights)
@@ -99,11 +99,30 @@ class BirthDeathChain:
 
 
 def associated_bdc(decomp: RootedDecomposition) -> BirthDeathChain:
-    """Collapse each sphere around the root to one state of a birth-death chain."""
-    h = decomp.horizon
-    measures = tuple(sphere_measure(decomp, r) for r in range(h + 1))
-    weights = tuple(sphere_boundary(decomp, r) for r in range(h))
-    return BirthDeathChain(measures=measures, weights=weights)
+    """Collapse each sphere around the root to one state of a birth-death chain.
+
+    One pass over each sphere sums m(S_r) and the weight from S_r into
+    S_{r+1} as integers over their least common denominator, and each
+    becomes one ``Fraction``. ``sphere_measure`` and ``sphere_boundary`` stay
+    the definitional check of these values.
+    """
+    measure = decomp.graph.measure
+    adjacency = decomp.graph.adjacency
+    dist = decomp.dist
+    measures = []
+    weights = []
+    for r, shell in enumerate(decomp.spheres):
+        m_n = b_n = 0
+        m_d = b_d = 1
+        for x in shell:
+            m_n, m_d = _lcd_add(m_n, m_d, measure[x])
+            for y, w in adjacency[x].items():
+                if dist[y] > r:
+                    b_n, b_d = _lcd_add(b_n, b_d, w)
+        measures.append(Fraction(m_n, m_d))
+        if r < decomp.horizon:
+            weights.append(Fraction(b_n, b_d))
+    return BirthDeathChain(measures=tuple(measures), weights=tuple(weights))
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,13 @@ Three layers live here:
 * inner/outer curvature of a vertex relative to a root (edge weight into the
   previous/next sphere divided by the vertex measure), and their
   measure-weighted sphere averages. Those averages are the curvatures of the
-  associated birth-death chain, which is where the program reads them from;
-  ``average_curvature`` sums a sphere vertex by vertex and stays as the
-  independent check of that chain;
+  associated birth-death chain, which is where the program reads them from.
+  ``curvature_profile`` and ``chains.associated_bdc`` sum exact weights as
+  integers over a least common denominator and build one ``Fraction`` per
+  value they return. The definitional functions, ``inner_curvature``,
+  ``outer_curvature``, ``average_curvature``, ``graphs.sphere_measure`` and
+  ``graphs.sphere_boundary``, keep their per-neighbour ``Fraction`` sums and
+  stay as the independent checks of both;
 * Ollivier curvature of a vertex pair via its Laplacian formulation: the
   infimum of the normalized Laplacian difference over 1-Lipschitz functions
   with unit gradient along the pair. The feasible set is a difference
@@ -43,6 +47,7 @@ from .graphs import (
     RootedDecomposition,
     VertexId,
     WeightedGraph,
+    _lcd_add,
     distance_map,
     label_key,
     sphere_measure,
@@ -120,13 +125,31 @@ class CurvatureProfile:
 
 
 def curvature_profile(decomp: RootedDecomposition) -> CurvatureProfile:
-    """Per-vertex (inner, outer) curvatures around the decomposition's root."""
+    """Per-vertex (inner, outer) curvatures around the decomposition's root.
+
+    One pass over each vertex's neighbours sums the weights into the previous
+    and the next sphere as integers over their least common denominator;
+    each curvature is then one ``Fraction``. ``inner_curvature`` and
+    ``outer_curvature`` stay the definitional check of these values.
+    """
+    adjacency = decomp.graph.adjacency
+    measure = decomp.graph.measure
+    dist = decomp.dist
+    horizon = decomp.horizon
     per_vertex: Dict[VertexId, Tuple[Fraction, Optional[Fraction]]] = {}
     for v in decomp.graph.vertices:
-        inner = inner_curvature(decomp, v)
-        outer = None
-        if decomp.dist[v] < decomp.horizon:
-            outer = outer_curvature(decomp, v)
+        r = dist[v]
+        in_n = out_n = 0
+        in_d = out_d = 1
+        for y, w in adjacency[v].items():
+            s = dist[y]  # BFS distances of neighbours differ by at most 1
+            if s < r:
+                in_n, in_d = _lcd_add(in_n, in_d, w)
+            elif s > r:
+                out_n, out_d = _lcd_add(out_n, out_d, w)
+        m_num, m_den = measure[v].numerator, measure[v].denominator
+        inner = Fraction(in_n * m_den, in_d * m_num)
+        outer = Fraction(out_n * m_den, out_d * m_num) if r < horizon else None
         per_vertex[v] = (inner, outer)
     return CurvatureProfile(root=decomp.root, per_vertex=per_vertex)
 

@@ -17,6 +17,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
+from math import lcm
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import (
@@ -71,6 +72,20 @@ def format_rational(value: RationalLike) -> str:
         return f"{q.numerator}/{q.denominator}"
     except ValueError:  # past the interpreter's int digit limit
         raise FormatError("rational too long to format") from None
+
+
+def _lcd_add(n: int, d: int, q: Fraction) -> Tuple[int, int]:
+    """n/d + q as an unreduced pair (n', d') over lcm(d, q's denominator).
+
+    A run of these sums Fractions in integers, and one ``Fraction(n, d)`` at
+    the end reduces it. The denominator stays the least common multiple of
+    those seen, never their product, however many terms share it.
+    """
+    q_den = q.denominator
+    if d % q_den:
+        common = lcm(d, q_den)
+        return n * (common // d) + q.numerator * (common // q_den), common
+    return n + q.numerator * (d // q_den), d
 
 
 def label_key(label: VertexId) -> tuple:

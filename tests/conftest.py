@@ -49,14 +49,15 @@ def rationals(draw, max_num=9, max_den=9):
 
 
 @st.composite
-def graphs_with_root(draw, max_vertices=8):
-    """Connected graph on 0..n-1: a random tree plus a few extra edges."""
+def graphs_with_root(draw, max_vertices=8, values=rationals()):
+    """Connected graph on 0..n-1: a random tree plus a few extra edges, with
+    measures and weights drawn from ``values``."""
     n = draw(st.integers(min_value=2, max_value=max_vertices))
-    vertex_records = [(v, draw(rationals())) for v in range(n)]
+    vertex_records = [(v, draw(values)) for v in range(n)]
     edges = {}
     for v in range(1, n):
         u = draw(st.integers(min_value=0, max_value=v - 1))
-        edges[(u, v)] = draw(rationals())
+        edges[(u, v)] = draw(values)
     extras = draw(
         st.lists(
             st.tuples(
@@ -71,7 +72,7 @@ def graphs_with_root(draw, max_vertices=8):
             continue
         pair = (min(u, v), max(u, v))
         if pair not in edges:
-            edges[pair] = draw(rationals())
+            edges[pair] = draw(values)
     edge_records = [(u, v, w) for (u, v), w in sorted(edges.items())]
     g = validate_graph(vertex_records, edge_records)
     root = draw(st.integers(min_value=0, max_value=n - 1))

@@ -335,6 +335,34 @@ def test_pair_curvature_output_is_pinned(capsys, tmp_path, graph, command):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_DIGESTS[graph, command]
 
 
+# sha256 of stdout, recorded with the rooted functions that summed each
+# curvature, sphere measure and boundary weight as a running Fraction; the
+# integer sums over a least common denominator must print the same bytes
+PINNED_ROOTED_DIGESTS = {
+    ("grid", "bdc"): "ac38f451a075a673e926521ab374ae15dd00d28f56907081e12f5e75ed0e7bb2",
+    ("grid", "compare"): "c4af5a6ec469fcd6c9d3bdd04b40b94981cc5f3cd5e8a012c6713475a9e1c38c",
+    ("grid", "curvature"): "e436c8061e0e5a4c9379f0531ff542c0440c76e741fc11a28d03daefab805b47",
+    ("hubs", "bdc"): "cf493dde40abc0357fbb3de0d63f39a6ac5098fba30ec18d8e28ec9beb98e9fc",
+    ("hubs", "compare"): "ed826ae1d6afd123c79d43585abcba6571312f83a892753754a2b28ec531fbf4",
+    ("hubs", "curvature"): "6660939cb026fd5c8c8330cbb9da72c2f8aba14abb17c0fe2712370318f4c38e",
+}
+
+
+@pytest.mark.parametrize("graph, command", sorted(PINNED_ROOTED_DIGESTS))
+def test_rooted_output_is_pinned(capsys, tmp_path, graph, command):
+    path = str(tmp_path / f"{graph}.json")
+    (tmp_path / f"{graph}.json").write_text(
+        graph_to_json({"grid": _pinned_grid, "hubs": _pinned_hubs}[graph]())
+    )
+    argv = [command, path, "--root", "0"]
+    if command == "compare":
+        argv = [command, path, path, "--root1", "0", "--root2", "0",
+                "--outside", "1", "--constant", "--json"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_ROOTED_DIGESTS[graph, command]
+
+
 # sha256 of `validate` stdout, recorded with the regex rational parser and
 # the json.dumps renderer; the template renderer must print the same bytes
 PINNED_VALIDATE_DIGESTS = {

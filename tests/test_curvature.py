@@ -12,12 +12,14 @@ from hypothesis import strategies as st
 from curvegraph import (
     BadRadiusOrder,
     CurvegraphError,
+    FormatError,
     HorizonExceeded,
     SameVertex,
     WeightedGraph,
     average_curvature,
     bdc_ollivier_closed_form,
     curvature_profile,
+    format_rational,
     inner_curvature,
     inner_outer,
     make_example_gprime,
@@ -29,6 +31,7 @@ from curvegraph import (
     rooted_decomposition,
     sphere_boundary,
     sphere_curvature,
+    sphere_measure,
     validate_graph,
     verify_witness,
 )
@@ -120,6 +123,65 @@ def test_profile_boundary_identity(gr):
     for r in range(horizon):
         total = sum(prof.per_vertex[x][1] * g.measure[x] for x in d.sphere(r))
         assert total == sphere_boundary(d, r)
+
+
+# large pairwise coprime denominators: Mersenne primes and two common moduli
+BIG_PRIMES = (2**31 - 1, 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1, 10**9 + 7, 998244353)
+
+
+@st.composite
+def big_rationals(draw):
+    return Fraction(
+        draw(st.integers(min_value=1, max_value=10**30)), draw(st.sampled_from(BIG_PRIMES))
+    )
+
+
+def _assert_rooted_sums_match_oracles(d):
+    """The integer-sum profile and chain against the per-neighbour Fraction sums."""
+    prof = curvature_profile(d)
+    for v in d.graph.vertices:
+        outer = outer_curvature(d, v) if d.dist[v] < d.horizon else None
+        assert prof.per_vertex[v] == (inner_curvature(d, v), outer)
+    chain = associated_bdc(d)
+    assert chain.measures == tuple(sphere_measure(d, r) for r in range(d.horizon + 1))
+    assert chain.weights == tuple(sphere_boundary(d, r) for r in range(d.horizon))
+    return prof, chain
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.one_of(graphs_with_root(), graphs_with_root(values=big_rationals())))
+def test_profile_and_chain_match_the_definitional_sums(gr):
+    g, _root = gr
+    for root in g.vertices:
+        _assert_rooted_sums_match_oracles(rooted_decomposition(g, root))
+
+
+def _primes(count):
+    found = []
+    k = 2
+    while len(found) < count:
+        if all(k % p for p in found):
+            found.append(k)
+        k += 1
+    return found
+
+
+def test_profile_and_chain_on_a_star_of_distinct_denominators():
+    # 300 leaves, each weight over its own prime with a ~4000-digit numerator
+    primes = _primes(300)
+    vertices = [("hub", Fraction(1, 2**127 - 1))]
+    edges = []
+    for k, p in enumerate(primes):
+        vertices.append((f"leaf{k}", Fraction(p, 7)))
+        edges.append(("hub", f"leaf{k}", Fraction(10**3999 + k, p)))
+    g = validate_graph(vertices, edges)
+    for root in ("leaf0", "leaf299", "hub"):
+        prof, chain = _assert_rooted_sums_match_oracles(rooted_decomposition(g, root))
+    # from the hub, the outer curvature and the boundary weight each sum all
+    # 300 leaves: still exact, but too long to print
+    for value in (prof.per_vertex["hub"][1], chain.weights[0]):
+        with pytest.raises(FormatError, match="rational too long to format"):
+            format_rational(value)
 
 
 # --- Ollivier pairs ---

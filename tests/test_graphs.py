@@ -44,6 +44,7 @@ from curvegraph import (
     validate_graph,
 )
 from curvegraph.chains import bdc_as_graph
+from curvegraph.graphs import _lcd_add
 
 from conftest import bfs_oracle, graphs_with_root, rationals
 
@@ -116,6 +117,19 @@ def test_format_rational_always_p_over_q():
     assert format_rational(Fraction(1)) == "1/1"
     assert format_rational(Fraction(-6, 4)) == "-3/2"
     assert format_rational(2) == "2/1"
+
+
+def test_lcd_add_keeps_the_least_common_denominator():
+    n, d = 0, 1
+    for q in (Fraction(1, 6), Fraction(1, 10), Fraction(7, 15)):
+        n, d = _lcd_add(n, d, q)
+    assert (n, d) == (22, 30)  # over lcm 30, not the product 900
+    # a 1000-leaf hub with one denominator keeps it, reduced only at the end
+    p = 2**61 - 1
+    for _ in range(1000):
+        n, d = _lcd_add(n, d, Fraction(3, p))
+    assert d == 30 * p
+    assert Fraction(n, d) == Fraction(11, 15) + Fraction(3000, p)
 
 
 def test_label_key_orders_numerically():
