@@ -6,17 +6,24 @@ the functions here take it as given: reducing it to its associated chain
 aggregates each sphere's measure and each inter-sphere boundary weight. A
 rooted graph is a model when inner and outer curvature are constant on
 every sphere; its associated chain then carries the same curvature data.
+
+A chain builds its curvatures k+(r) = b(r) / m(r) and k-(r) = b(r-1) / m(r)
+once, on first use. The Ollivier curvature of (r, R) is the slope of the
+curvature gap k+ - k-, so the sphere curvatures k(r-1, r), r = 1..R, sum to
+gap(0) - gap(R).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
 
 from .curvature import average_curvature, inner_curvature, outer_curvature
 from .errors import (
+    BadRadiusOrder,
     CurvegraphError,
     FormatError,
     HorizonExceeded,
@@ -34,6 +41,10 @@ from .graphs import (
     sphere_measure,
     validate_graph,
 )
+
+
+def _ratio(b: Fraction, m: Fraction) -> Fraction:  # b / m for b, m > 0
+    return Fraction(b.numerator * m.denominator, b.denominator * m.numerator)
 
 
 @dataclass(frozen=True)
@@ -57,12 +68,10 @@ class BirthDeathChain:
                 f"chain with {len(measures)} measures needs "
                 f"{len(measures) - 1} weights, got {len(weights)}"
             )
-        for r, m in enumerate(measures):
-            if m.numerator <= 0:
-                raise NonPositiveEntry(f"measure at radius {r} must be positive", radius=r)
-        for r, b in enumerate(weights):
-            if b.numerator <= 0:
-                raise NonPositiveEntry(f"weight at radius {r} must be positive", radius=r)
+        for kind, values in (("measure", measures), ("weight", weights)):
+            for r, v in enumerate(values):
+                if v.numerator <= 0:
+                    raise NonPositiveEntry(f"{kind} at radius {r} must be positive", radius=r)
         object.__setattr__(self, "measures", measures)
         object.__setattr__(self, "weights", weights)
 
@@ -70,13 +79,23 @@ class BirthDeathChain:
     def horizon(self) -> int:
         return len(self.measures) - 1
 
+    @cached_property
+    def _outer(self) -> Tuple[Fraction, ...]:
+        """k+(r) = b(r) / m(r) for r = 0..horizon-1."""
+        return tuple(map(_ratio, self.weights, self.measures))
+
+    @cached_property
+    def _inner(self) -> Tuple[Fraction, ...]:
+        """k-(r) = b(r-1) / m(r) for r = 0..horizon; k-(0) = 0."""
+        return (Fraction(0),) + tuple(map(_ratio, self.weights, self.measures[1:]))
+
     def outer_curvature(self, r: int) -> Fraction:
         if r < 0 or r > self.horizon - 1:
             raise HorizonExceeded(
                 f"chain outer curvature defined for 0 <= r <= {self.horizon - 1}",
                 radius=r,
             )
-        return self.weights[r] / self.measures[r]
+        return self._outer[r]
 
     def inner_curvature(self, r: int) -> Fraction:
         if r < 0 or r > self.horizon:
@@ -84,9 +103,7 @@ class BirthDeathChain:
                 f"chain inner curvature defined for 0 <= r <= {self.horizon}",
                 radius=r,
             )
-        if r == 0:
-            return Fraction(0)
-        return self.weights[r - 1] / self.measures[r]
+        return self._inner[r]
 
     def curvature_gap(self, r: int) -> Fraction:
         """Outer minus inner curvature at radius r."""
@@ -96,6 +113,25 @@ class BirthDeathChain:
         if r < 0 or r > self.horizon:
             raise HorizonExceeded(f"ball measure defined for 0 <= r <= {self.horizon}", radius=r)
         return sum(self.measures[: r + 1], Fraction(0))
+
+
+def bdc_ollivier_closed_form(chain: BirthDeathChain, r: int, R: int) -> Fraction:
+    """Pair curvature k(r, R) on a birth-death chain: the slope of its gap.
+
+    Needs 0 <= r < R <= horizon - 1: the Laplacian at R looks one step past R.
+    A 1-Lipschitz f with f(R) - f(r) = R - r is t + c on r..R, and one more
+    unit step outward at each end is optimal, so f(t) = t is a witness. With
+    Delta f(t) = -gap(t), k(r, R) = (Delta f(R) - Delta f(r)) / (R - r).
+    """
+    if r >= R:
+        raise BadRadiusOrder(f"need r < R, got r={r}, R={R}")
+    if r < 0 or R > chain.horizon - 1:
+        raise HorizonExceeded(
+            f"closed form needs 0 <= r < R <= {chain.horizon - 1}, got "
+            f"r={r}, R={R}",
+            radius=R,
+        )
+    return (chain.curvature_gap(r) - chain.curvature_gap(R)) / (R - r)
 
 
 def associated_bdc(decomp: RootedDecomposition) -> BirthDeathChain:
@@ -324,10 +360,7 @@ def chain_from_json_dict(payload) -> BirthDeathChain:
     for key in ("m", "b"):
         if key not in payload or not isinstance(payload[key], list):
             raise FormatError(f"chain document needs a {key!r} array")
-    return BirthDeathChain(
-        measures=tuple(parse_rational(v) for v in payload["m"]),
-        weights=tuple(parse_rational(v) for v in payload["b"]),
-    )
+    return BirthDeathChain(measures=tuple(payload["m"]), weights=tuple(payload["b"]))
 
 
 def chain_to_json(chain: BirthDeathChain) -> str:

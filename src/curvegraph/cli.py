@@ -16,7 +16,6 @@ import argparse
 import csv
 import json
 import os
-import re
 import sys
 from typing import Tuple, Union
 
@@ -24,6 +23,7 @@ from .chains import (
     BirthDeathChain,
     associated_bdc,
     bdc_as_graph,
+    bdc_ollivier_closed_form,
     chain_from_json_dict,
     chain_to_json,
     make_example_gprime,
@@ -41,7 +41,6 @@ from .comparison import (
 )
 from .curvature import (
     OllivierResult,
-    bdc_ollivier_closed_form,
     curvature_profile,
     ollivier_pair,
     sphere_curvature,
@@ -100,7 +99,7 @@ def _load_graph(source: str) -> WeightedGraph:
 def _resolve_vertex(g: WeightedGraph, token: str):
     if token in g.adjacency:
         return token
-    if re.fullmatch(r"\d+", token):
+    if token.isdecimal():
         try:
             number = int(token)
         except ValueError:  # past the interpreter's int digit limit
@@ -403,9 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="growth relations, volume ledger, constant")
     p.add_argument("files", nargs="*", help="two payloads: first vs second")
-    p.add_argument(
-        "--against", default=None, help="reference payload; the subject comes on stdin"
-    )
+    p.add_argument("--against", help="first payload (--root1); the second comes on stdin")
     p.add_argument("--root1", required=True, help="root in the first payload")
     p.add_argument("--root2", required=True, help="root in the second payload")
     p.add_argument(

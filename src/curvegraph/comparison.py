@@ -22,14 +22,14 @@ from itertools import accumulate
 from operator import ge, le
 from typing import List, Optional, Tuple
 
-from .chains import BirthDeathChain, associated_bdc, bdc_as_graph, is_model
-from .curvature import (
+from .chains import (
+    BirthDeathChain,
+    associated_bdc,
+    bdc_as_graph,
     bdc_ollivier_closed_form,
-    inner_curvature,
-    inner_outer,
-    outer_curvature,
-    sphere_curvature,
+    is_model,
 )
+from .curvature import inner_curvature, inner_outer, outer_curvature, sphere_curvature
 from .errors import CurvegraphError, HorizonExceeded, HorizonMismatch, HypothesisFailed
 from .graphs import (
     RootedDecomposition,

@@ -6,7 +6,7 @@ Three layers live here:
   previous/next sphere divided by the vertex measure), and their
   measure-weighted sphere averages. Those averages are the curvatures of the
   associated birth-death chain, which is where the program reads them from.
-  ``curvature_profile`` and ``chains.associated_bdc`` sum exact weights as
+  ``curvature_profile`` and ``associated_bdc`` sum exact weights as
   integers over a least common denominator and build one ``Fraction`` per
   value they return. The definitional functions, ``inner_curvature``,
   ``outer_curvature``, ``average_curvature``, ``graphs.sphere_measure`` and
@@ -24,8 +24,7 @@ Three layers live here:
   arcs not implied through x or y. ``verify_witness`` replays a result
   against the definitional ``Fraction`` Laplacian, sharing none of that
   arithmetic;
-* the min-max sphere curvature built from pair curvatures, plus the closed
-  form it collapses to on birth-death chains.
+* the min-max sphere curvature built from pair curvatures.
 """
 
 from __future__ import annotations
@@ -34,10 +33,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import lcm
-from typing import Dict, Optional, Tuple, TYPE_CHECKING
+from typing import Dict, Optional, Tuple
 
 from .errors import (
-    BadRadiusOrder,
     CurvegraphError,
     EmptySphere,
     HorizonExceeded,
@@ -52,10 +50,6 @@ from .graphs import (
     label_key,
     sphere_measure,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - type hints only
-    from .chains import BirthDeathChain
-
 
 # ---------------------------------------------------------------------------
 # inner / outer curvature and sphere averages
@@ -117,7 +111,7 @@ class CurvatureProfile:
 
     The outer entry is None on the outermost sphere: the data cannot say
     what lies beyond it. The per-radius averages and sphere volumes are the
-    associated chain's (``chains.associated_bdc``), not stored here.
+    associated chain's (``associated_bdc``), not stored here.
     """
 
     root: VertexId
@@ -495,26 +489,3 @@ def sphere_curvature(decomp: RootedDecomposition, r: int) -> Fraction:
         if best is None or worst < best:
             best = worst
     return best
-
-
-def bdc_ollivier_closed_form(chain: "BirthDeathChain", r: int, R: int) -> Fraction:
-    """Pair curvature k(r, R) on a birth-death chain, in closed form.
-
-    Needs 0 <= r < R <= horizon - 1: the Laplacian at R looks one step past R.
-    """
-    if r >= R:
-        raise BadRadiusOrder(f"need r < R, got r={r}, R={R}")
-    if r < 0 or R > chain.horizon - 1:
-        raise HorizonExceeded(
-            f"closed form needs 0 <= r < R <= {chain.horizon - 1}, got "
-            f"r={r}, R={R}",
-            radius=R,
-        )
-    b = chain.weights
-    m = chain.measures
-
-    def inward(t: int) -> Fraction:
-        return b[t - 1] if t >= 1 else Fraction(0)
-
-    gap = R - r
-    return (inward(R) - b[R]) / (gap * m[R]) - (inward(r) - b[r]) / (gap * m[r])

@@ -16,6 +16,13 @@ from typing import Tuple
 from .chains import BirthDeathChain, chain_from_curvatures
 from .graphs import VertexId, WeightedGraph, validate_graph
 
+# horizons of random chains, and the longest unit sequence
+MIN_HORIZON = 2
+MAX_HORIZON = 8
+MAX_SEQUENCE_LEN = 8
+
+ChainPair = Tuple[BirthDeathChain, BirthDeathChain]
+
 
 def random_rational(rng: random.Random) -> Fraction:
     """Positive rational with numerator and denominator in 1..9."""
@@ -48,36 +55,38 @@ def random_graph(
     return g, rng.randrange(n)
 
 
-def random_chain(
-    rng: random.Random, min_horizon: int = 2, max_horizon: int = 8
-) -> BirthDeathChain:
-    horizon = rng.randint(min_horizon, max_horizon)
+def random_chain(rng: random.Random) -> BirthDeathChain:
+    horizon = rng.randint(MIN_HORIZON, MAX_HORIZON)
     measures = tuple(random_rational(rng) for _ in range(horizon + 1))
     weights = tuple(random_rational(rng) for _ in range(horizon))
     return BirthDeathChain(measures=measures, weights=weights)
 
 
-def chain_pair_with_average_hypothesis(
-    rng: random.Random,
-) -> Tuple[BirthDeathChain, BirthDeathChain]:
-    """Pair where the first chain dominates the second by construction.
-
-    Root measures match; the first chain's outer curvatures are scaled up
-    and its inner curvatures scaled down relative to the second's.
-    """
-    c2 = random_chain(rng)
-    outer = []
-    inner = []
+def _dominating_curvatures(rng: random.Random, c2: BirthDeathChain, threshold: int):
+    """Curvatures of a chain dominating c2 from radius threshold on: c2's outer
+    ones scaled up and inner ones down there, each drawn freely below it.
+    Threshold 0 is full domination."""
+    outer, inner = [], []
     for r in range(c2.horizon):
-        outer.append(c2.outer_curvature(r) * _scale_above_one(rng))
-        inner.append(c2.inner_curvature(r + 1) / _scale_above_one(rng))
-    c1 = chain_from_curvatures(c2.measures[0], outer, inner)
+        if r >= threshold:
+            outer.append(c2.outer_curvature(r) * _scale_above_one(rng))
+        else:
+            outer.append(random_rational(rng))
+        if r + 1 >= threshold:
+            inner.append(c2.inner_curvature(r + 1) / _scale_above_one(rng))
+        else:
+            inner.append(random_rational(rng))
+    return outer, inner
+
+
+def chain_pair_with_average_hypothesis(rng: random.Random) -> ChainPair:
+    """Pair whose first chain dominates the second from radius 0; root measures match."""
+    c2 = random_chain(rng)
+    c1 = chain_from_curvatures(c2.measures[0], *_dominating_curvatures(rng, c2, 0))
     return c1, c2
 
 
-def chain_pair_matched_start(
-    rng: random.Random,
-) -> Tuple[BirthDeathChain, BirthDeathChain]:
+def chain_pair_matched_start(rng: random.Random) -> ChainPair:
     """Independent chains forced to share the radius-0 outer curvature."""
     c1 = random_chain(rng)
     c2 = random_chain(rng)
@@ -94,28 +103,16 @@ def chain_pair_outside_hypothesis(
     hypothesis generally fails there; root measures are unrelated too.
     """
     c2 = random_chain(rng)
-    h = c2.horizon
-    threshold = rng.randint(1, h - 1)
-    outer = []
-    inner = []
-    for r in range(h):
-        if r >= threshold:
-            outer.append(c2.outer_curvature(r) * _scale_above_one(rng))
-        else:
-            outer.append(random_rational(rng))
-        if r + 1 >= threshold:
-            inner.append(c2.inner_curvature(r + 1) / _scale_above_one(rng))
-        else:
-            inner.append(random_rational(rng))
+    threshold = rng.randint(1, c2.horizon - 1)
+    outer, inner = _dominating_curvatures(rng, c2, threshold)
+    # the root measure is drawn after the curvatures
     c1 = chain_from_curvatures(random_rational(rng), outer, inner)
     return c1, c2, threshold
 
 
-def nonincreasing_unit_sequence(
-    rng: random.Random, max_len: int = 8
-) -> Tuple[Fraction, ...]:
+def nonincreasing_unit_sequence(rng: random.Random) -> Tuple[Fraction, ...]:
     """Positive nonincreasing sequence starting at 1."""
-    length = rng.randint(3, max_len)
+    length = rng.randint(3, MAX_SEQUENCE_LEN)
     values = [Fraction(1)]
     for _ in range(length - 1):
         num = rng.randint(1, 6)

@@ -16,6 +16,7 @@ from typing import Callable, List, Tuple
 from .chains import (
     associated_bdc,
     bdc_as_graph,
+    bdc_ollivier_closed_form,
     is_model,
     make_example_gprime,
     make_figure1,
@@ -33,7 +34,6 @@ from .comparison import (
     volume_comparison,
 )
 from .curvature import (
-    bdc_ollivier_closed_form,
     ollivier_pair,
     ollivier_pair_bruteforce,
     sphere_curvature,

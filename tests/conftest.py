@@ -48,6 +48,17 @@ def rationals(draw, max_num=9, max_den=9):
     )
 
 
+# large pairwise coprime denominators: Mersenne primes and two common moduli
+BIG_PRIMES = (2**31 - 1, 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1, 10**9 + 7, 998244353)
+
+
+@st.composite
+def big_rationals(draw):
+    return Fraction(
+        draw(st.integers(min_value=1, max_value=10**30)), draw(st.sampled_from(BIG_PRIMES))
+    )
+
+
 @st.composite
 def graphs_with_root(draw, max_vertices=8, values=rationals()):
     """Connected graph on 0..n-1: a random tree plus a few extra edges, with
@@ -80,8 +91,8 @@ def graphs_with_root(draw, max_vertices=8, values=rationals()):
 
 
 @st.composite
-def chains(draw, min_horizon=2, max_horizon=6):
+def chains(draw, min_horizon=2, max_horizon=6, values=rationals()):
     horizon = draw(st.integers(min_value=min_horizon, max_value=max_horizon))
-    measures = tuple(draw(rationals()) for _ in range(horizon + 1))
-    weights = tuple(draw(rationals()) for _ in range(horizon))
+    measures = tuple(draw(values) for _ in range(horizon + 1))
+    weights = tuple(draw(values) for _ in range(horizon))
     return BirthDeathChain(measures=measures, weights=weights)

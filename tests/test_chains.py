@@ -1,9 +1,11 @@
 """Birth-death chains, the graph reduction, and the example constructors."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvegraph import (
     BirthDeathChain,
@@ -31,7 +33,7 @@ from curvegraph import (
     validate_graph,
 )
 
-from conftest import chains, graphs_with_root
+from conftest import big_rationals, chains, graphs_with_root
 
 
 # --- the chain type ---
@@ -68,6 +70,34 @@ def test_chain_curvature_accessors():
         c.outer_curvature(2)
     with pytest.raises(HorizonExceeded):
         c.inner_curvature(3)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.one_of(chains(), chains(values=big_rationals())))
+def test_chain_curvatures_are_built_once_and_stay_out_of_its_identity(c):
+    text = chain_to_json(c)
+    h = c.horizon
+    outer = [c.outer_curvature(r) for r in range(h)]
+    inner = [c.inner_curvature(r) for r in range(h + 1)]
+    assert outer == [c.weights[r] / c.measures[r] for r in range(h)]
+    assert inner == [Fraction(0)] + [c.weights[r - 1] / c.measures[r] for r in range(1, h + 1)]
+    # a second read returns the values built by the first
+    assert all(c.outer_curvature(r) is outer[r] for r in range(h))
+    assert all(c.inner_curvature(r) is inner[r] for r in range(h + 1))
+    assert all(c.curvature_gap(r) == outer[r] - inner[r] for r in range(h))
+    for side, r in (("outer", -1), ("outer", h), ("inner", -1), ("inner", h + 1)):
+        with pytest.raises(HorizonExceeded) as info:
+            getattr(c, f"{side}_curvature")(r)
+        top = h - 1 if side == "outer" else h
+        assert info.value.payload() == {
+            "error": "horizon-exceeded",
+            "message": f"chain {side} curvature defined for 0 <= r <= {top}",
+            "detail": {"radius": r},
+        }
+    fresh = BirthDeathChain(c.measures, c.weights)
+    assert [f.name for f in fields(c)] == ["measures", "weights"]
+    assert (c == fresh, hash(c), repr(c)) == (True, hash(fresh), repr(fresh))
+    assert chain_to_json(c) == text == chain_to_json(fresh)
 
 
 # --- reduction ---

@@ -380,6 +380,45 @@ def test_validate_output_is_pinned(capsys, tmp_path, graph):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VALIDATE_DIGESTS[graph]
 
 
+# sha256 of stdout on chain payloads, recorded with the chain that divided on
+# every curvature call and the closed form that read m and b itself; the
+# cached curvatures and the slope of the curvature gap must print the same bytes
+PINNED_CHAIN_DIGESTS = {
+    "compare chain mirror": "ad068dc7cd2930fa463d695f8792f669294346bf9a07c462ec71ea603306ebaa",
+    "compare chain mirror --json": "8f4c9fbb9283e8ad14b1decf63baf7deb2302dca4106c887a3553f7e434b0b2f",
+    "compare mirror chain": "cb44edfb7b3384f19de6a9df8903d71a2d554be0458ce74e78651bfa04f68900",
+    "compare mirror chain --json": "3303427caeb347612b2ba6f1a956e075a175c88f93e976154f3eb990cb9903c0",
+    "curvature gprime": "ff632db721f5e53a4cf469c40eb22524b5b016b7c94182a6784d41adb0c28eb3",
+    "sphere-curv gprime": "4bada698db2029577ad7ed5662b4789984df2694212ea5f31a2ac33ba7ad79bb",
+    "bdc gprime": "20466bff577670f8b872dd3e0c6ddb5826329933bc5c86a0ddab86a4afa987c5",
+    "verify": "2cac9694ae372214cd98a1a77901a37ac3546f74dcac7b46fcc0c7af92c47870",
+}
+
+
+@pytest.mark.parametrize("command", sorted(PINNED_CHAIN_DIGESTS))
+def test_chain_output_is_pinned(capsys, tmp_path, command):
+    payloads = {
+        "chain": ["gen", "chain", "--n", "8"],
+        "mirror": ["gen", "mirror", "--of", "chain", "--n", "8"],
+        "gprime": ["gen", "gprime", "--n", "12"],
+    }
+    for name, argv in payloads.items():
+        _code, text, _err = run_cli(capsys, argv)
+        (tmp_path / f"{name}.json").write_text(text)
+    name, *rest = command.split()
+    files = [str(tmp_path / f"{payload}.json") for payload in rest if payload in payloads]
+    if name == "compare":
+        argv = [name, *files, "--root1", "0", "--root2", "0", "--outside", "1",
+                "--constant", *rest[2:]]
+    elif name == "verify":
+        argv = [name, "--seed", "7", "--instances", "15"]
+    else:
+        argv = [name, *files, "--root", "0"]
+    code, out, err = run_cli(capsys, argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_CHAIN_DIGESTS[command]
+
+
 # --- bdc ---
 
 
@@ -689,3 +728,14 @@ def test_integer_labels_resolve_from_strings(capsys, monkeypatch):
     )
     assert code == 0
     assert out.splitlines()[1] == "4,4,1/1,,1/1,,1/1"
+
+
+# an all-digit token names an integer label, digits being any Unicode decimal
+# digit (Nd, as the regex \d+ reads them; U+0663 is ARABIC-INDIC DIGIT THREE)
+@pytest.mark.parametrize(
+    "token, expected", [("00", 0), ("\u0663", 3), ("+1", "+1"), (" 1", " 1"), ("", "")]
+)
+def test_resolve_vertex_reads_decimal_tokens_as_integers(token, expected):
+    g = validate_graph([(v, 1) for v in range(4)], [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
+    resolved = cli._resolve_vertex(g, token)
+    assert (resolved, type(resolved)) == (expected, type(expected))

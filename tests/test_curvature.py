@@ -38,7 +38,7 @@ from curvegraph import (
 from curvegraph.chains import associated_bdc, bdc_as_graph
 from curvegraph.curvature import _pair_support
 
-from conftest import bfs_oracle, chains, graphs_with_root, rationals
+from conftest import bfs_oracle, big_rationals, chains, graphs_with_root, rationals
 
 
 # --- inner / outer ---
@@ -123,17 +123,6 @@ def test_profile_boundary_identity(gr):
     for r in range(horizon):
         total = sum(prof.per_vertex[x][1] * g.measure[x] for x in d.sphere(r))
         assert total == sphere_boundary(d, r)
-
-
-# large pairwise coprime denominators: Mersenne primes and two common moduli
-BIG_PRIMES = (2**31 - 1, 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1, 10**9 + 7, 998244353)
-
-
-@st.composite
-def big_rationals(draw):
-    return Fraction(
-        draw(st.integers(min_value=1, max_value=10**30)), draw(st.sampled_from(BIG_PRIMES))
-    )
 
 
 def _assert_rooted_sums_match_oracles(d):

@@ -5,6 +5,9 @@ from fractions import Fraction
 
 from curvegraph import stronger_average_growth, stronger_outside_finite
 from curvegraph.generators import (
+    MAX_HORIZON,
+    MAX_SEQUENCE_LEN,
+    MIN_HORIZON,
     chain_pair_matched_start,
     chain_pair_outside_hypothesis,
     chain_pair_with_average_hypothesis,
@@ -46,8 +49,8 @@ def test_random_graph_shape():
 def test_random_chain_horizon_bounds():
     rng = random.Random(4)
     for _ in range(30):
-        c = random_chain(rng, min_horizon=3, max_horizon=5)
-        assert 3 <= c.horizon <= 5
+        c = random_chain(rng)
+        assert MIN_HORIZON <= c.horizon <= MAX_HORIZON
 
 
 def test_average_hypothesis_pairs_dominate():
@@ -78,7 +81,7 @@ def test_unit_sequences_admissible():
     rng = random.Random(8)
     for _ in range(60):
         seq = nonincreasing_unit_sequence(rng)
-        assert 3 <= len(seq) <= 8
+        assert 3 <= len(seq) <= MAX_SEQUENCE_LEN
         assert seq[0] == 1
         assert all(q > 0 for q in seq)
         assert all(seq[i] >= seq[i + 1] for i in range(len(seq) - 1))
