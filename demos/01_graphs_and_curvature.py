@@ -8,7 +8,7 @@ from curvegraph import (
     average_curvature,
     format_rational,
     inner_curvature,
-    inner_outer,
+    outer_curvature,
     rooted_decomposition,
     sphere_boundary,
     sphere_measure,
@@ -31,14 +31,11 @@ print()
 print("per-vertex curvature (inner, outer):")
 for r in range(decomp.horizon + 1):
     for v in decomp.sphere(r):
-        if r < decomp.horizon:
-            k_minus, k_plus = inner_outer(decomp, v)
-            print(f"  {v}: ({format_rational(k_minus)}, {format_rational(k_plus)})")
-        else:
-            # the outermost sphere has no next sphere, so the outer side
-            # does not exist there
-            k_minus = inner_curvature(decomp, v)
-            print(f"  {v}: ({format_rational(k_minus)}, -)")
+        k_minus = format_rational(inner_curvature(decomp, v))
+        # the outermost sphere has no next sphere, so the outer side does not
+        # exist there
+        k_plus = "-" if r == decomp.horizon else format_rational(outer_curvature(decomp, v))
+        print(f"  {v}: ({k_minus}, {k_plus})")
 
 print()
 print("averaged curvature and the volume identity:")

@@ -39,12 +39,7 @@ from .comparison import (
     stronger_outside_finite,
     volume_comparison,
 )
-from .curvature import (
-    OllivierResult,
-    curvature_profile,
-    ollivier_pair,
-    sphere_curvature,
-)
+from .curvature import OllivierResult, curvature_profile, ollivier_pair, sphere_curvature
 from .errors import CurvegraphError, FormatError
 from .graphs import (
     WeightedGraph,
@@ -161,7 +156,7 @@ def _cmd_validate(args) -> int:
 def _cmd_curvature(args) -> int:
     g = _load_graph(args.file)
     decomp = rooted_decomposition(g, _resolve_vertex(g, args.root))
-    profile = curvature_profile(decomp)
+    per_vertex = curvature_profile(decomp)
     if args.radius is not None:
         decomp.sphere(args.radius)  # range check
         radii = [args.radius]
@@ -174,7 +169,7 @@ def _cmd_curvature(args) -> int:
         avg_plus = format_rational(chain.outer_curvature(r)) if r < chain.horizon else ""
         m_sr = format_rational(chain.measures[r])
         for v in decomp.sphere(r):
-            k_minus, k_plus = profile.per_vertex[v]
+            k_minus, k_plus = per_vertex[v]
             rows.append(
                 [
                     str(r),
@@ -209,16 +204,16 @@ def _cmd_sphere_curv(args) -> int:
     g = _load_graph(args.file)
     decomp = rooted_decomposition(g, _resolve_vertex(g, args.root))
     chain = associated_bdc(decomp)
-    chain_graph = bdc_as_graph(chain)
+    h = chain.horizon
     rows = [["r", "k_graph", "k_chain"]]
-    for r in range(1, decomp.horizon + 1):
+    for r in range(1, h + 1):
         graph_side = format_rational(sphere_curvature(decomp, r))
-        if r <= chain.horizon - 1:
+        if r < h:
             chain_value = bdc_ollivier_closed_form(chain, r - 1, r)
         else:
-            # the closed form reads the weight past r; at the horizon the
-            # pair curvature of the last two chain points is the same thing
-            chain_value = ollivier_pair(chain_graph, r - 1, r).value
+            # k(r - 1, r) is the drop in the gap, and past the horizon nothing
+            # lies: the gap there is -k-(h)
+            chain_value = chain.curvature_gap(h - 1) + chain.inner_curvature(h)
         rows.append([str(r), graph_side, format_rational(chain_value)])
     _write_csv(rows)
     return 0
@@ -231,10 +226,13 @@ def _cmd_bdc(args) -> int:
     return 0
 
 
+# chain generators by name, shared by `gen` and `gen mirror --of`
+_CHAIN_MAKERS = {"chain": make_unweighted_chain, "gprime": make_example_gprime}
+
+
 def _chain_for_mirror(args) -> BirthDeathChain:
-    if args.of in ("chain", "gprime"):
-        maker = make_unweighted_chain if args.of == "chain" else make_example_gprime
-        return maker(args.n)
+    if args.of in _CHAIN_MAKERS:
+        return _CHAIN_MAKERS[args.of](args.n)
     kind, obj = _load_payload(args.of)
     if kind != "chain":
         raise FormatError(
@@ -246,10 +244,8 @@ def _chain_for_mirror(args) -> BirthDeathChain:
 
 def _cmd_gen(args) -> int:
     name = args.generator
-    if name == "chain":
-        sys.stdout.write(chain_to_json(make_unweighted_chain(args.n)))
-    elif name == "gprime":
-        sys.stdout.write(chain_to_json(make_example_gprime(args.n)))
+    if name in _CHAIN_MAKERS:
+        sys.stdout.write(chain_to_json(_CHAIN_MAKERS[name](args.n)))
     elif name == "figure1":
         sys.stdout.write(graph_to_json(make_figure1()))
     elif name == "mirror":

@@ -29,7 +29,7 @@ from .chains import (
     bdc_ollivier_closed_form,
     is_model,
 )
-from .curvature import inner_curvature, inner_outer, outer_curvature, sphere_curvature
+from .curvature import inner_curvature, outer_curvature, sphere_curvature
 from .errors import CurvegraphError, HorizonExceeded, HorizonMismatch, HypothesisFailed
 from .graphs import (
     RootedDecomposition,
@@ -48,8 +48,9 @@ class GrowthRelation:
     scanning radii upward and, within a radius, outer before inner. The
     measure normalization, when the relation includes it, reports side
     "measure" at radius 0. common_range is the inclusive radius span that
-    was examined; outer-side checks stop one radius earlier. holds and
-    threshold_radius are read off those two.
+    was examined; outer-side checks stop one radius earlier. holds, and the
+    JSON threshold (the first radius examined: 0, or R for the
+    outside-a-finite-set form), are read off those two.
     """
 
     kind: str
@@ -59,11 +60,6 @@ class GrowthRelation:
     @property
     def holds(self) -> bool:
         return self.first_violation is None
-
-    @property
-    def threshold_radius(self) -> int:
-        """First radius examined: 0, or R for the outside-a-finite-set form."""
-        return self.common_range[0]
 
     def describe(self) -> str:
         span = f"r = {self.common_range[0]}..{self.common_range[1]}"
@@ -76,7 +72,7 @@ class GrowthRelation:
         out = {
             "kind": self.kind,
             "holds": self.holds,
-            "threshold": self.threshold_radius,
+            "threshold": self.common_range[0],
             "common_range": list(self.common_range),
         }
         if self.first_violation is not None:
@@ -428,8 +424,7 @@ def laplacian_distance_compare(
                 f"chain distance Laplacian is not the negated gap at r = {r}"
             )
         for x in decomp.sphere(r):
-            k_minus, k_plus = inner_outer(decomp, x)
-            gap = k_plus - k_minus
+            gap = outer_curvature(decomp, x) - inner_curvature(decomp, x)
             lap = laplacian_of_distance(decomp, x)
             if lap != -gap:
                 raise CurvegraphError(
@@ -557,10 +552,10 @@ def compcurv_check(
     k_assoc = _chain_sphere_curvatures(associated_bdc(decomp), graph_last)
     chain_gaps = [model_chain.curvature_gap(r) for r in range(last + 1)]
     # vertex gaps per radius, for the part-one hypothesis and part-two bound
-    gaps = []
-    for r in range(last + 1):
-        pairs = [inner_outer(decomp, x) for x in decomp.sphere(r)]
-        gaps.append([k_plus - k_minus for k_minus, k_plus in pairs])
+    gaps = [
+        [outer_curvature(decomp, x) - inner_curvature(decomp, x) for x in decomp.sphere(r)]
+        for r in range(last + 1)
+    ]
     hyp_note = next(
         (
             f"chain gap {format_rational(chain_gap)} exceeds vertex "

@@ -21,9 +21,10 @@ Three layers live here:
   distance is 0 to 3), a farther pair's from BFS cut at d(x, y) + 2; the
   objective is integers over one denominator; and the min-cost flow runs
   heap Dijkstras, each stopped at the nearest sink, over only the Lipschitz
-  arcs not implied through x or y. ``verify_witness`` replays a result
-  against the definitional ``Fraction`` Laplacian, sharing none of that
-  arithmetic;
+  arcs not implied through x or y. The two oracles, ``verify_witness`` and
+  ``ollivier_pair_bruteforce``, share only the support rule with it: they
+  build every pair's metric by BFS, never through the adjacency shortcut,
+  and value a witness with the definitional ``Fraction`` Laplacian;
 * the min-max sphere curvature built from pair curvatures.
 """
 
@@ -46,6 +47,7 @@ from .graphs import (
     VertexId,
     WeightedGraph,
     _lcd_add,
+    distance,
     distance_map,
     label_key,
     sphere_measure,
@@ -83,11 +85,6 @@ def outer_curvature(decomp: RootedDecomposition, x: VertexId) -> Fraction:
     return acc / decomp.graph.measure[x]
 
 
-def inner_outer(decomp: RootedDecomposition, x: VertexId) -> Tuple[Fraction, Fraction]:
-    """(inner, outer) curvature of x. Raises on the outermost sphere."""
-    return inner_curvature(decomp, x), outer_curvature(decomp, x)
-
-
 def average_curvature(decomp: RootedDecomposition, r: int, side: str) -> Fraction:
     """Measure-weighted average of inner or outer curvature over sphere r."""
     if side not in ("inner", "outer"):
@@ -105,26 +102,17 @@ def average_curvature(decomp: RootedDecomposition, r: int, side: str) -> Fractio
     return acc / sphere_measure(decomp, r)
 
 
-@dataclass(frozen=True)
-class CurvatureProfile:
-    """Inner and outer curvature of every vertex of one rooted graph.
-
-    The outer entry is None on the outermost sphere: the data cannot say
-    what lies beyond it. The per-radius averages and sphere volumes are the
-    associated chain's (``associated_bdc``), not stored here.
-    """
-
-    root: VertexId
-    per_vertex: Dict[VertexId, Tuple[Fraction, Optional[Fraction]]]
-
-
-def curvature_profile(decomp: RootedDecomposition) -> CurvatureProfile:
+def curvature_profile(
+    decomp: RootedDecomposition,
+) -> Dict[VertexId, Tuple[Fraction, Optional[Fraction]]]:
     """Per-vertex (inner, outer) curvatures around the decomposition's root.
 
-    One pass over each vertex's neighbours sums the weights into the previous
-    and the next sphere as integers over their least common denominator;
-    each curvature is then one ``Fraction``. ``inner_curvature`` and
-    ``outer_curvature`` stay the definitional check of these values.
+    The outer entry is None on the outermost sphere: the data cannot say
+    what lies beyond it. One pass over each vertex's neighbours sums the
+    weights into the previous and the next sphere as integers over their
+    least common denominator; each curvature is then one ``Fraction``.
+    ``inner_curvature`` and ``outer_curvature`` stay the definitional check
+    of these values.
     """
     adjacency = decomp.graph.adjacency
     measure = decomp.graph.measure
@@ -145,7 +133,7 @@ def curvature_profile(decomp: RootedDecomposition) -> CurvatureProfile:
         inner = Fraction(in_n * m_den, in_d * m_num)
         outer = Fraction(out_n * m_den, out_d * m_num) if r < horizon else None
         per_vertex[v] = (inner, outer)
-    return CurvatureProfile(root=decomp.root, per_vertex=per_vertex)
+    return per_vertex
 
 
 # ---------------------------------------------------------------------------
@@ -170,25 +158,29 @@ class OllivierResult:
     support: Tuple[VertexId, ...]
 
 
-def _pair_support(g: WeightedGraph, x: VertexId, y: VertexId):
-    """Vertices the pair objective can see, with their metric.
-
-    Each support vertex lies within 1 of x or y, so every distance among them
-    is at most d(x, y) + 2. For an adjacent pair that bound is 3, and the
-    metric needs no search: two support vertices are at distance 1 when they
-    are joined, 2 when they share a neighbour, and 3 otherwise. A farther
-    pair finds d(x, y) with a BFS that stops once it reaches y, and each
-    support vertex's distances with a BFS cut at d(x, y) + 2.
-    """
+def _support(g: WeightedGraph, x: VertexId, y: VertexId) -> Tuple[VertexId, ...]:
+    """x, y and their neighbours in label order: the vertices the pair
+    objective can see."""
     g.require_vertex(x)
     g.require_vertex(y)
     if x == y:
         raise SameVertex(f"pair curvature needs two distinct vertices, got {x!r}")
     adjacency = g.adjacency
-    support = tuple(sorted({x, y, *adjacency[x], *adjacency[y]}, key=label_key))
-    if y not in adjacency[x]:
-        d = distance_map(g, x, target=y)[y]
-        return support, {u: distance_map(g, u, d + 2) for u in support}
+    return tuple(sorted({x, y, *adjacency[x], *adjacency[y]}, key=label_key))
+
+
+def _bfs_metric(g: WeightedGraph, support, d: int) -> dict:
+    """Each support vertex's distances by a BFS cut at d(x, y) + 2: every
+    support vertex lies within 1 of x or y, so no distance among them is
+    larger."""
+    return {u: distance_map(g, u, d + 2) for u in support}
+
+
+def _adjacent_metric(g: WeightedGraph, support) -> dict:
+    """An adjacent pair's support metric, read from adjacency alone: two
+    support vertices are at distance 1 when they are joined, 2 when they
+    share a neighbour, and 3 otherwise."""
+    adjacency = g.adjacency
     dist = {u: {u: 0} for u in support}
     for i, u in enumerate(support):
         near = adjacency[u]
@@ -201,7 +193,23 @@ def _pair_support(g: WeightedGraph, x: VertexId, y: VertexId):
             else:
                 duv = 2
             row[v] = dist[v][u] = duv
-    return support, dist
+    return dist
+
+
+def _pair_support(g: WeightedGraph, x: VertexId, y: VertexId):
+    """The solver's support and metric: from adjacency for an adjacent pair,
+    by BFS for a farther one."""
+    support = _support(g, x, y)
+    if y in g.adjacency[x]:
+        return support, _adjacent_metric(g, support)
+    return support, _bfs_metric(g, support, distance(g, x, y))
+
+
+def _oracle_support(g: WeightedGraph, x: VertexId, y: VertexId):
+    """The oracles' support and metric: BFS for every pair, so a fault in the
+    solver's adjacency shortcut cannot hide in its own check."""
+    support = _support(g, x, y)
+    return support, _bfs_metric(g, support, distance(g, x, y))
 
 
 def _objective_coefficients(g: WeightedGraph, x: VertexId, y: VertexId):
@@ -408,7 +416,7 @@ def ollivier_pair_bruteforce(g: WeightedGraph, x: VertexId, y: VertexId) -> Olli
     assignment inside the Lipschitz box and keeps the first minimizer. Meant
     for small supports only.
     """
-    support, dist = _pair_support(g, x, y)
+    support, dist = _oracle_support(g, x, y)
     d = dist[x][y]
     free = [u for u in support if u != x and u != y]
     pinned = {x: 0, y: d}
@@ -445,11 +453,12 @@ def ollivier_pair_bruteforce(g: WeightedGraph, x: VertexId, y: VertexId) -> Olli
 def verify_witness(g: WeightedGraph, result: OllivierResult) -> None:
     """Re-check the witness invariants and value from scratch; raise on failure.
 
-    The replay recomputes the support metric and, through the definitional
-    Laplacian (``_witness_value``), the value. It shares no state with the
-    solve, so a fault in the solver's metric cannot hide in its own check.
+    The replay rebuilds the support metric by BFS and, through the
+    definitional Laplacian (``_witness_value``), the value. It shares no
+    state with the solve and never reads the solver's adjacency shortcut, so
+    a fault in the solver's metric cannot hide in its own check.
     """
-    support, dist = _pair_support(g, result.x, result.y)
+    support, dist = _oracle_support(g, result.x, result.y)
     d = dist[result.x][result.y]
     if result.distance != d:
         raise CurvegraphError("recorded pair distance is wrong")

@@ -3,7 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +21,6 @@ from curvegraph import (
     curvature_profile,
     format_rational,
     inner_curvature,
-    inner_outer,
     make_example_gprime,
     make_figure1,
     make_unweighted_chain,
@@ -35,6 +34,7 @@ from curvegraph import (
     validate_graph,
     verify_witness,
 )
+from curvegraph import curvature
 from curvegraph.chains import associated_bdc, bdc_as_graph
 from curvegraph.curvature import _pair_support
 
@@ -48,7 +48,7 @@ def test_figure1_inner_outer(figure1_decomp):
     assert outer_curvature(figure1_decomp, "x") == 2
     assert inner_curvature(figure1_decomp, "y'") == 1
     assert inner_curvature(figure1_decomp, "w") == 0
-    assert inner_outer(figure1_decomp, "y") == (1, 1)
+    assert inner_curvature(figure1_decomp, "y") == outer_curvature(figure1_decomp, "y") == 1
 
 
 def test_outer_curvature_outermost_raises(figure1_decomp):
@@ -70,8 +70,8 @@ def test_same_sphere_edges_count_for_neither():
     )
     d = rooted_decomposition(g, "o")
     # the weight-5 sideways edge a-b is invisible to both directions
-    assert inner_outer(d, "a") == (1, 1)
-    assert inner_outer(d, "b") == (1, 0)
+    assert (inner_curvature(d, "a"), outer_curvature(d, "a")) == (1, 1)
+    assert (inner_curvature(d, "b"), outer_curvature(d, "b")) == (1, 0)
 
 
 # --- averages and the profile ---
@@ -98,9 +98,8 @@ def test_average_curvature_range_checks(figure1_decomp):
 
 def test_figure1_profile(figure1_decomp):
     prof = curvature_profile(figure1_decomp)
-    assert prof.root == "w"
-    assert prof.per_vertex["y'"] == (1, 1)
-    assert prof.per_vertex["z"] == (1, None)
+    assert prof["y'"] == (1, 1)
+    assert prof["z"] == (1, None)
 
 
 @settings(derandomize=True, deadline=None)
@@ -109,7 +108,7 @@ def test_profile_boundary_identity(gr):
     g, root = gr
     d = rooted_decomposition(g, root)
     prof = curvature_profile(d)
-    assert prof.per_vertex[root][0] == 0  # k_minus vanishes at the root
+    assert prof[root][0] == 0  # k_minus vanishes at the root
     # every vertex against its edge sums, over an independent BFS
     dist = bfs_oracle(g, root)
     horizon = max(dist.values())
@@ -118,10 +117,10 @@ def test_profile_boundary_identity(gr):
         inward = sum((w for y, w in g.neighbors(x) if dist[y] == r - 1), Fraction(0))
         outward = sum((w for y, w in g.neighbors(x) if dist[y] == r + 1), Fraction(0))
         k_plus = outward / g.measure[x] if r < horizon else None
-        assert prof.per_vertex[x] == (inward / g.measure[x], k_plus)
+        assert prof[x] == (inward / g.measure[x], k_plus)
     # the outward weights of sphere r add up to its boundary weight
     for r in range(horizon):
-        total = sum(prof.per_vertex[x][1] * g.measure[x] for x in d.sphere(r))
+        total = sum(prof[x][1] * g.measure[x] for x in d.sphere(r))
         assert total == sphere_boundary(d, r)
 
 
@@ -130,7 +129,7 @@ def _assert_rooted_sums_match_oracles(d):
     prof = curvature_profile(d)
     for v in d.graph.vertices:
         outer = outer_curvature(d, v) if d.dist[v] < d.horizon else None
-        assert prof.per_vertex[v] == (inner_curvature(d, v), outer)
+        assert prof[v] == (inner_curvature(d, v), outer)
     chain = associated_bdc(d)
     assert chain.measures == tuple(sphere_measure(d, r) for r in range(d.horizon + 1))
     assert chain.weights == tuple(sphere_boundary(d, r) for r in range(d.horizon))
@@ -168,7 +167,7 @@ def test_profile_and_chain_on_a_star_of_distinct_denominators():
         prof, chain = _assert_rooted_sums_match_oracles(rooted_decomposition(g, root))
     # from the hub, the outer curvature and the boundary weight each sum all
     # 300 leaves: still exact, but too long to print
-    for value in (prof.per_vertex["hub"][1], chain.weights[0]):
+    for value in (prof["hub"][1], chain.weights[0]):
         with pytest.raises(FormatError, match="rational too long to format"):
             format_rational(value)
 
@@ -285,39 +284,70 @@ def test_arc_between_neighbors_through_an_outside_vertex():
     verify_witness(g, solved)
 
 
+def test_verify_witness_builds_its_own_metric(monkeypatch):
+    # the graph above, with the solver's adjacency metric misreporting
+    # d(a, b) as 3: the solver then drops the deciding constraint and returns
+    # a witness that stretches a-b by 3, which the BFS-built replay rejects
+    g = validate_graph(
+        [(v, 1) for v in "abcxy"],
+        [("x", "y", 1), ("x", "a", 1), ("y", "b", 1), ("a", "c", 1), ("b", "c", 1)],
+    )
+    honest = curvature._adjacent_metric
+
+    def lying(graph, support):
+        dist = honest(graph, support)
+        dist["a"]["b"] = dist["b"]["a"] = 3
+        return dist
+
+    monkeypatch.setattr(curvature, "_adjacent_metric", lying)
+    solved = ollivier_pair(g, "x", "y")
+    assert solved.value == 0
+    with pytest.raises(CurvegraphError, match="Lipschitz bound on \\('a', 'b'\\)"):
+        verify_witness(g, solved)
+
+
+def _canonical_form(n, edges):
+    """The least sorted edge list over relabellings that number the vertices
+    in order of degree: isomorphic graphs, and only they, share it."""
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    groups = [[v for v in range(n) if degree[v] == k] for k in sorted(set(degree))]
+    best = None
+    for blocks in product(*(permutations(group) for group in groups)):
+        label = {v: i for i, v in enumerate(v for block in blocks for v in block)}
+        form = tuple(sorted(tuple(sorted((label[u], label[v]))) for u, v in edges))
+        if best is None or form < best:
+            best = form
+    return best
+
+
 def _connected_graphs(max_n):
     """(n, edges) for every connected graph on 1..max_n vertices, one per
-    isomorphism class; classes are told apart by trying every relabelling."""
-    found = []
-    for n in range(1, max_n + 1):
-        slots = list(combinations(range(n), 2))
-        relabellings = list(permutations(range(n)))
+    isomorphism class. Every connected graph on n vertices has a vertex whose
+    removal leaves it connected, so it is a graph on n - 1 vertices with one
+    vertex joined to a nonempty subset; each such extension of every class is
+    tried and kept once per canonical form."""
+    layer = [(1, [])]
+    found = list(layer)
+    for n in range(2, max_n + 1):
         seen = set()
-        for mask in range(1 << len(slots)):
-            edges = [e for k, e in enumerate(slots) if mask >> k & 1]
-            reached = {0}
-            for _ in range(n):
-                reached |= {v for e in edges if reached.intersection(e) for v in e}
-            if len(reached) < n:
-                continue
-            form = min(
-                tuple(sorted(tuple(sorted((p[u], p[v]))) for u, v in edges))
-                for p in relabellings
-            )
-            if form not in seen:
-                seen.add(form)
-                found.append((n, edges))
+        grown = []
+        for _, edges in layer:
+            for mask in range(1, 1 << (n - 1)):
+                bigger = edges + [(u, n - 1) for u in range(n - 1) if mask >> u & 1]
+                form = _canonical_form(n, bigger)
+                if form not in seen:
+                    seen.add(form)
+                    grown.append((n, bigger))
+        layer = grown
+        found += layer
     return found
 
 
-@pytest.mark.parametrize("rational", [False, True], ids=["unit", "rational"])
-def test_solver_matches_bruteforce_on_every_graph_up_to_5_vertices(rational):
-    # every ordered pair, adjacent or not, of every connected graph on at
-    # most 5 vertices: ties between sinks in the flow solve and every
-    # support shape these sizes allow are covered by exhaustion
-    graphs = _connected_graphs(5)
-    assert len(graphs) == 31  # 1 + 1 + 2 + 6 + 21 classes on 1..5 vertices
-    rng = random.Random(5)
+def _sweep_every_pair(graphs, rational, seed):
+    rng = random.Random(seed)
 
     def draw():
         return Fraction(rng.randint(1, 9), rng.randint(1, 9)) if rational else 1
@@ -331,6 +361,24 @@ def test_solver_matches_bruteforce_on_every_graph_up_to_5_vertices(rational):
             assert solved.value == brute.value
             assert solved.witness == brute.witness
             verify_witness(g, solved)
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["unit", "rational"])
+def test_solver_matches_bruteforce_on_every_graph_up_to_5_vertices(rational):
+    # every ordered pair, adjacent or not, of every connected graph on at
+    # most 5 vertices: ties between sinks in the flow solve and every
+    # support shape these sizes allow are covered by exhaustion
+    graphs = _connected_graphs(5)
+    assert len(graphs) == 31  # 1 + 1 + 2 + 6 + 21 classes on 1..5 vertices
+    _sweep_every_pair(graphs, rational, 5)
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["unit", "rational"])
+def test_solver_matches_bruteforce_on_every_graph_on_6_vertices(rational):
+    # the same exhaustion one vertex further: 112 classes, 3,360 ordered pairs
+    graphs = [(n, edges) for n, edges in _connected_graphs(6) if n == 6]
+    assert len(graphs) == 112
+    _sweep_every_pair(graphs, rational, 6)
 
 
 @st.composite
@@ -456,6 +504,17 @@ def test_closed_form_matches_solver(chain):
             assert bdc_ollivier_closed_form(chain, lower, upper) == ollivier_pair(
                 path, lower, upper
             ).value
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.one_of(chains(min_horizon=1), chains(min_horizon=1, values=big_rationals())))
+def test_horizon_pair_curvature_is_the_last_gap_drop(chain):
+    # past the horizon h nothing lies, so the gap there is -k-(h): the pair
+    # LP of the last two chain points equals gap(h - 1) - (-k-(h))
+    h = chain.horizon
+    assert ollivier_pair(bdc_as_graph(chain), h - 1, h).value == (
+        chain.curvature_gap(h - 1) + chain.inner_curvature(h)
+    )
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)

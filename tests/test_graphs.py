@@ -30,13 +30,14 @@ from curvegraph import (
     graph_from_json_dict,
     graph_to_json,
     graph_to_json_dict,
-    inner_outer,
+    inner_curvature,
     label_key,
     laplacian,
     laplacian_of_distance,
     loads_json,
     make_figure1,
     make_unweighted_chain,
+    outer_curvature,
     parse_rational,
     rooted_decomposition,
     sphere_boundary,
@@ -325,7 +326,7 @@ def test_laplacian_distance_identity(gr):
     d = rooted_decomposition(g, root)
     for r in range(d.horizon):
         for x in d.sphere(r):
-            k_minus, k_plus = inner_outer(d, x)
+            k_minus, k_plus = inner_curvature(d, x), outer_curvature(d, x)
             assert laplacian_of_distance(d, x) == k_minus - k_plus
 
 
