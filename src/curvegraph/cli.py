@@ -17,6 +17,7 @@ import csv
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Tuple, Union
 
 from .chains import (
@@ -128,15 +129,29 @@ def _write_csv(rows) -> None:
     writer.writerows(rows)
 
 
-def _ollivier_json_dict(result: OllivierResult) -> dict:
-    return {
-        "x": str(result.x),
-        "y": str(result.y),
-        "distance": result.distance,
-        "value": format_rational(result.value),
-        "witness": {str(v): result.witness[v] for v in result.support},
-        "support": [str(v) for v in result.support],
-    }
+def _ollivier_json(result: OllivierResult) -> str:
+    """One pair record, byte for byte ``json.dumps(record, indent=2)`` of the
+    dict with keys x, y, distance, value, witness and support, written from
+    one template."""
+    witness = result.witness
+    labels = [_quote(str(v)) for v in result.support]
+    rows = ",\n    ".join(f"{q}: {witness[v]}" for q, v in zip(labels, result.support))
+    members = ",\n    ".join(labels)
+    return (
+        f'{{\n  "x": {_quote(str(result.x))},\n  "y": {_quote(str(result.y))},\n'
+        f'  "distance": {result.distance},\n'
+        f'  "value": "{format_rational(result.value)}",\n'
+        f'  "witness": {{\n    {rows}\n  }},\n'
+        f'  "support": [\n    {members}\n  ]\n}}'
+    )
+
+
+def _json_records(records: list) -> str:
+    """An indented array of already rendered records, as ``json.dumps``
+    writes it at the top level."""
+    if not records:
+        return "[]"
+    return "[\n  " + ",\n  ".join(r.replace("\n", "\n  ") for r in records) + "\n]"
 
 
 # ---------------------------------------------------------------------------
@@ -188,15 +203,12 @@ def _cmd_curvature(args) -> int:
 def _cmd_ollivier(args) -> int:
     g = _load_graph(args.file)
     if args.all_adjacent:
-        results = [
-            _ollivier_json_dict(ollivier_pair(g, u, v)) for u, v, _ in g.edges
-        ]
-        sys.stdout.write(json.dumps(results, indent=2) + "\n")
+        records = [_ollivier_json(ollivier_pair(g, u, v)) for u, v, _ in g.edges]
+        sys.stdout.write(_json_records(records) + "\n")
         return 0
     x = _resolve_vertex(g, args.pair[0])
     y = _resolve_vertex(g, args.pair[1])
-    result = ollivier_pair(g, x, y)
-    sys.stdout.write(json.dumps(_ollivier_json_dict(result), indent=2) + "\n")
+    sys.stdout.write(_ollivier_json(ollivier_pair(g, x, y)) + "\n")
     return 0
 
 

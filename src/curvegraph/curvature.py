@@ -16,15 +16,26 @@ Three layers live here:
   infimum of the normalized Laplacian difference over 1-Lipschitz functions
   with unit gradient along the pair. The feasible set is a difference
   constraint polytope with integer bounds, so an integer optimizer exists;
-  the solver returns the lexicographically smallest one. Its cost is local:
-  an adjacent pair's support metric is read from adjacency alone (every
-  distance is 0 to 3), a farther pair's from BFS cut at d(x, y) + 2; the
-  objective is integers over one denominator; and the min-cost flow runs
-  heap Dijkstras, each stopped at the nearest sink, over only the Lipschitz
-  arcs not implied through x or y. The two oracles, ``verify_witness`` and
+  the solver returns the lexicographically smallest one. A perturbed
+  objective (the scaled one plus the sum of f) has that point as its only
+  optimum, since the optimal face is a lattice whose componentwise minimum
+  has the least sum; any exact solver therefore returns the same witness.
+  The cost of a pair is that of its kept arcs: the Lipschitz pairs not
+  implied through x or y. An adjacent pair enumerates them from adjacency
+  (its support edges, and the neighbours of x alone and of y alone that
+  share another neighbour), never building a dense metric; a farther pair
+  filters its BFS metric, cut at d(x, y) + 2. The objective is integers over
+  one denominator, and the min-cost flow runs in primal-dual phases over the
+  kept arcs only: a multi-source Dijkstra to the nearest sink, a potential
+  update, a blocking flow over the tight arcs. A phase raises the
+  source-sink distance by at least 1 and costs are at most d(x, y) + 2, so
+  the phases are few and a pair costs O(phases x kept arcs). The solver
+  certifies its flow and checks its witness on the kept arcs, which imply
+  the rest. The two oracles, ``verify_witness`` and
   ``ollivier_pair_bruteforce``, share only the support rule with it: they
   build every pair's metric by BFS, never through the adjacency shortcut,
-  and value a witness with the definitional ``Fraction`` Laplacian;
+  check every pair of the support, and value a witness with the
+  definitional ``Fraction`` Laplacian;
 * the min-max sphere curvature built from pair curvatures.
 """
 
@@ -33,7 +44,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import chain, compress
 from math import lcm
+from operator import itemgetter
 from typing import Dict, Optional, Tuple
 
 from .errors import (
@@ -176,33 +189,101 @@ def _bfs_metric(g: WeightedGraph, support, d: int) -> dict:
     return {u: distance_map(g, u, d + 2) for u in support}
 
 
-def _adjacent_metric(g: WeightedGraph, support) -> dict:
-    """An adjacent pair's support metric, read from adjacency alone: two
-    support vertices are at distance 1 when they are joined, 2 when they
-    share a neighbour, and 3 otherwise."""
-    adjacency = g.adjacency
-    dist = {u: {u: 0} for u in support}
+def _metric_arcs(support, dist: dict, x: VertexId, y: VertexId) -> list:
+    """The pairs a support metric keeps, as (i, j, d(u, v)) over support
+    positions with i < j, the pair {x, y} left out.
+
+    A pair is dropped when x or y, not an end, lies on a shortest u-v path:
+    the two shorter pairs through it then imply its Lipschitz bound.
+    """
+    dx, dy = dist[x], dist[y]
+    kept = []
     for i, u in enumerate(support):
-        near = adjacency[u]
-        row = dist[u]
-        for v in support[i + 1 :]:
-            if v in near:
-                duv = 1
-            elif near.keys().isdisjoint(adjacency[v].keys()):
-                duv = 3
-            else:
-                duv = 2
-            row[v] = dist[v][u] = duv
-    return dist
+        du = dist[u]
+        for j in range(i + 1, len(support)):
+            v = support[j]
+            duv = du[v]
+            if not (
+                (x != u and x != v and du[x] + dx[v] == duv)
+                or (y != u and y != v and du[y] + dy[v] == duv)
+            ):
+                kept.append((i, j, duv))
+    ix, iy = support.index(x), support.index(y)
+    kept.remove((min(ix, iy), max(ix, iy), dx[y]))
+    return kept
+
+
+def _adjacent_arcs(g: WeightedGraph, x: VertexId, y: VertexId, support) -> list:
+    """The pairs ``_metric_arcs`` keeps for an adjacent pair, read from
+    adjacency alone in O(sum of support degrees), never from a dense metric.
+
+    Every support vertex but x and y is next to x, to y or to both, so no
+    two lie farther apart than 3. The kept pairs are:
+    * at distance 1, the support's edges;
+    * at distance 2, a neighbour of x alone and a neighbour of y alone that
+      share a neighbour other than x and y. Two neighbours of x are implied
+      through x and two of y through y; a pair with x, y or a common
+      neighbour of both at one end is implied through whichever of x and y
+      its other end is next to;
+    * at distance 3, none: such a pair joins a neighbour of x to a vertex at
+      2 from x, so x lies on a shortest path between them.
+    """
+    adjacency = g.adjacency
+    near_x, near_y = adjacency[x], adjacency[y]
+    pos = {u: i for i, u in enumerate(support)}
+    kept = []
+    # a vertex other than x and y -> the positions of its neighbours that
+    # are next to x alone, and of those next to y alone
+    meet_x: dict = {}
+    meet_y: dict = {}
+    for i, u in enumerate(support):
+        for v in adjacency[u]:
+            j = pos.get(v)
+            if j is not None and i < j:
+                kept.append((i, j, 1))
+        if u == x or u == y or (u in near_x) == (u in near_y):
+            continue
+        meets = meet_x if u in near_x else meet_y
+        for c in adjacency[u]:
+            if c != x and c != y:
+                meets.setdefault(c, []).append(i)
+    ix, iy = pos[x], pos[y]
+    kept.remove((min(ix, iy), max(ix, iy), 1))
+    far = set()
+    for c, ends in meet_x.items():
+        for j in meet_y.get(c, ()):
+            near = adjacency[support[j]]
+            for i in ends:
+                if support[i] not in near:
+                    far.add((i, j) if i < j else (j, i))
+    kept += [(i, j, 2) for i, j in sorted(far)]
+    return kept
 
 
 def _pair_support(g: WeightedGraph, x: VertexId, y: VertexId):
-    """The solver's support and metric: from adjacency for an adjacent pair,
-    by BFS for a farther one."""
+    """The solver's view of a pair: the support, d = d(x, y), each support
+    vertex's distance to x and to y, and the kept pairs.
+
+    An adjacent pair reads all of it from adjacency, where every distance to
+    x or y is 0, 1 or 2. A farther pair builds its metric by BFS and filters
+    every pair of it with the same rule.
+    """
     support = _support(g, x, y)
-    if y in g.adjacency[x]:
-        return support, _adjacent_metric(g, support)
-    return support, _bfs_metric(g, support, distance(g, x, y))
+    adjacency = g.adjacency
+    near_x, near_y = adjacency[x], adjacency[y]
+    if y in near_x:
+        dx = [0 if u == x else 1 if u in near_x else 2 for u in support]
+        dy = [0 if u == y else 1 if u in near_y else 2 for u in support]
+        return support, 1, dx, dy, _adjacent_arcs(g, x, y, support)
+    dist = _bfs_metric(g, support, distance(g, x, y))
+    dx, dy = dist[x], dist[y]
+    return (
+        support,
+        dx[y],
+        [dx[u] for u in support],
+        [dy[u] for u in support],
+        _metric_arcs(support, dist, x, y),
+    )
 
 
 def _oracle_support(g: WeightedGraph, x: VertexId, y: VertexId):
@@ -247,109 +328,210 @@ def _witness_value(
     return (lap(y) - lap(x)) / d
 
 
-def _check_witness(support, dist, witness, x, y) -> None:
-    """Raise unless witness is an integer 1-Lipschitz function on exactly the
-    support, with witness[y] - witness[x] = d(x, y) and witness[x] = 0."""
+def _check_witness(support, pairs, witness, x, y, d) -> None:
+    """Raise unless witness is an integer function on exactly the support,
+    with |witness[u] - witness[v]| <= d(u, v) on every (u, v, d(u, v)) in
+    pairs, witness[y] - witness[x] = d and witness[x] = 0."""
     if set(witness) != set(support):
         raise CurvegraphError("witness does not cover the pair support")
     for u in support:
         if type(witness[u]) is not int:
             raise CurvegraphError(f"witness value at {u!r} is not an integer")
-    for i, u in enumerate(support):
-        for v in support[i + 1 :]:
-            if abs(witness[u] - witness[v]) > dist[u][v]:
-                raise CurvegraphError(
-                    f"witness violates the Lipschitz bound on ({u!r}, {v!r})"
-                )
-    if witness[y] - witness[x] != dist[x][y]:
+    for u, v, duv in pairs:
+        if abs(witness[u] - witness[v]) > duv:
+            raise CurvegraphError(
+                f"witness violates the Lipschitz bound on ({u!r}, {v!r})"
+            )
+    if witness[y] - witness[x] != d:
         raise CurvegraphError("witness gradient along the pair is not 1")
     if witness[x] != 0:
         raise CurvegraphError("witness is not normalized to 0 at x")
 
 
-def _dijkstra(arcs, out, flow, pi, need, s):
-    """Shortest reduced-cost path from s to the nearest sink (need > 0).
-
-    ``out[u]`` lists the ids of the arcs leaving u; a reverse arc (odd id)
-    is open while its forward arc carries flow. The potential invariant
-    keeps every open arc's reduced cost nonnegative, so a settled node is
-    never improved, and the search stops at the first sink it settles.
-    Returns (t, dist, parent): the sink, or None when no sink is reachable;
-    each node's distance, exact for the nodes settled before t, tentative
-    (and at least dist[t]) or None for the rest; and ``parent[v]``, the arc
-    that reached v.
-    """
-    dist: list = [None] * len(out)
-    parent: list = [None] * len(out)
-    dist[s] = 0
-    heap = [(0, s)]
-    while heap:
-        du, u = heappop(heap)
-        if du > dist[u]:
-            continue
-        if need[u] > 0:
-            return u, dist, parent
-        base = du + pi[u]
-        for a in out[u]:
-            if a & 1 and not flow[a >> 1]:
-                continue
-            v, c = arcs[a]
-            cand = base + c - pi[v]
-            if dist[v] is None or cand < dist[v]:
-                dist[v] = cand
-                parent[v] = a
-                heappush(heap, (cand, v))
-    return None, dist, parent
-
-
 def _min_cost_flow_potentials(arcs, supply, pi):
-    """Exact uncapacitated min-cost flow; returns the final potentials.
+    """Exact uncapacitated min-cost flow by primal-dual phases; returns the
+    final potentials, which solve the flow LP's dual.
 
-    ``arcs`` is the residual network, a list of paired (head, cost) arcs:
-    arc 2k is the k-th network arc, with no capacity bound, and arc 2k + 1
-    is its reverse, with the negated cost, open while ``flow[k] > 0``. The
-    tail of arc a is the head of arc a ^ 1. ``supply[i]`` is the required
-    net inflow at node i (integers summing to zero). Invariant: every open
-    arc u->v has reduced cost c + pi[u] - pi[v] >= 0. ``pi`` must meet it on
-    entry, when no reverse arc is open; each augmentation along a shortest
-    path to the nearest sink t keeps it, once every node's potential grows
-    by its distance, capped at dist[t] (the nodes the search did not settle
-    get dist[t]). The returned potentials solve the flow LP's dual.
+    ``arcs`` lists the network arcs as (tail, head, cost), with no capacity
+    bound; ``supply[i]`` is the required net inflow at node i (integers
+    summing to zero). The residual network has each arc k, always open, and
+    its reverse, at the negated cost and open while ``flow[k] > 0``.
+    Invariant: every open arc u->v has reduced cost c + pi[u] - pi[v] >= 0;
+    ``pi`` must meet it on entry, when no reverse arc is open.
+
+    Each iteration (Ahuja, Magnanti & Orlin, *Network Flows*, 1993,
+    section 9.8) runs one Dijkstra from every node short of outflow
+    (need < 0) at once, stopped at the first sink (need > 0) it settles, at
+    distance dt. Every potential then grows by its distance capped at dt,
+    which keeps the invariant and makes the shortest paths tight; since no
+    reduced cost sees a common shift, only the settled nodes move, by their
+    distance less dt. A round of blocking flow follows (Dinic): BFS levels
+    over the open tight arcs, then DFS augmentations down the levels until
+    every source is met or cut off. The searches visit only the nodes they
+    reach and those nodes' arcs, so an iteration costs O(nodes + arcs),
+    never the nodes squared.
+
+    Phase bound: an iteration with dt >= 1, or the first, starts a phase;
+    one with dt = 0 finishes the previous round's blocking flow, and since
+    every round lengthens the shortest tight source-sink path by an arc,
+    fewer than n follow in a row. Sources and sinks never change sides, and
+    a phase raises every sink's potential by dt over every source's. So
+    for a source s and a sink t left in the last phase, the phases number
+    at most 1 + the growth of pi[t] - pi[s]. That difference starts at no
+    less than minus the spread of the entry potentials and ends at no more
+    than the shortest s-t path length. In a pair network every node reaches
+    every other within d(x, y) + 2 <= C + 2, C the largest arc cost, so
+    there are at most C + 3 + spread phases; the guard allows n iterations
+    for each.
+
+    Before it returns, the solver certifies its flow from the flow alone:
+    every flow is >= 0, every node's inflow less its outflow is its supply,
+    and every arc that carries flow is tight under the returned potentials.
+    With the dual feasibility the caller checks (no kept Lipschitz bound
+    broken), primal cost then equals dual value, so both are optimal.
     """
     n = len(supply)
+    # residual arcs leaving each node as (head, cost, code): arc k has code
+    # k and is always open; its reverse has code ~k and sits in back[head of
+    # k] while flow[k] > 0
     out: list = [[] for _ in range(n)]
-    for a in range(len(arcs)):
-        out[arcs[a ^ 1][0]].append(a)
-    flow = [0] * (len(arcs) // 2)
+    for k, (u, v, c) in enumerate(arcs):
+        out[u].append((v, c, k))
+    back: list = [{} for _ in range(n)]
+    flow = [0] * len(arcs)
     need = list(supply)
-    guard = 100 * (n + 2) ** 2
-    # the source is the lowest node with need < 0; an augmentation raises
-    # need[s] at most to 0 and lowers need[t] at most to 0, so no node turns
-    # into a source and the lowest one only moves up
-    s = 0
-    while True:
-        while s < n and need[s] >= 0:
-            s += 1
-        if s == n:
-            return pi
-        t, dist, parent = _dijkstra(arcs, out, flow, pi, need, s)
-        if t is None:
-            raise CurvegraphError("internal flow error: no route to a sink")
-        path = []
-        node = t
-        while node != s:
-            path.append(parent[node])
-            node = arcs[parent[node] ^ 1][0]
-        quota = min([-need[s], need[t]] + [flow[a >> 1] for a in path if a & 1])
-        for a in path:
-            flow[a >> 1] += -quota if a & 1 else quota
-        need[s] += quota
-        need[t] -= quota
-        dt = dist[t]
-        pi = [p + (dt if di is None else min(di, dt)) for p, di in zip(pi, dist)]
+    pi = list(pi)
+    guard = (max(map(itemgetter(2), arcs)) + 3 + max(pi) - min(pi)) * n
+    sources = [u for u in range(n) if need[u] < 0]
+    while sources:
         guard -= 1
-        if guard <= 0:
+        if guard < 0:
             raise CurvegraphError("internal flow error: iteration guard tripped")
+        # Dijkstra from every source at once, to the nearest sink
+        dist: list = [None] * n
+        for s in sources:
+            dist[s] = 0
+        heap = [(0, s) for s in sources]
+        settled = []
+        dt = None
+        while heap:
+            du, u = heappop(heap)
+            if du > dist[u]:
+                continue
+            if need[u] > 0:
+                dt = du
+                break
+            settled.append(u)
+            base = du + pi[u]
+            bu = back[u]
+            for v, c, _ in chain(out[u], bu.values()) if bu else out[u]:
+                cand = base + c - pi[v]
+                dv = dist[v]
+                if dv is None or cand < dv:
+                    dist[v] = cand
+                    heappush(heap, (cand, v))
+        if dt is None:
+            raise CurvegraphError("internal flow error: no route to a sink")
+        if dt:
+            for u in settled:
+                pi[u] += dist[u] - dt
+        # BFS levels over the open tight arcs, which now reach a sink;
+        # down[u] lists u's arcs to the next level as (head, code). Were
+        # none reached, the round would do nothing and the guard would trip.
+        level: list = [None] * n
+        down: list = [()] * n
+        for s in sources:
+            level[s] = 0
+        frontier = sources
+        depth = 0
+        reached = False
+        while frontier and not reached:
+            depth += 1
+            nxt = []
+            for u in frontier:
+                pu = pi[u]
+                step = []
+                bu = back[u]
+                for v, c, k in chain(out[u], bu.values()) if bu else out[u]:
+                    if c + pu == pi[v]:
+                        lv = level[v]
+                        if lv is None:
+                            level[v] = depth
+                            nxt.append(v)
+                            if need[v] > 0:
+                                reached = True
+                            step.append((v, k))
+                        elif lv == depth:
+                            step.append((v, k))
+                down[u] = step
+            frontier = nxt
+        # DFS augmentations down the levels; it[u] is u's next untried arc
+        it = [0] * n
+        for s in sources:
+            path: list = []
+            nodes = [s]
+            u = s
+            while True:
+                if need[u] > 0:
+                    quota = min(-need[s], need[u])
+                    for k in path:
+                        if k < 0 and flow[~k] < quota:
+                            quota = flow[~k]
+                    for k in path:
+                        if k >= 0:
+                            if not flow[k]:
+                                t, h, c = arcs[k]
+                                back[h][k] = (t, -c, ~k)
+                            flow[k] += quota
+                        else:
+                            k = ~k
+                            flow[k] -= quota
+                            if not flow[k]:
+                                del back[arcs[k][1]][k]
+                    need[s] += quota
+                    need[u] -= quota
+                    if not need[s]:
+                        break
+                    path = []
+                    nodes = [s]
+                    u = s
+                step = down[u]
+                i = it[u]
+                while i < len(step):
+                    v, k = step[i]
+                    if level[v] is not None and (k >= 0 or flow[~k]):
+                        break
+                    i += 1
+                it[u] = i
+                if i < len(step):
+                    path.append(k)
+                    nodes.append(v)
+                    u = v
+                else:
+                    # a dead end: nothing enters u again this round
+                    level[u] = None
+                    nodes.pop()
+                    if not nodes:
+                        break
+                    path.pop()
+                    u = nodes[-1]
+                    it[u] += 1
+        sources = [s for s in sources if need[s] < 0]
+    # the certificate, from the flow alone: each node's inflow less its
+    # outflow is its supply, and the arcs that carry flow are tight
+    left = list(supply)
+    for k in compress(range(len(flow)), flow):
+        u, v, c = arcs[k]
+        f = flow[k]
+        if f < 0:
+            raise CurvegraphError("internal flow error: negative flow")
+        if c + pi[u] != pi[v]:
+            raise CurvegraphError("internal flow error: flow on an arc that is not tight")
+        left[u] += f
+        left[v] -= f
+    if any(left):
+        raise CurvegraphError("internal flow error: supplies not met")
+    return pi
 
 
 def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
@@ -360,10 +542,25 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
     f(y) = d(x, y). Solved as an exact min-cost flow on the dual of the
     difference-constraint system; a secondary perturbation picks the
     lexicographically smallest optimal witness.
+
+    The network has one arc each way per kept pair, plus x->y at -d and
+    y->x at d, so a pair costs O(phases x kept arcs). Arc costs are at most
+    d + 2 and the initial potentials span at most d, so there are at most
+    2d + 3 phases (``_min_cost_flow_potentials``); on an adjacent pair, at
+    most 5. The perturbed optimum is unique, so the witness does not depend
+    on the order the solver takes its arcs in.
+
+    The Lipschitz bounds of the pruned pairs hold anyway, by induction on
+    d(u, v): a pruned pair has x (or y), not an end, on a shortest u-v path,
+    so d(u, v) = d(u, x) + d(x, v) with both terms shorter than d(u, v), and
+    |f(u) - f(v)| <= |f(u) - f(x)| + |f(x) - f(v)| <= d(u, x) + d(x, v).
+    Each of the two shorter pairs is kept, is {x, y}, whose bound the
+    gradient fixes, or is pruned and implied in turn. So checking the witness
+    on the kept pairs checks it on the whole support.
     """
-    support, dist = _pair_support(g, x, y)
+    support, d, dx, dy, kept = _pair_support(g, x, y)
     ix = support.index(x)
-    d = dist[x][y]
+    iy = support.index(y)
 
     coef, den = _objective_coefficients(g, x, y)
 
@@ -374,35 +571,32 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
     # primary objective sum c[u] f(u) is an integer, so two different values
     # of it differ by at least width in the supplies, more than the secondary
     # sum of f can vary; an unreduced den only widens that gap.
-    width = 1 + sum(2 * dist[x][u] for u in support)
+    width = 1 + 2 * sum(dx)
     supply = [width * coef[u] + 1 for u in support]
     supply[ix] -= len(support)
     if sum(supply) != 0:
         raise CurvegraphError("internal error: unbalanced supplies")
 
-    # Lipschitz arcs u->v of cost d(u, v), each followed by its reverse,
-    # except those with x or y (not an endpoint) on a shortest u-v path: the
-    # two arcs through it imply them. x->y costs -d, which forces
-    # witness[y] - witness[x] = d.
-    dx, dy = dist[x], dist[y]
-    arcs: list = []
-    for i, u in enumerate(support):
-        du = dist[u]
-        for j, v in enumerate(support):
-            if v != u and not (
-                (x != u and x != v and du[x] + dx[v] == du[v])
-                or (y != u and y != v and du[y] + dy[v] == du[v])
-            ):
-                c = -d if (u == x and v == y) else du[v]
-                arcs += ((j, c), (i, -c))
+    # the two Lipschitz arcs of each kept pair, at d(u, v) each way, and of
+    # {x, y}, where x->y costs -d: that forces witness[y] - witness[x] = d
+    arcs: list = [(ix, iy, -d), (iy, ix, d)]
+    for i, j, c in kept:
+        arcs += ((i, j, c), (j, i, c))
 
     # Closed-form valid initial potentials: shortest distances with the one
     # negative arc folded in.
-    pi = [min(0, dy[u] - d) for u in support]
-    pi = _min_cost_flow_potentials(arcs, supply, pi)
+    pi = _min_cost_flow_potentials(arcs, supply, [min(0, e - d) for e in dy])
 
-    witness = {u: pi[ix] - pi[i] for i, u in enumerate(support)}
-    _check_witness(support, dist, witness, x, y)
+    p = pi[ix]
+    witness = {u: p - pi[i] for i, u in enumerate(support)}
+    _check_witness(
+        support,
+        [(support[i], support[j], c) for i, j, c in kept],
+        witness,
+        x,
+        y,
+        d,
+    )
     value = Fraction(sum(c * witness[u] for u, c in coef.items()), den * d)
     return OllivierResult(
         x=x, y=y, distance=d, value=value, witness=witness, support=support
@@ -462,7 +656,10 @@ def verify_witness(g: WeightedGraph, result: OllivierResult) -> None:
     d = dist[result.x][result.y]
     if result.distance != d:
         raise CurvegraphError("recorded pair distance is wrong")
-    _check_witness(support, dist, result.witness, result.x, result.y)
+    pairs = [
+        (u, v, dist[u][v]) for i, u in enumerate(support) for v in support[i + 1 :]
+    ]
+    _check_witness(support, pairs, result.witness, result.x, result.y, d)
     if _witness_value(g, result.x, result.y, result.witness, d) != result.value:
         raise CurvegraphError("witness does not reproduce the reported value")
 

@@ -36,7 +36,7 @@ from curvegraph import (
 )
 from curvegraph import curvature
 from curvegraph.chains import associated_bdc, bdc_as_graph
-from curvegraph.curvature import _pair_support
+from curvegraph.curvature import _bfs_metric, _pair_support
 
 from conftest import bfs_oracle, big_rationals, chains, graphs_with_root, rationals
 
@@ -228,22 +228,51 @@ def test_scale_invariance_of_pair_curvature(figure1, figure1_decomp):
         )
 
 
+def _pruned_pairs_oracle(support, metric, x, y):
+    """The kept pairs of a full support metric, restated: every unordered
+    pair but {x, y}, unless x or y, not an end, lies on a shortest path
+    between its ends."""
+    kept = {}
+    for u in support:
+        for v in support:
+            if u == v or {u, v} == {x, y}:
+                continue
+            duv = metric[u][v]
+            if not any(
+                w not in (u, v) and metric[u][w] + metric[w][v] == duv for w in (x, y)
+            ):
+                kept[frozenset((u, v))] = duv
+    return kept
+
+
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(graphs_with_root(max_vertices=10))
 def test_pair_support_metric_matches_bfs_oracle(gr):
+    # the solver never sees a dense metric for an adjacent pair: its kept
+    # pairs, read from adjacency, must be exactly those the BFS metric and
+    # the prune rule give, and a farther pair's BFS metric must be the
+    # oracle's
     g, _ = gr
     maps = {v: bfs_oracle(g, v) for v in g.vertices}
     for x in g.vertices:
         for y in g.vertices:
             if x == y:
                 continue
-            support, dist = _pair_support(g, x, y)
+            support, d, dx, dy, kept = _pair_support(g, x, y)
             members = {x, y} | set(g.adjacency[x]) | set(g.adjacency[y])
             assert set(support) == members
-            for u in support:
-                assert {v: dist[u][v] for v in support} == {
-                    v: maps[u][v] for v in support
-                }
+            assert d == maps[x][y]
+            assert dx == [maps[x][u] for u in support]
+            assert dy == [maps[y][u] for u in support]
+            got = {frozenset((support[i], support[j])): c for i, j, c in kept}
+            assert len(got) == len(kept)
+            assert got == _pruned_pairs_oracle(support, maps, x, y)
+            if d > 1:
+                metric = _bfs_metric(g, support, d)
+                for u in support:
+                    assert {v: metric[u][v] for v in support} == {
+                        v: maps[u][v] for v in support
+                    }
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -285,25 +314,28 @@ def test_arc_between_neighbors_through_an_outside_vertex():
 
 
 def test_verify_witness_builds_its_own_metric(monkeypatch):
-    # the graph above, with the solver's adjacency metric misreporting
-    # d(a, b) as 3: the solver then drops the deciding constraint and returns
-    # a witness that stretches a-b by 3, which the BFS-built replay rejects
+    # the graph above, with the solver's adjacency arcs dropping the deciding
+    # pair (a, b) or pricing it at 3: the solver then returns a witness that
+    # stretches a-b by 3, which its own check on the kept arcs passes and
+    # the BFS-built replay rejects
     g = validate_graph(
         [(v, 1) for v in "abcxy"],
         [("x", "y", 1), ("x", "a", 1), ("y", "b", 1), ("a", "c", 1), ("b", "c", 1)],
     )
-    honest = curvature._adjacent_metric
+    honest = curvature._adjacent_arcs
+    for cost in (None, 3):
 
-    def lying(graph, support):
-        dist = honest(graph, support)
-        dist["a"]["b"] = dist["b"]["a"] = 3
-        return dist
+        def lying(graph, x, y, support):
+            kept = honest(graph, x, y, support)
+            ab = (support.index("a"), support.index("b"))
+            kept.remove(ab + (2,))
+            return kept if cost is None else kept + [ab + (cost,)]
 
-    monkeypatch.setattr(curvature, "_adjacent_metric", lying)
-    solved = ollivier_pair(g, "x", "y")
-    assert solved.value == 0
-    with pytest.raises(CurvegraphError, match="Lipschitz bound on \\('a', 'b'\\)"):
-        verify_witness(g, solved)
+        monkeypatch.setattr(curvature, "_adjacent_arcs", lying)
+        solved = ollivier_pair(g, "x", "y")
+        assert solved.value == 0
+        with pytest.raises(CurvegraphError, match="Lipschitz bound on \\('a', 'b'\\)"):
+            verify_witness(g, solved)
 
 
 def _canonical_form(n, edges):
@@ -405,6 +437,35 @@ def test_high_degree_hubs_match_the_tree_edge_closed_form(g):
     expected -= sum((w for z, w in g.neighbors(1) if z != 0), Fraction(0)) / my
     assert result.value == expected
     verify_witness(g, result)
+
+
+def _hub_graph(leaves):
+    """Adjacent hubs 0 and 1, each with its own leaves."""
+    vertices = [(v, Fraction(1 + v % 3, 1 + v % 2)) for v in range(2 + 2 * leaves)]
+    edges = [(0, 1, 1)]
+    for k in range(leaves):
+        edges.append((0, 2 + k, Fraction(1 + k % 4, 2)))
+        edges.append((1, 2 + leaves + k, Fraction(1 + k % 5, 3)))
+    return validate_graph(vertices, edges)
+
+
+def test_pair_cost_is_linear_in_degree(monkeypatch):
+    # a hub pair's support is both hubs' leaves: quadrupling them may
+    # quadruple the solver's heap work, not multiply it by sixteen
+    pushes = []
+    real = curvature.heappush
+
+    def counting(heap, item):
+        pushes.append(item)
+        real(heap, item)
+
+    monkeypatch.setattr(curvature, "heappush", counting)
+    counts = {}
+    for leaves in (64, 256):
+        pushes.clear()
+        ollivier_pair(_hub_graph(leaves), 0, 1)
+        counts[leaves] = len(pushes)
+    assert 0 < counts[256] <= 5 * counts[64]
 
 
 # Each fault breaks exactly one witness invariant of figure 1's pair (x, y),

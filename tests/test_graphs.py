@@ -37,6 +37,7 @@ from curvegraph import (
     loads_json,
     make_figure1,
     make_unweighted_chain,
+    ollivier_pair,
     outer_curvature,
     parse_rational,
     rooted_decomposition,
@@ -44,6 +45,7 @@ from curvegraph import (
     sphere_measure,
     validate_graph,
 )
+from curvegraph import cli
 from curvegraph.chains import bdc_as_graph
 from curvegraph.graphs import _lcd_add
 
@@ -413,6 +415,33 @@ def _dumps_oracle(g):
 @given(escaped_label_graphs())
 def test_graph_to_json_matches_json_dumps(g):
     assert graph_to_json(g) == _dumps_oracle(g)
+
+
+def _pair_record_oracle(result):
+    return {
+        "x": str(result.x),
+        "y": str(result.y),
+        "distance": result.distance,
+        "value": format_rational(result.value),
+        "witness": {str(v): result.witness[v] for v in result.support},
+        "support": [str(v) for v in result.support],
+    }
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(escaped_label_graphs())
+def test_pair_records_match_json_dumps(g):
+    # `ollivier --pair` and `--all-adjacent` write from templates; json.dumps
+    # of the same records is the oracle, labels with quotes, backslashes,
+    # control and non-ASCII characters included
+    results = [ollivier_pair(g, u, v) for u, v, _ in g.edges]
+    for result in results:
+        assert cli._ollivier_json(result) == json.dumps(
+            _pair_record_oracle(result), indent=2
+        )
+    assert cli._json_records([cli._ollivier_json(r) for r in results]) == json.dumps(
+        [_pair_record_oracle(r) for r in results], indent=2
+    )
 
 
 json_values = st.recursive(
