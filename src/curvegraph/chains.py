@@ -16,7 +16,6 @@ gap(0) - gap(R).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Sequence, Tuple, Union
@@ -32,6 +31,7 @@ from .errors import (
 )
 from .graphs import (
     RationalLike,
+    Record,
     RootedDecomposition,
     VertexId,
     WeightedGraph,
@@ -47,8 +47,7 @@ def _ratio(b: Fraction, m: Fraction) -> Fraction:  # b / m for b, m > 0
     return Fraction(b.numerator * m.denominator, b.denominator * m.numerator)
 
 
-@dataclass(frozen=True)
-class BirthDeathChain:
+class BirthDeathChain(Record):
     """Measures m(0..horizon) and nearest-neighbor weights b(r, r+1).
 
     ``weights[r]`` joins radius r to radius r+1, so there is one weight fewer
@@ -58,9 +57,9 @@ class BirthDeathChain:
     measures: Tuple[Fraction, ...]
     weights: Tuple[Fraction, ...]
 
-    def __post_init__(self):
-        measures = tuple(parse_rational(v) for v in self.measures)
-        weights = tuple(parse_rational(v) for v in self.weights)
+    def __init__(self, measures: Sequence[RationalLike], weights: Sequence[RationalLike]):
+        measures = tuple(map(parse_rational, measures))
+        weights = tuple(map(parse_rational, weights))
         if not measures:
             raise FormatError("a chain needs at least the radius-0 entry")
         if len(weights) != len(measures) - 1:
@@ -72,8 +71,7 @@ class BirthDeathChain:
             for r, v in enumerate(values):
                 if v.numerator <= 0:
                     raise NonPositiveEntry(f"{kind} at radius {r} must be positive", radius=r)
-        object.__setattr__(self, "measures", measures)
-        object.__setattr__(self, "weights", weights)
+        super().__init__(measures, weights)
 
     @property
     def horizon(self) -> int:
@@ -161,8 +159,7 @@ def associated_bdc(decomp: RootedDecomposition) -> BirthDeathChain:
     return BirthDeathChain(measures=tuple(measures), weights=tuple(weights))
 
 
-@dataclass(frozen=True)
-class ModelVerdict:
+class ModelVerdict(Record):
     """Whether curvature is constant on every sphere, with counterexamples.
 
     Each failure is (radius, side, vertex_a, vertex_b): the first pair on

@@ -16,7 +16,6 @@ on, "recorded" reports document computed values without judging them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import ge, le
@@ -32,6 +31,7 @@ from .chains import (
 from .curvature import inner_curvature, outer_curvature, sphere_curvature
 from .errors import CurvegraphError, HorizonExceeded, HorizonMismatch, HypothesisFailed
 from .graphs import (
+    Record,
     RootedDecomposition,
     VertexId,
     format_rational,
@@ -40,8 +40,7 @@ from .graphs import (
 )
 
 
-@dataclass(frozen=True)
-class GrowthRelation:
+class GrowthRelation(Record):
     """Outcome of one of the three curvature-domination relations.
 
     first_violation is (radius, side, detail) for the earliest failed check,
@@ -81,8 +80,7 @@ class GrowthRelation:
         return out
 
 
-@dataclass(frozen=True)
-class LedgerRow:
+class LedgerRow(Record):
     """One compared pair of exact values, optionally tied to a vertex."""
 
     r: int
@@ -90,6 +88,9 @@ class LedgerRow:
     rhs: Fraction
     ok: bool
     vertex: Optional[VertexId] = None
+
+    def __init__(self, r, lhs, rhs, ok, vertex=None):
+        self.__dict__.update(r=r, lhs=lhs, rhs=rhs, ok=ok, vertex=vertex)
 
     def to_json_dict(self) -> dict:
         out = {
@@ -103,8 +104,7 @@ class LedgerRow:
         return out
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(Record):
     """Per-radius ledger for one checked statement.
 
     hypothesis_checked records whether the statement's premises held on this

@@ -41,7 +41,6 @@ Three layers live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain, compress
@@ -56,6 +55,7 @@ from .errors import (
     SameVertex,
 )
 from .graphs import (
+    Record,
     RootedDecomposition,
     VertexId,
     WeightedGraph,
@@ -154,8 +154,7 @@ def curvature_profile(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OllivierResult:
+class OllivierResult(Record):
     """Exact pair curvature with its optimizing function.
 
     The witness is integer-valued, 1-Lipschitz on the support, has
@@ -169,6 +168,11 @@ class OllivierResult:
     value: Fraction
     witness: Dict[VertexId, int]
     support: Tuple[VertexId, ...]
+
+    def __init__(self, x, y, distance, value, witness, support):
+        self.__dict__.update(
+            x=x, y=y, distance=distance, value=value, witness=witness, support=support
+        )
 
 
 def _support(g: WeightedGraph, x: VertexId, y: VertexId) -> Tuple[VertexId, ...]:

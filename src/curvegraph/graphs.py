@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
@@ -112,8 +111,96 @@ def _check_label(label) -> None:
         raise FormatError(f"integer vertex labels must be nonnegative: {label!r}")
 
 
-@dataclass(frozen=True)
-class WeightedGraph:
+class Record:
+    """Frozen value type, built from the class body with no generated code.
+
+    The fields are the class annotations, in order, and a class attribute
+    of a field's name is its default; ``_fields`` names them, as on a
+    namedtuple. Construction takes them by position or keyword, with the
+    interpreter's own ``TypeError`` messages. Equality needs the same class
+    and compares the field tuples, the hash is the field tuple's, and the
+    repr is ``Name(field=value, ...)``. Assigning or deleting an attribute
+    raises ``AttributeError``. Anything else in ``__dict__``, such as a
+    ``cached_property`` value, is outside the record's identity.
+
+    A record built in a hot loop defines its own ``__init__`` that fills
+    ``__dict__`` in one call. That builds faster than the generic
+    ``__init__``, which binds ``*args, **kwargs`` and sets each field with
+    ``object.__setattr__``, but a filled ``__dict__`` makes each later
+    attribute read a little slower: it suits a record that is read a few
+    times, not a graph that is read in every loop.
+    """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+        cls._names = frozenset(cls._fields)
+        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        bound = kwargs
+        if args:
+            bound = dict(zip(fields, args))
+            if len(args) > len(fields) or not bound.keys().isdisjoint(kwargs):
+                raise _call_error(type(self), args, kwargs)
+            bound.update(kwargs)
+        if bound.keys() != self._names:
+            bound = {**self._defaults, **bound}
+            if bound.keys() != self._names:
+                raise _call_error(type(self), args, kwargs)
+        set_field = object.__setattr__
+        for name in fields:
+            set_field(self, name, bound[name])
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        body = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({body})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _call_error(cls, args: tuple, kwargs: dict) -> TypeError:
+    """The error the interpreter raises for this call of an ``__init__``
+    whose parameters are the record's fields, found in the same order."""
+    fields = cls._fields
+    call = f"{cls.__qualname__}.__init__()"
+    for name in kwargs:
+        if name not in fields:
+            return TypeError(f"{call} got an unexpected keyword argument {name!r}")
+        if name in fields[: len(args)]:
+            return TypeError(f"{call} got multiple values for argument {name!r}")
+    if len(args) > len(fields):
+        most, least = len(fields) + 1, len(fields) - len(cls._defaults) + 1
+        takes = most if most == least else f"from {least} to {most}"
+        given = len(args) + 1
+        return TypeError(f"{call} takes {takes} positional arguments but {given} were given")
+    missing = [repr(f) for f in fields[len(args):] if f not in kwargs and f not in cls._defaults]
+    if len(missing) > 2:
+        listed = ", ".join(missing[:-1]) + ", and " + missing[-1]
+    else:
+        listed = " and ".join(missing)
+    plural = "s" if len(missing) > 1 else ""
+    count = f"{len(missing)} required positional argument{plural}"
+    return TypeError(f"{call} missing {count}: {listed}")
+
+
+class WeightedGraph(Record):
     """Validated, connected weighted graph. Build via :func:`validate_graph`."""
 
     vertices: Tuple[VertexId, ...]
@@ -266,8 +353,7 @@ def distance(g: WeightedGraph, x: VertexId, y: VertexId) -> int:
     return distance_map(g, x, target=y)[y]
 
 
-@dataclass(frozen=True)
-class RootedDecomposition:
+class RootedDecomposition(Record):
     """A graph seen from a root: sphere r holds the vertices at distance r.
 
     Every rooted quantity (curvatures, sphere volumes, the associated chain)

@@ -1,6 +1,5 @@
 """Birth-death chains, the graph reduction, and the example constructors."""
 
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -95,7 +94,7 @@ def test_chain_curvatures_are_built_once_and_stay_out_of_its_identity(c):
             "detail": {"radius": r},
         }
     fresh = BirthDeathChain(c.measures, c.weights)
-    assert [f.name for f in fields(c)] == ["measures", "weights"]
+    assert c._fields == ("measures", "weights")
     assert (c == fresh, hash(c), repr(c)) == (True, hash(fresh), repr(fresh))
     assert chain_to_json(c) == text == chain_to_json(fresh)
 

@@ -1,7 +1,6 @@
 """Inner/outer, averaged, Ollivier pair, and sphere curvatures."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -14,6 +13,7 @@ from curvegraph import (
     CurvegraphError,
     FormatError,
     HorizonExceeded,
+    OllivierResult,
     SameVertex,
     WeightedGraph,
     average_curvature,
@@ -468,38 +468,44 @@ def test_pair_cost_is_linear_in_degree(monkeypatch):
     assert 0 < counts[256] <= 5 * counts[64]
 
 
+def _rebuilt(result, **changes):
+    """The result with some fields changed, built by its own constructor."""
+    fields = {name: getattr(result, name) for name in result._fields}
+    return OllivierResult(**{**fields, **changes})
+
+
 # Each fault breaks exactly one witness invariant of figure 1's pair (x, y),
 # whose witness is {w: -1, x: 0, y: 1, y': -1, z: 2} with value -1.
 @pytest.mark.parametrize(
     "fault, message",
     [
         (
-            lambda r: replace(r, witness={u: f for u, f in r.witness.items() if f < 2}),
+            lambda r: _rebuilt(r, witness={u: f for u, f in r.witness.items() if f < 2}),
             "witness does not cover the pair support",
         ),
         (
-            lambda r: replace(r, witness={**r.witness, "w": Fraction(-1)}),
+            lambda r: _rebuilt(r, witness={**r.witness, "w": Fraction(-1)}),
             "witness value at 'w' is not an integer",
         ),
         (
-            lambda r: replace(r, witness={**r.witness, "y": True}),
+            lambda r: _rebuilt(r, witness={**r.witness, "y": True}),
             "witness value at 'y' is not an integer",
         ),
         (
-            lambda r: replace(r, witness={**r.witness, "w": -2}),
+            lambda r: _rebuilt(r, witness={**r.witness, "w": -2}),
             "witness violates the Lipschitz bound on ('w', 'x')",
         ),
-        (lambda r: replace(r, distance=2), "recorded pair distance is wrong"),
+        (lambda r: _rebuilt(r, distance=2), "recorded pair distance is wrong"),
         (
-            lambda r: replace(r, witness=dict.fromkeys(r.witness, 0)),
+            lambda r: _rebuilt(r, witness=dict.fromkeys(r.witness, 0)),
             "witness gradient along the pair is not 1",
         ),
         (
-            lambda r: replace(r, witness={u: f + 1 for u, f in r.witness.items()}),
+            lambda r: _rebuilt(r, witness={u: f + 1 for u, f in r.witness.items()}),
             "witness is not normalized to 0 at x",
         ),
         (
-            lambda r: replace(r, value=r.value + 1),
+            lambda r: _rebuilt(r, value=r.value + 1),
             "witness does not reproduce the reported value",
         ),
     ],
