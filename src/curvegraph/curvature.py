@@ -21,21 +21,23 @@ Three layers live here:
   optimum, since the optimal face is a lattice whose componentwise minimum
   has the least sum; any exact solver therefore returns the same witness.
   The cost of a pair is that of its kept arcs: the Lipschitz pairs not
-  implied through x or y. An adjacent pair enumerates them from adjacency
-  (its support edges, and the neighbours of x alone and of y alone that
-  share another neighbour), never building a dense metric; a farther pair
-  filters its BFS metric, cut at d(x, y) + 2. The objective is integers over
-  one denominator, and the min-cost flow runs in primal-dual phases over the
-  kept arcs only: a multi-source Dijkstra to the nearest sink, a potential
-  update, a blocking flow over the tight arcs. A phase raises the
-  source-sink distance by at least 1 and costs are at most d(x, y) + 2, so
-  the phases are few and a pair costs O(phases x kept arcs). The solver
-  certifies its flow and checks its witness on the kept arcs, which imply
-  the rest. The two oracles, ``verify_witness`` and
-  ``ollivier_pair_bruteforce``, share only the support rule with it: they
-  build every pair's metric by BFS, never through the adjacency shortcut,
-  check every pair of the support, and value a witness with the
-  definitional ``Fraction`` Laplacian;
+  implied through x or y. One rule finds them at every distance, never
+  building a dense metric: the support's edges, x or y with a neighbour of
+  the other alone, and a neighbour of x alone with one of y alone joined
+  by a short path around x and y. A BFS from x and one from y, each cut at
+  d(x, y), and a BFS around x and y from each neighbour of x alone give
+  every distance it reads. The objective is integers over one denominator,
+  and the min-cost flow runs in primal-dual phases over the kept arcs only:
+  a multi-source Dijkstra to the nearest sink, a potential update, a
+  blocking flow over the tight arcs. A phase raises the source-sink
+  distance by at least 1 and costs are at most d(x, y) + 2, so the phases
+  are few and a pair costs O(phases x kept arcs). The solver certifies its
+  flow, and its potentials on the kept arcs, which imply the rest. The
+  two oracles, ``verify_witness`` and ``ollivier_pair_bruteforce``, share
+  only the support with it: they build every pair's full metric by a BFS
+  from each support vertex, never through the kept-arc rule, check every
+  pair of the support, and value a witness with the definitional
+  ``Fraction`` Laplacian;
 * the min-max sphere curvature built from pair curvatures.
 """
 
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import chain, compress
+from itertools import chain, compress, repeat
 from math import lcm
 from operator import itemgetter
 from typing import Dict, Optional, Tuple
@@ -186,115 +188,89 @@ def _support(g: WeightedGraph, x: VertexId, y: VertexId) -> Tuple[VertexId, ...]
     return tuple(sorted({x, y, *adjacency[x], *adjacency[y]}, key=label_key))
 
 
-def _bfs_metric(g: WeightedGraph, support, d: int) -> dict:
-    """Each support vertex's distances by a BFS cut at d(x, y) + 2: every
-    support vertex lies within 1 of x or y, so no distance among them is
-    larger."""
-    return {u: distance_map(g, u, d + 2) for u in support}
-
-
-def _metric_arcs(support, dist: dict, x: VertexId, y: VertexId) -> list:
-    """The pairs a support metric keeps, as (i, j, d(u, v)) over support
-    positions with i < j, the pair {x, y} left out.
-
-    A pair is dropped when x or y, not an end, lies on a shortest u-v path:
-    the two shorter pairs through it then imply its Lipschitz bound.
-    """
-    dx, dy = dist[x], dist[y]
-    kept = []
-    for i, u in enumerate(support):
-        du = dist[u]
-        for j in range(i + 1, len(support)):
-            v = support[j]
-            duv = du[v]
-            if not (
-                (x != u and x != v and du[x] + dx[v] == duv)
-                or (y != u and y != v and du[y] + dy[v] == duv)
-            ):
-                kept.append((i, j, duv))
-    ix, iy = support.index(x), support.index(y)
-    kept.remove((min(ix, iy), max(ix, iy), dx[y]))
-    return kept
-
-
-def _adjacent_arcs(g: WeightedGraph, x: VertexId, y: VertexId, support) -> list:
-    """The pairs ``_metric_arcs`` keeps for an adjacent pair, read from
-    adjacency alone in O(sum of support degrees), never from a dense metric.
-
-    Every support vertex but x and y is next to x, to y or to both, so no
-    two lie farther apart than 3. The kept pairs are:
-    * at distance 1, the support's edges;
-    * at distance 2, a neighbour of x alone and a neighbour of y alone that
-      share a neighbour other than x and y. Two neighbours of x are implied
-      through x and two of y through y; a pair with x, y or a common
-      neighbour of both at one end is implied through whichever of x and y
-      its other end is next to;
-    * at distance 3, none: such a pair joins a neighbour of x to a vertex at
-      2 from x, so x lies on a shortest path between them.
-    """
-    adjacency = g.adjacency
-    near_x, near_y = adjacency[x], adjacency[y]
-    pos = {u: i for i, u in enumerate(support)}
-    kept = []
-    # a vertex other than x and y -> the positions of its neighbours that
-    # are next to x alone, and of those next to y alone
-    meet_x: dict = {}
-    meet_y: dict = {}
-    for i, u in enumerate(support):
-        for v in adjacency[u]:
-            j = pos.get(v)
-            if j is not None and i < j:
-                kept.append((i, j, 1))
-        if u == x or u == y or (u in near_x) == (u in near_y):
-            continue
-        meets = meet_x if u in near_x else meet_y
-        for c in adjacency[u]:
-            if c != x and c != y:
-                meets.setdefault(c, []).append(i)
-    ix, iy = pos[x], pos[y]
-    kept.remove((min(ix, iy), max(ix, iy), 1))
-    far = set()
-    for c, ends in meet_x.items():
-        for j in meet_y.get(c, ()):
-            near = adjacency[support[j]]
-            for i in ends:
-                if support[i] not in near:
-                    far.add((i, j) if i < j else (j, i))
-    kept += [(i, j, 2) for i, j in sorted(far)]
-    return kept
-
-
 def _pair_support(g: WeightedGraph, x: VertexId, y: VertexId):
     """The solver's view of a pair: the support, d = d(x, y), each support
-    vertex's distance to x and to y, and the kept pairs.
+    vertex's distance to x and to y, and the kept pairs as (i, j, d(u, v))
+    over support positions, by one rule at every distance.
 
-    An adjacent pair reads all of it from adjacency, where every distance to
-    x or y is 0, 1 or 2. A farther pair builds its metric by BFS and filters
-    every pair of it with the same rule.
+    A BFS from x that ends with the level holding y gives d and d(x, .), and
+    one from y cut at d gives d(y, .); a support vertex neither reaches is
+    at d + 1. With "x-only" a neighbour of x that is not one of y, and
+    "y-only" likewise, the kept pairs are:
+    * (a) the support's edges but {x, y};
+    * (b) x and each y-only v, at d(x, v), unless d(x, v) = d + 1; and y
+      and each x-only u the same way;
+    * (c) an x-only u and a y-only v, not adjacent, joined by a path that
+      avoids x and y and is shorter than both routes through them,
+      1 + d(x, v) and d(u, y) + 1. A BFS from u that never steps onto x
+      or y, cut at d(u, y) - 1, finds each such v one step past a vertex
+      it reaches, at d(u, v).
+    ``ollivier_pair``'s docstring says why no other pair is kept. No search
+    goes past d from x or y, or past d(u, y) from u, and no metric over
+    every pair of the support is built.
     """
     support = _support(g, x, y)
     adjacency = g.adjacency
-    near_x, near_y = adjacency[x], adjacency[y]
-    if y in near_x:
-        dx = [0 if u == x else 1 if u in near_x else 2 for u in support]
-        dy = [0 if u == y else 1 if u in near_y else 2 for u in support]
-        return support, 1, dx, dy, _adjacent_arcs(g, x, y, support)
-    dist = _bfs_metric(g, support, distance(g, x, y))
-    dx, dy = dist[x], dist[y]
-    return (
-        support,
-        dx[y],
-        [dx[u] for u in support],
-        [dy[u] for u in support],
-        _metric_arcs(support, dist, x, y),
-    )
+    to_x = distance_map(g, x, target=y)
+    d = to_x[y]
+    to_y = distance_map(g, y, d)
+    dx = list(map(to_x.get, support, repeat(d + 1)))
+    dy = list(map(to_y.get, support, repeat(d + 1)))
+    pos = dict(zip(support, range(len(support))))
+    ix, iy = pos[x], pos[y]
+    kept = []
+    x_only = []
+    meet: dict = {}  # a vertex -> the positions of its y-only neighbours
+    for i, u in enumerate(support):
+        row = adjacency[u]
+        # (a), each edge from its earlier end; only x's or y's row holds
+        # {x, y}, and it skips the other
+        skip = iy if i == ix else ix if i == iy else None
+        for v in row:
+            j = pos.get(v, -1)
+            if i < j != skip:
+                kept.append((i, j, 1))
+        # (b), and what (c) reads: the x-only positions and the meets
+        if dx[i] == 1 < dy[i]:
+            x_only.append(i)
+            if dy[i] <= d:
+                kept.append((iy, i, dy[i]))
+        elif dy[i] == 1 < dx[i]:
+            for v in row:
+                meet.setdefault(v, []).append(i)
+            if dx[i] <= d:
+                kept.append((ix, i, dx[i]))
+    # (c): each round finds the vertices at depth - 1 from u, whose y-only
+    # neighbours lie at depth unless found nearer
+    for i in x_only if meet else ():
+        u = support[i]
+        found = set(meet.get(u, ()))  # u's edges, kept in (a)
+        seen = {x, y, u}
+        level = [u]
+        for depth in range(2, dy[i] + 1):
+            nxt = []
+            for w in level:
+                for c in adjacency[w]:
+                    if c not in seen:
+                        seen.add(c)
+                        nxt.append(c)
+                        for j in meet.get(c, ()):
+                            if j not in found:
+                                found.add(j)
+                                if depth <= dx[j]:
+                                    kept.append((i, j, depth))
+            level = nxt
+    return support, d, dx, dy, kept
 
 
 def _oracle_support(g: WeightedGraph, x: VertexId, y: VertexId):
-    """The oracles' support and metric: BFS for every pair, so a fault in the
-    solver's adjacency shortcut cannot hide in its own check."""
+    """The oracles' support and metric: each support vertex's distances by
+    a BFS cut at d(x, y) + 2, since every support vertex lies within 1 of x
+    or y and no distance among them is larger. It never reads the solver's
+    kept-pair rule, so a fault there cannot hide in its own check."""
     support = _support(g, x, y)
-    return support, _bfs_metric(g, support, distance(g, x, y))
+    d = distance(g, x, y)
+    return support, {u: distance_map(g, u, d + 2) for u in support}
 
 
 def _objective_coefficients(g: WeightedGraph, x: VertexId, y: VertexId):
@@ -306,11 +282,10 @@ def _objective_coefficients(g: WeightedGraph, x: VertexId, y: VertexId):
     """
     terms = []
     for v, sign in ((y, 1), (x, -1)):
-        m = g.measure[v]
+        m_num, m_den = g.measure[v].as_integer_ratio()
         for z, w in g.adjacency[v].items():
-            terms.append(
-                (v, z, sign * w.numerator * m.denominator, w.denominator * m.numerator)
-            )
+            w_num, w_den = w.as_integer_ratio()
+            terms.append((v, z, sign * w_num * m_den, w_den * m_num))
     den = lcm(*(term[3] for term in terms))
     coef: dict = {}
     for v, z, num, q_den in terms:
@@ -330,26 +305,6 @@ def _witness_value(
         return acc / g.measure[v]
 
     return (lap(y) - lap(x)) / d
-
-
-def _check_witness(support, pairs, witness, x, y, d) -> None:
-    """Raise unless witness is an integer function on exactly the support,
-    with |witness[u] - witness[v]| <= d(u, v) on every (u, v, d(u, v)) in
-    pairs, witness[y] - witness[x] = d and witness[x] = 0."""
-    if set(witness) != set(support):
-        raise CurvegraphError("witness does not cover the pair support")
-    for u in support:
-        if type(witness[u]) is not int:
-            raise CurvegraphError(f"witness value at {u!r} is not an integer")
-    for u, v, duv in pairs:
-        if abs(witness[u] - witness[v]) > duv:
-            raise CurvegraphError(
-                f"witness violates the Lipschitz bound on ({u!r}, {v!r})"
-            )
-    if witness[y] - witness[x] != d:
-        raise CurvegraphError("witness gradient along the pair is not 1")
-    if witness[x] != 0:
-        raise CurvegraphError("witness is not normalized to 0 at x")
 
 
 def _min_cost_flow_potentials(arcs, supply, pi):
@@ -388,11 +343,11 @@ def _min_cost_flow_potentials(arcs, supply, pi):
     there are at most C + 3 + spread phases; the guard allows n iterations
     for each.
 
-    Before it returns, the solver certifies its flow from the flow alone:
-    every flow is >= 0, every node's inflow less its outflow is its supply,
-    and every arc that carries flow is tight under the returned potentials.
-    With the dual feasibility the caller checks (no kept Lipschitz bound
-    broken), primal cost then equals dual value, so both are optimal.
+    Before it returns, the solver certifies its answer: every flow is >= 0,
+    every node's inflow less its outflow is its supply, every arc that
+    carries flow is tight under the returned potentials, and no arc's
+    reduced cost is negative. The flow is then feasible, the potentials
+    dual feasible, and primal cost equals dual value, so both are optimal.
     """
     n = len(supply)
     # residual arcs leaving each node as (head, cost, code): arc k has code
@@ -521,8 +476,8 @@ def _min_cost_flow_potentials(arcs, supply, pi):
                     u = nodes[-1]
                     it[u] += 1
         sources = [s for s in sources if need[s] < 0]
-    # the certificate, from the flow alone: each node's inflow less its
-    # outflow is its supply, and the arcs that carry flow are tight
+    # the certificate: each node's inflow less its outflow is its supply,
+    # the arcs that carry flow are tight, and no arc's bound is broken
     left = list(supply)
     for k in compress(range(len(flow)), flow):
         u, v, c = arcs[k]
@@ -535,6 +490,9 @@ def _min_cost_flow_potentials(arcs, supply, pi):
         left[v] -= f
     if any(left):
         raise CurvegraphError("internal flow error: supplies not met")
+    for u, v, c in arcs:
+        if c + pi[u] < pi[v]:
+            raise CurvegraphError("internal flow error: an arc's reduced cost is negative")
     return pi
 
 
@@ -561,6 +519,25 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
     Each of the two shorter pairs is kept, is {x, y}, whose bound the
     gradient fixes, or is pruned and implied in turn. So checking the witness
     on the kept pairs checks it on the whole support.
+
+    ``_pair_support`` keeps exactly the pairs no such x or y prunes, with
+    "x-only" a neighbour of x that is not one of y, and "y-only" likewise:
+    * an edge has no vertex strictly between its ends, so it is kept;
+    * two neighbours of x that are not adjacent lie at 2 = 1 + 1 through x,
+      so they are pruned; so are two of y, through y;
+    * a common neighbour of x and y at one end is a neighbour of both, so
+      it and a neighbour of x are two neighbours of x, and it and a
+      neighbour of y two of y: pruned unless adjacent;
+    * x and a y-only v: only y can lie between them, and does exactly when
+      d(x, v) = d + d(y, v) = d + 1; likewise y and an x-only u;
+    * an x-only u and a y-only v: x lies between them exactly when
+      d(u, v) = 1 + d(x, v), and y exactly when d(u, v) = d(u, y) + 1.
+      Both are upper bounds on d(u, v), so the pair is kept exactly when
+      d(u, v) is below both. A path that short cannot pass through x or y,
+      so a BFS from u that never steps onto them finds v within d(u, y)
+      steps, and a longer path around them fails the bound;
+    * x and y, whose pair is the gradient arc, and x or y with a neighbour
+      of its own, an edge, leave nothing else in the support.
     """
     support, d, dx, dy, kept = _pair_support(g, x, y)
     ix = support.index(x)
@@ -591,16 +568,10 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
     # negative arc folded in.
     pi = _min_cost_flow_potentials(arcs, supply, [min(0, e - d) for e in dy])
 
+    # the solver has checked every arc's bound: the kept pairs' Lipschitz
+    # bounds, which imply the rest, and the two arcs that fix the gradient
     p = pi[ix]
     witness = {u: p - pi[i] for i, u in enumerate(support)}
-    _check_witness(
-        support,
-        [(support[i], support[j], c) for i, j, c in kept],
-        witness,
-        x,
-        y,
-        d,
-    )
     value = Fraction(sum(c * witness[u] for u, c in coef.items()), den * d)
     return OllivierResult(
         x=x, y=y, distance=d, value=value, witness=witness, support=support
@@ -651,20 +622,33 @@ def ollivier_pair_bruteforce(g: WeightedGraph, x: VertexId, y: VertexId) -> Olli
 def verify_witness(g: WeightedGraph, result: OllivierResult) -> None:
     """Re-check the witness invariants and value from scratch; raise on failure.
 
-    The replay rebuilds the support metric by BFS and, through the
+    The replay rebuilds the full support metric by BFS and, through the
     definitional Laplacian (``_witness_value``), the value. It shares no
-    state with the solve and never reads the solver's adjacency shortcut, so
-    a fault in the solver's metric cannot hide in its own check.
+    state with the solve, never reads the solver's kept-arc rule and checks
+    every pair of the support, so a fault in the solver's rule cannot hide
+    in its own check.
     """
-    support, dist = _oracle_support(g, result.x, result.y)
-    d = dist[result.x][result.y]
+    x, y, witness = result.x, result.y, result.witness
+    support, dist = _oracle_support(g, x, y)
+    d = dist[x][y]
     if result.distance != d:
         raise CurvegraphError("recorded pair distance is wrong")
-    pairs = [
-        (u, v, dist[u][v]) for i, u in enumerate(support) for v in support[i + 1 :]
-    ]
-    _check_witness(support, pairs, result.witness, result.x, result.y, d)
-    if _witness_value(g, result.x, result.y, result.witness, d) != result.value:
+    if set(witness) != set(support):
+        raise CurvegraphError("witness does not cover the pair support")
+    for u in support:
+        if type(witness[u]) is not int:
+            raise CurvegraphError(f"witness value at {u!r} is not an integer")
+    for i, u in enumerate(support):
+        for v in support[i + 1 :]:
+            if abs(witness[u] - witness[v]) > dist[u][v]:
+                raise CurvegraphError(
+                    f"witness violates the Lipschitz bound on ({u!r}, {v!r})"
+                )
+    if witness[y] - witness[x] != d:
+        raise CurvegraphError("witness gradient along the pair is not 1")
+    if witness[x] != 0:
+        raise CurvegraphError("witness is not normalized to 0 at x")
+    if _witness_value(g, x, y, witness, d) != result.value:
         raise CurvegraphError("witness does not reproduce the reported value")
 
 

@@ -13,7 +13,6 @@ they must be total on the graph wherever the Laplacian is applied.
 from __future__ import annotations
 
 import json
-from collections import deque
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
@@ -327,23 +326,24 @@ def distance_map(
     target: Optional[VertexId] = None,
 ) -> dict:
     """Combinatorial distances from source (BFS): to every vertex, or, given
-    a radius, to exactly the vertices within it. Given a target, it returns
-    once the target is discovered: the target's distance is exact, and other
-    vertices as far from the source may be missing."""
+    a radius, to exactly the vertices within it. Given a target, the radius
+    is the target's distance, found by the same search: it ends with the
+    level that holds the target."""
     g.require_vertex(source)
+    adjacency = g.adjacency
     dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        if du == radius:
-            continue
-        for v in g.adjacency[u]:
-            if v not in dist:
-                dist[v] = du + 1
-                if v == target:
-                    return dist
-                queue.append(v)
+    level = [source]
+    depth = 0
+    # with no target, target is None, which no vertex label is
+    while level and depth != radius and target not in dist:
+        depth += 1
+        nxt = []
+        for u in level:
+            for v in adjacency[u]:
+                if v not in dist:
+                    dist[v] = depth
+                    nxt.append(v)
+        level = nxt
     return dist
 
 

@@ -1,6 +1,7 @@
-"""Shared fixtures and hypothesis strategies."""
+"""Shared fixtures, hypothesis strategies and graph enumerations."""
 
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 from hypothesis import strategies as st
@@ -96,3 +97,43 @@ def chains(draw, min_horizon=2, max_horizon=6, values=rationals()):
     measures = tuple(draw(values) for _ in range(horizon + 1))
     weights = tuple(draw(values) for _ in range(horizon))
     return BirthDeathChain(measures=measures, weights=weights)
+
+
+def _canonical_form(n, edges):
+    """The least sorted edge list over relabellings that number the vertices
+    in order of degree: isomorphic graphs, and only they, share it."""
+    degree = [0] * n
+    for u, v in edges:
+        degree[u] += 1
+        degree[v] += 1
+    groups = [[v for v in range(n) if degree[v] == k] for k in sorted(set(degree))]
+    best = None
+    for blocks in product(*(permutations(group) for group in groups)):
+        label = {v: i for i, v in enumerate(v for block in blocks for v in block)}
+        form = tuple(sorted(tuple(sorted((label[u], label[v]))) for u, v in edges))
+        if best is None or form < best:
+            best = form
+    return best
+
+
+def connected_graphs(max_n):
+    """(n, edges) for every connected graph on 1..max_n vertices, one per
+    isomorphism class. Every connected graph on n vertices has a vertex whose
+    removal leaves it connected, so it is a graph on n - 1 vertices with one
+    vertex joined to a nonempty subset; each such extension of every class is
+    tried and kept once per canonical form."""
+    layer = [(1, [])]
+    found = list(layer)
+    for n in range(2, max_n + 1):
+        seen = set()
+        grown = []
+        for _, edges in layer:
+            for mask in range(1, 1 << (n - 1)):
+                bigger = edges + [(u, n - 1) for u in range(n - 1) if mask >> u & 1]
+                form = _canonical_form(n, bigger)
+                if form not in seen:
+                    seen.add(form)
+                    grown.append((n, bigger))
+        layer = grown
+        found += layer
+    return found

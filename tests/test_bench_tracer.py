@@ -99,13 +99,13 @@ def _pair_bfs_work(side, x, y):
     ids=["edge", "distance-2"],
 )
 def test_pair_metric_is_local(side, x, y, searched):
-    # the same pair on a side x side grid and on a 30x30 grid: the edge reads
-    # its metric from adjacency and runs no BFS at all; the distance-2 pair's
-    # BFS from each support vertex, cut at d + 2 = 4, stays inside both grids,
-    # and the BFS from x that finds d stops at y
+    # the same pair on a side x side grid and on a 30x30 grid: the BFS from
+    # x ends with the level that holds y and the one from y is cut at d, so
+    # the edge's two searches return the closed neighbourhoods of x and y,
+    # 5 vertices each, and the distance-2 pair's stay inside both grids
     calls, vertices = _pair_bfs_work(side, x, y)
     assert (calls, vertices) == _pair_bfs_work(30, x, y)
     if searched:
         assert calls > 0 and vertices > 0
     else:
-        assert (calls, vertices) == (0, 0)
+        assert calls <= 2 and vertices <= 10

@@ -27,6 +27,7 @@ from curvegraph import (
     partial_sum_equiv_check,
     rooted_decomposition,
     sc_series_partial_sums,
+    sphere_volume_step,
     stronger_average_growth,
     stronger_curvature_growth,
     stronger_outside_finite,
@@ -40,7 +41,7 @@ from curvegraph.generators import (
     random_chain,
 )
 
-from conftest import graphs_with_root
+from conftest import connected_graphs, graphs_with_root
 
 
 # --- stronger curvature growth (per vertex) ---
@@ -403,6 +404,38 @@ def test_compcurv_asserted_parts_hold(gr):
     for rep in (report,) + report.subreports:
         if rep.status == "asserted" and rep.hypothesis_checked:
             assert rep.conclusion_checked, rep.claim
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["unit", "rational"])
+def test_rooted_checks_on_every_graph_up_to_6_vertices(rational):
+    # every connected graph on at most 6 vertices, at every root: both sides
+    # of the volume step agree at every radius, and every asserted part of
+    # the partial-sum comparison whose hypothesis holds has its conclusion
+    # hold. Its sphere curvatures solve every pair that joins two spheres
+    # below the horizon.
+    rng = random.Random(6)
+
+    def draw():
+        return Fraction(rng.randint(1, 9), rng.randint(1, 9)) if rational else 1
+
+    graphs = connected_graphs(6)
+    assert len(graphs) == 143  # 1 + 1 + 2 + 6 + 21 + 112 classes on 1..6 vertices
+    compared = 0
+    for n, edges in graphs:
+        g = validate_graph([(v, draw()) for v in range(n)], [(u, v, draw()) for u, v in edges])
+        for root in range(n):
+            d = rooted_decomposition(g, root)
+            for r in range(d.horizon):
+                lhs, rhs = sphere_volume_step(d, r)
+                assert lhs == rhs
+            if d.horizon < 2:
+                continue  # the comparison needs radii 0 and 1 below the horizon
+            report = compcurv_check(associated_bdc(d), d)
+            for rep in (report,) + report.subreports:
+                if rep.status == "asserted" and rep.hypothesis_checked:
+                    assert rep.conclusion_checked, (edges, root, rep.claim)
+            compared += 1
+    assert compared > 0
 
 
 # --- model sphere audit ---

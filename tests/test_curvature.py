@@ -1,8 +1,9 @@
 """Inner/outer, averaged, Ollivier pair, and sphere curvatures."""
 
 import random
+from collections.abc import Mapping
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -36,9 +37,16 @@ from curvegraph import (
 )
 from curvegraph import curvature
 from curvegraph.chains import associated_bdc, bdc_as_graph
-from curvegraph.curvature import _bfs_metric, _pair_support
+from curvegraph.curvature import _oracle_support, _pair_support
 
-from conftest import bfs_oracle, big_rationals, chains, graphs_with_root, rationals
+from conftest import (
+    bfs_oracle,
+    big_rationals,
+    chains,
+    connected_graphs,
+    graphs_with_root,
+    rationals,
+)
 
 
 # --- inner / outer ---
@@ -248,10 +256,9 @@ def _pruned_pairs_oracle(support, metric, x, y):
 @settings(derandomize=True, deadline=None, max_examples=40)
 @given(graphs_with_root(max_vertices=10))
 def test_pair_support_metric_matches_bfs_oracle(gr):
-    # the solver never sees a dense metric for an adjacent pair: its kept
-    # pairs, read from adjacency, must be exactly those the BFS metric and
-    # the prune rule give, and a farther pair's BFS metric must be the
-    # oracle's
+    # the solver never sees a dense metric: its kept pairs, found by one
+    # rule at every distance, must be exactly those the BFS metric and the
+    # prune rule give, and the oracles' own BFS metric must be the oracle's
     g, _ = gr
     maps = {v: bfs_oracle(g, v) for v in g.vertices}
     for x in g.vertices:
@@ -267,12 +274,12 @@ def test_pair_support_metric_matches_bfs_oracle(gr):
             got = {frozenset((support[i], support[j])): c for i, j, c in kept}
             assert len(got) == len(kept)
             assert got == _pruned_pairs_oracle(support, maps, x, y)
-            if d > 1:
-                metric = _bfs_metric(g, support, d)
-                for u in support:
-                    assert {v: metric[u][v] for v in support} == {
-                        v: maps[u][v] for v in support
-                    }
+            oracle_support, metric = _oracle_support(g, x, y)
+            assert oracle_support == support
+            for u in support:
+                assert {v: metric[u][v] for v in support} == {
+                    v: maps[u][v] for v in support
+                }
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -314,7 +321,7 @@ def test_arc_between_neighbors_through_an_outside_vertex():
 
 
 def test_verify_witness_builds_its_own_metric(monkeypatch):
-    # the graph above, with the solver's adjacency arcs dropping the deciding
+    # the graph above, with the solver's kept pairs dropping the deciding
     # pair (a, b) or pricing it at 3: the solver then returns a witness that
     # stretches a-b by 3, which its own check on the kept arcs passes and
     # the BFS-built replay rejects
@@ -322,60 +329,24 @@ def test_verify_witness_builds_its_own_metric(monkeypatch):
         [(v, 1) for v in "abcxy"],
         [("x", "y", 1), ("x", "a", 1), ("y", "b", 1), ("a", "c", 1), ("b", "c", 1)],
     )
-    honest = curvature._adjacent_arcs
+    honest = curvature._pair_support
     for cost in (None, 3):
 
-        def lying(graph, x, y, support):
-            kept = honest(graph, x, y, support)
-            ab = (support.index("a"), support.index("b"))
-            kept.remove(ab + (2,))
-            return kept if cost is None else kept + [ab + (cost,)]
+        def lying(graph, x, y):
+            support, d, dx, dy, kept = honest(graph, x, y)
+            ab = {support.index("a"), support.index("b")}
+            dropped = [arc for arc in kept if {arc[0], arc[1]} == ab]
+            assert [arc[2] for arc in dropped] == [2]
+            kept = [arc for arc in kept if arc not in dropped]
+            if cost is not None:
+                kept.append(dropped[0][:2] + (cost,))
+            return support, d, dx, dy, kept
 
-        monkeypatch.setattr(curvature, "_adjacent_arcs", lying)
+        monkeypatch.setattr(curvature, "_pair_support", lying)
         solved = ollivier_pair(g, "x", "y")
         assert solved.value == 0
         with pytest.raises(CurvegraphError, match="Lipschitz bound on \\('a', 'b'\\)"):
             verify_witness(g, solved)
-
-
-def _canonical_form(n, edges):
-    """The least sorted edge list over relabellings that number the vertices
-    in order of degree: isomorphic graphs, and only they, share it."""
-    degree = [0] * n
-    for u, v in edges:
-        degree[u] += 1
-        degree[v] += 1
-    groups = [[v for v in range(n) if degree[v] == k] for k in sorted(set(degree))]
-    best = None
-    for blocks in product(*(permutations(group) for group in groups)):
-        label = {v: i for i, v in enumerate(v for block in blocks for v in block)}
-        form = tuple(sorted(tuple(sorted((label[u], label[v]))) for u, v in edges))
-        if best is None or form < best:
-            best = form
-    return best
-
-
-def _connected_graphs(max_n):
-    """(n, edges) for every connected graph on 1..max_n vertices, one per
-    isomorphism class. Every connected graph on n vertices has a vertex whose
-    removal leaves it connected, so it is a graph on n - 1 vertices with one
-    vertex joined to a nonempty subset; each such extension of every class is
-    tried and kept once per canonical form."""
-    layer = [(1, [])]
-    found = list(layer)
-    for n in range(2, max_n + 1):
-        seen = set()
-        grown = []
-        for _, edges in layer:
-            for mask in range(1, 1 << (n - 1)):
-                bigger = edges + [(u, n - 1) for u in range(n - 1) if mask >> u & 1]
-                form = _canonical_form(n, bigger)
-                if form not in seen:
-                    seen.add(form)
-                    grown.append((n, bigger))
-        layer = grown
-        found += layer
-    return found
 
 
 def _sweep_every_pair(graphs, rational, seed):
@@ -400,7 +371,7 @@ def test_solver_matches_bruteforce_on_every_graph_up_to_5_vertices(rational):
     # every ordered pair, adjacent or not, of every connected graph on at
     # most 5 vertices: ties between sinks in the flow solve and every
     # support shape these sizes allow are covered by exhaustion
-    graphs = _connected_graphs(5)
+    graphs = connected_graphs(5)
     assert len(graphs) == 31  # 1 + 1 + 2 + 6 + 21 classes on 1..5 vertices
     _sweep_every_pair(graphs, rational, 5)
 
@@ -408,7 +379,7 @@ def test_solver_matches_bruteforce_on_every_graph_up_to_5_vertices(rational):
 @pytest.mark.parametrize("rational", [False, True], ids=["unit", "rational"])
 def test_solver_matches_bruteforce_on_every_graph_on_6_vertices(rational):
     # the same exhaustion one vertex further: 112 classes, 3,360 ordered pairs
-    graphs = [(n, edges) for n, edges in _connected_graphs(6) if n == 6]
+    graphs = [(n, edges) for n, edges in connected_graphs(6) if n == 6]
     assert len(graphs) == 112
     _sweep_every_pair(graphs, rational, 6)
 
@@ -466,6 +437,44 @@ def test_pair_cost_is_linear_in_degree(monkeypatch):
         ollivier_pair(_hub_graph(leaves), 0, 1)
         counts[leaves] = len(pushes)
     assert 0 < counts[256] <= 5 * counts[64]
+
+
+class _CountedRows(Mapping):
+    """An adjacency that adds up, on every read of a vertex's row, the
+    neighbours the row holds. A BFS step reads a row and scans it, so the
+    total sees every step, whichever search takes it."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.scanned = 0
+
+    def __getitem__(self, v):
+        row = self.rows[v]
+        self.scanned += len(row)
+        return row
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __len__(self):
+        return len(self.rows)
+
+
+def test_farther_pair_cost_is_linear_in_degree():
+    # hub 0 and the first leaf of hub 1 lie at distance 2, and the support
+    # holds hub 0's whole neighbourhood: quadrupling the leaves may quadruple
+    # the neighbours the pair's searches scan, not multiply them by sixteen
+    # as a BFS from every support vertex would
+    scanned = {}
+    for leaves in (64, 256):
+        g = _hub_graph(leaves)
+        rows = _CountedRows(g.adjacency)
+        counted = WeightedGraph(g.vertices, g.measure, rows)
+        result = ollivier_pair(counted, 0, 2 + leaves)
+        assert result.distance == 2
+        assert result == ollivier_pair(g, 0, 2 + leaves)
+        scanned[leaves] = rows.scanned
+    assert 0 < scanned[256] <= 5 * scanned[64]
 
 
 def _rebuilt(result, **changes):

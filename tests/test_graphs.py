@@ -256,6 +256,18 @@ def test_distance_matches_bfs_oracle(gr):
 
 
 @settings(derandomize=True, deadline=None)
+@given(graphs_with_root())
+def test_distance_map_with_a_target_ends_with_its_level(gr):
+    # the pair solver reads d(x, y) and every distance within it from one
+    # search: the map holds exactly the vertices no farther than the target
+    g, root = gr
+    full = bfs_oracle(g, root)
+    for target in g.vertices:
+        within = {v: k for v, k in full.items() if k <= full[target]}
+        assert distance_map(g, root, target=target) == within
+
+
+@settings(derandomize=True, deadline=None)
 @given(graphs_with_root(max_vertices=6))
 def test_distance_triangle_inequality(gr):
     g, _ = gr
