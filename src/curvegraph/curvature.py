@@ -38,7 +38,8 @@ Three layers live here:
   from each support vertex, never through the kept-arc rule, check every
   pair of the support, and value a witness with the definitional
   ``Fraction`` Laplacian;
-* the min-max sphere curvature built from pair curvatures.
+* the min-max sphere curvature built from pair curvatures, solving only
+  the pairs that can decide it.
 """
 
 from __future__ import annotations
@@ -658,7 +659,24 @@ def verify_witness(g: WeightedGraph, result: OllivierResult) -> None:
 
 
 def sphere_curvature(decomp: RootedDecomposition, r: int) -> Fraction:
-    """min over y in sphere r of max over inward neighbors x of k(x, y)."""
+    """min over y in sphere r of max over inward neighbors x of k(x, y).
+
+    Solves only the pairs that can still decide the min-max, in two passes.
+    Write M(y) for y's max. Pass 1 solves, for each y in shell order, the
+    pair of its first inward neighbour in adjacency order, whose value L(y)
+    is at most M(y). Pass 2 visits the vertices in ascending L(y) and keeps
+    ``best``, the least M(y) over the vertices whose pairs it has all
+    solved. It stops at the first y with L(y) >= best; within a y it stops
+    once the running max reaches best; a y whose pairs all get solved sets
+    best to M(y), which is then below it.
+
+    The result is the min-max by construction. ``best`` is some M(y), and
+    no skipped vertex has a smaller max: a y left within its pairs has
+    M(y) >= its running max >= best; a y left at the stop, and every one
+    after it in ascending order, has M(y) >= L(y) >= best. ``best`` only
+    falls, so each bound holds against its final value too. Each pair is
+    solved at most once, so never more often than by a plain min-max.
+    """
     if r < 1 or r > decomp.horizon:
         raise HorizonExceeded(
             f"sphere curvature defined for 1 <= r <= {decomp.horizon}, got {r}",
@@ -668,18 +686,25 @@ def sphere_curvature(decomp: RootedDecomposition, r: int) -> Fraction:
     if not shell:
         raise EmptySphere(f"sphere {r} is empty", radius=r)
     g = decomp.graph
-    best = None
-    for v in shell:
-        worst = None
-        for u in g.adjacency[v]:
-            if decomp.dist[u] == r - 1:
-                k = ollivier_pair(g, u, v).value
-                if worst is None or k > worst:
-                    worst = k
-        if worst is None:
+    dist = decomp.dist
+    lower = []
+    for y in shell:
+        inward = [x for x in g.adjacency[y] if dist[x] == r - 1]
+        if not inward:
             raise EmptySphere(
-                f"vertex {v!r} on sphere {r} has no inward neighbor", radius=r
+                f"vertex {y!r} on sphere {r} has no inward neighbor", radius=r
             )
-        if best is None or worst < best:
-            best = worst
+        lower.append((ollivier_pair(g, inward[0], y).value, y, inward))
+    # stable, and keyed on the value alone: labels need not be comparable
+    lower.sort(key=itemgetter(0))
+    best = None
+    for top, y, inward in lower:
+        if best is not None and top >= best:
+            break
+        for x in inward[1:]:
+            top = max(top, ollivier_pair(g, x, y).value)
+            if best is not None and top >= best:
+                break
+        else:
+            best = top
     return best

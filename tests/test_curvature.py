@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from curvegraph import (
     BadRadiusOrder,
     CurvegraphError,
+    EmptySphere,
     FormatError,
     HorizonExceeded,
     OllivierResult,
+    RootedDecomposition,
     SameVertex,
     WeightedGraph,
     average_curvature,
@@ -548,6 +550,105 @@ def test_figure1_sphere_curvatures(figure1_decomp):
         sphere_curvature(figure1_decomp, 4)
     with pytest.raises(HorizonExceeded):
         sphere_curvature(figure1_decomp, 0)
+
+
+def _plain_sphere_curvature(d, r):
+    """The definition, every inward pair solved: min over y of max over x."""
+    g = d.graph
+    return min(
+        max(ollivier_pair(g, x, y).value for x in g.adjacency[y] if d.dist[x] == r - 1)
+        for y in d.sphere(r)
+    )
+
+
+def _counting_solves(monkeypatch):
+    """Route the module's pair solves through a list of the pairs solved."""
+    solved = []
+
+    def counting(g, x, y):
+        solved.append((x, y))
+        return ollivier_pair(g, x, y)
+
+    monkeypatch.setattr(curvature, "ollivier_pair", counting)
+    return solved
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["unit", "rational"])
+def test_sphere_curvature_is_the_plain_min_max_on_every_graph_up_to_6_vertices(
+    monkeypatch, rational
+):
+    # every connected graph on at most 6 vertices, at every root and radius:
+    # the pairs left unsolved never change the value, and none is solved twice
+    rng = random.Random(16)
+
+    def draw():
+        return Fraction(rng.randint(1, 9), rng.randint(1, 9)) if rational else 1
+
+    solved = _counting_solves(monkeypatch)
+    checked = 0
+    for n, edges in connected_graphs(6):
+        g = validate_graph([(v, draw()) for v in range(n)], [(u, v, draw()) for u, v in edges])
+        for root in range(n):
+            d = rooted_decomposition(g, root)
+            for r in range(1, d.horizon + 1):
+                solved.clear()
+                assert sphere_curvature(d, r) == _plain_sphere_curvature(d, r), (edges, root, r)
+                assert len(set(solved)) == len(solved), (edges, root, r)
+                checked += 1
+    assert checked > 1000
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(graphs_with_root(max_vertices=10))
+def test_sphere_curvature_is_the_plain_min_max(gr):
+    g, root = gr
+    d = rooted_decomposition(g, root)
+    for r in range(1, d.horizon + 1):
+        assert sphere_curvature(d, r) == _plain_sphere_curvature(d, r)
+
+
+def test_sphere_curvature_solves_at_most_70_percent_of_a_grid(monkeypatch):
+    # a 14x14 grid with seeded rational data, rooted at its corner: a plain
+    # min-max solves all 364 inward pairs; each vertex past the root needs
+    # at least one (195), and the cut leaves most second pairs unsolved
+    rng = random.Random(14)
+
+    def draw():
+        return Fraction(rng.randint(1, 9), rng.randint(1, 9))
+
+    side = 14
+    edges = [(v, v + 1, draw()) for v in range(side * side) if v % side + 1 < side]
+    edges += [(v, v + side, draw()) for v in range(side * side - side)]
+    d = rooted_decomposition(validate_graph([(v, draw()) for v in range(side * side)], edges), 0)
+    inward = sum(
+        1 for y, r in d.dist.items() for x in d.graph.adjacency[y] if d.dist[x] == r - 1
+    )
+    assert inward == 364
+    solved = _counting_solves(monkeypatch)
+    for r in range(1, d.horizon + 1):
+        sphere_curvature(d, r)
+    assert len(set(solved)) == len(solved)
+    assert side * side - 1 <= len(solved) <= 0.7 * inward
+
+
+def test_sphere_curvature_guards_a_hand_built_decomposition():
+    # rooted_decomposition never builds either: an empty sphere below the
+    # horizon, or a vertex whose neighbours all lie on its own sphere or beyond
+    g = validate_graph([("r", 1), ("a", 1), ("b", 1), ("c", 1)],
+                       [("r", "a", 1), ("a", "b", 1), ("a", "c", 1)])
+    gap = RootedDecomposition(graph=g, root="r", dist={"r": 0, "a": 2, "b": 2, "c": 2},
+                              spheres=(("r",), (), ("a", "b", "c")))
+    with pytest.raises(EmptySphere) as caught:
+        sphere_curvature(gap, 1)
+    assert caught.value.code == "empty-sphere"
+    assert str(caught.value) == "sphere 1 is empty"
+    flat = RootedDecomposition(graph=g, root="r", dist={"r": 0, "a": 1, "b": 1, "c": 1},
+                               spheres=(("r",), ("a", "b", "c")))
+    with pytest.raises(EmptySphere) as caught:
+        sphere_curvature(flat, 1)
+    assert caught.value.code == "empty-sphere"
+    assert str(caught.value) == "vertex 'b' on sphere 1 has no inward neighbor"
+    assert caught.value.payload()["detail"] == {"radius": 1}
 
 
 # --- birth-death closed form ---
