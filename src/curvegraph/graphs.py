@@ -249,10 +249,38 @@ def validate_graph(
     Zero-weight edge records are dropped; repeating an unordered pair is only
     allowed with an identical weight. Two labels with the same string form,
     such as 1 and "1", are duplicates. The graph must be connected.
+
+    Records are checked in the order given, each check in a fixed order, so
+    the first fault in the records is the one reported, whatever its kind.
+    One pass does the work in proportion to the records:
+
+    - Each distinct rational string is parsed once per call and every record
+      that spells it shares the one ``Fraction``. Only an exact ``str`` is
+      looked up, so ``True`` or ``1.0`` never meets a cached ``"1/1"``: any
+      other value goes to :func:`parse_rational` every time, which rejects
+      it.
+    - An endpoint whose type is exactly ``int`` or ``str`` and that is a
+      vertex needs no label check, since the vertex passed one. Any other
+      endpoint is checked as a label first and then looked up, so an
+      unhashable one is a ``FormatError``.
+    - An edge is keyed by the ranks of its ends in label order. Sorting
+      those rank pairs once fills every neighbour map in label order: a
+      vertex's pairs with lower-ranked vertices sort before those with
+      higher-ranked ones, each run by the other end's rank.
     """
     measure: dict = {}
     keys: dict = {}
     taken: set = set()  # label keys differ exactly where str() forms do
+    parsed: dict = {}  # rational string -> its Fraction, for this call only
+
+    def rational(raw) -> Fraction:
+        if type(raw) is not str:
+            return parse_rational(raw)
+        q = parsed.get(raw)
+        if q is None:
+            q = parsed[raw] = parse_rational(raw)
+        return q
+
     for label, raw_m in vertex_records:
         _check_label(label)
         key = label_key(label)
@@ -260,7 +288,7 @@ def validate_graph(
             raise DuplicateVertex(f"duplicate vertex: {label!r}", vertex=str(label))
         taken.add(key)
         keys[label] = key
-        m = parse_rational(raw_m)
+        m = rational(raw_m)
         if m.numerator <= 0:
             raise NonPositiveMeasure(
                 f"measure of {label!r} must be positive, got {m}", vertex=str(label)
@@ -269,43 +297,43 @@ def validate_graph(
 
     order = sorted(measure, key=keys.__getitem__)
     rank = {v: i for i, v in enumerate(order)}
-    seen: dict = {}
+    seen: dict = {}  # (rank, rank) in ascending order -> weight
     for u, v, raw_b in edge_records:
-        _check_label(u)
-        _check_label(v)
-        for t in (u, v):
-            if t not in measure:
-                raise UnknownVertex(f"edge endpoint not a vertex: {t!r}", vertex=str(t))
-        if u == v:
+        if not (
+            (type(u) is int or type(u) is str) and u in rank
+            and (type(v) is int or type(v) is str) and v in rank
+        ):
+            _check_label(u)
+            _check_label(v)
+            for t in (u, v):
+                if t not in measure:
+                    raise UnknownVertex(f"edge endpoint not a vertex: {t!r}", vertex=str(t))
+        ru = rank[u]
+        rv = rank[v]
+        if ru == rv:
             raise SelfLoop(f"self-loop at {u!r}", vertex=str(u))
-        b = parse_rational(raw_b)
+        b = rational(raw_b)
         if b.numerator < 0:
             raise NonPositiveEdgeWeight(
                 f"weight of ({u!r}, {v!r}) must be nonnegative, got {b}",
                 u=str(u),
                 v=str(v),
             )
-        pair = (u, v) if rank[u] < rank[v] else (v, u)
-        if pair in seen:
-            if seen[pair] != b:
-                raise AsymmetricDuplicateEdge(
-                    f"pair ({pair[0]!r}, {pair[1]!r}) listed twice with weights "
-                    f"{seen[pair]} and {b}",
-                    u=str(pair[0]),
-                    v=str(pair[1]),
-                )
-            continue
-        seen[pair] = b
+        first = seen.setdefault((ru, rv) if ru < rv else (rv, ru), b)
+        if first is not b and first != b:
+            lo, hi = (u, v) if ru < rv else (v, u)
+            raise AsymmetricDuplicateEdge(
+                f"pair ({lo!r}, {hi!r}) listed twice with weights {first} and {b}",
+                u=str(lo),
+                v=str(hi),
+            )
 
-    nbrs = {u: {} for u in order}
-    for (u, v), b in seen.items():
-        if b.numerator:
-            nbrs[u][v] = b
-            nbrs[v][u] = b
-    adjacency = {
-        u: {v: nbrs[u][v] for v in sorted(nbrs[u], key=rank.__getitem__)}
-        for u in order
-    }
+    adjacency = {u: {} for u in order}
+    rows = list(adjacency.values())
+    for ru, rv in sorted(pair for pair, b in seen.items() if b.numerator):
+        b = seen[ru, rv]
+        rows[ru][order[rv]] = b
+        rows[rv][order[ru]] = b
 
     g = WeightedGraph(tuple(order), adjacency=adjacency, measure=measure)
     if order:
@@ -476,6 +504,14 @@ def graph_to_json_dict(g: WeightedGraph) -> dict:
 
 
 def graph_from_json_dict(payload) -> WeightedGraph:
+    """Load a graph from the parsed form of its JSON document.
+
+    The document is an object with a ``vertices`` array of ``{"id", "m"}``
+    objects and an ``edges`` array of ``{"u", "v", "b"}`` objects; other
+    keys are ignored. Every entry's shape is checked before any record is
+    validated, and the records then go to :func:`validate_graph` in document
+    order. Every fault raises a ``CurvegraphError``, never a ``TypeError``.
+    """
     if not isinstance(payload, dict):
         raise FormatError("graph document must be a JSON object")
     for key in ("vertices", "edges"):
@@ -488,7 +524,7 @@ def graph_from_json_dict(payload) -> WeightedGraph:
         vertex_records.append((entry["id"], entry["m"]))
     edge_records = []
     for entry in payload["edges"]:
-        if not isinstance(entry, dict) or not {"u", "v", "b"} <= set(entry):
+        if not isinstance(entry, dict) or "u" not in entry or "v" not in entry or "b" not in entry:
             raise FormatError(f"bad edge entry: {entry!r}")
         edge_records.append((entry["u"], entry["v"], entry["b"]))
     return validate_graph(vertex_records, edge_records)

@@ -46,6 +46,7 @@ from curvegraph import (
     validate_graph,
 )
 from curvegraph import cli
+from curvegraph import graphs as graphs_module
 from curvegraph.chains import bdc_as_graph
 from curvegraph.graphs import _lcd_add
 
@@ -202,6 +203,153 @@ def test_error_payload_shape():
         assert payload["detail"] == {"vertex": "a"}
     else:
         pytest.fail("expected NonPositiveMeasure")
+
+
+V12 = [(1, 1), (2, 1)]
+ABC = [("a", 1), ("b", 1), ("c", 1)]
+
+
+# the first fault in the records wins, with a pinned class and message: a
+# parsed "1/1" or 1 admits neither True nor 1.0 later, a known endpoint skips
+# only its label check, and a pair listed twice is named in label order
+# however either listing orders it
+@pytest.mark.parametrize(
+    "vertices,edges,exc,message",
+    [
+        ([("a", "1/1"), ("b", True)], [], FormatError, "not a rational: True"),
+        ([("a", "1/1"), ("b", 1.0)], [], FormatError, "not a rational: 1.0"),
+        ([("a", 1), ("b", True)], [], FormatError, "not a rational: True"),
+        ([("a", 1), ("b", 1.0)], [], FormatError, "not a rational: 1.0"),
+        (ABC, [("a", "b", "1/1"), ("b", "c", True)], FormatError, "not a rational: True"),
+        (ABC, [("a", "b", "1/1"), ("b", "c", 1.0)], FormatError, "not a rational: 1.0"),
+        (ABC, [("a", "b", 1), ("b", "c", True)], FormatError, "not a rational: True"),
+        (V12, [(2, True, 1)], FormatError, "vertex label must be a string or an integer: True"),
+        (V12, [(True, 2, 1)], FormatError, "vertex label must be a string or an integer: True"),
+        (V12, [(2, 1.0, 1)], FormatError, "vertex label must be a string or an integer: 1.0"),
+        (V12, [(2, -1, 1)], FormatError, "integer vertex labels must be nonnegative: -1"),
+        (V12, [(2, ["a"], 1)], FormatError, "vertex label must be a string or an integer: ['a']"),
+        (V12, [(["a"], 2, 1)], FormatError, "vertex label must be a string or an integer: ['a']"),
+        # both labels are checked before either is looked up
+        (V12, [(3, ["a"], 1)], FormatError, "vertex label must be a string or an integer: ['a']"),
+        (V12, [(3, True, 1)], FormatError, "vertex label must be a string or an integer: True"),
+        (V12, [(1, 2, 1), (2, 3, 1)], UnknownVertex, "edge endpoint not a vertex: 3"),
+        (V12, [(1, 3, 1)], UnknownVertex, "edge endpoint not a vertex: 3"),
+        (V12, [(1, "1", 1)], UnknownVertex, "edge endpoint not a vertex: '1'"),
+        (V12, [(2, 2, "1/0")], SelfLoop, "self-loop at 2"),
+        (V12, [(2, 1, "-1/2")], NonPositiveEdgeWeight, "weight of (2, 1) must be nonnegative, got -1/2"),
+        (
+            [(9, 1), ("10", 1)],
+            [(9, "10", "1/2"), ("10", 9, "1/3")],
+            AsymmetricDuplicateEdge,
+            "pair (9, '10') listed twice with weights 1/2 and 1/3",
+        ),
+        (
+            [("b", 1), ("a", 1)],
+            [("a", "b", "1/1"), ("b", "a", 2)],
+            AsymmetricDuplicateEdge,
+            "pair ('a', 'b') listed twice with weights 1 and 2",
+        ),
+        (
+            [(9, 1), ("10", 1)],
+            [("10", 9, 1), (9, "10", "1/1"), ("10", 9, Fraction(2))],
+            AsymmetricDuplicateEdge,
+            "pair (9, '10') listed twice with weights 1 and 2",
+        ),
+    ],
+)
+def test_validation_error_precedence(vertices, edges, exc, message):
+    with pytest.raises(CurvegraphError) as info:
+        validate_graph(vertices, edges)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+
+
+def test_each_distinct_rational_string_is_parsed_once(monkeypatch):
+    # a root and 40 layers of 5 vertices, each joined to the vertex below it
+    # and to the next in its layer, every edge listed again reversed: 201
+    # vertex and 720 edge records spell 4 rationals, two as measure and weight
+    spellings = ("1/2", "2/3", "3/1", "5/7")
+    vertices = [(v, spellings[v % 2]) for v in range(201)]
+    edges = []
+    for v in range(1, 201):
+        edges.append((max(v - 5, 0), v, spellings[v % 4]))
+        if v % 5:
+            edges.append((v, v + 1, spellings[(v + 1) % 4]))
+    edges += [(v, u, b) for u, v, b in edges]
+    parsed = []
+
+    def counted(raw):
+        parsed.append(raw)
+        return parse_rational(raw)
+
+    monkeypatch.setattr(graphs_module, "parse_rational", counted)
+    g = validate_graph(vertices, edges)
+    records = [m for _v, m in vertices] + [b for _u, _v, b in edges]
+    assert sorted(parsed) == sorted(set(records)) == sorted(spellings)
+    # equal strings share one Fraction
+    assert {id(m) for m in g.measure.values()} == {id(g.measure[0]), id(g.measure[1])}
+
+
+@st.composite
+def shuffled_records(draw):
+    """Records of one connected graph in label order, and the same graph's
+    records shuffled: each edge in either direction, some repeated reversed
+    with the same weight spelt another way, and zero-weight extras."""
+    labels = draw(
+        st.lists(
+            st.sampled_from([0, 1, "01", "2", 9, "10", 11, "a", "b", "a1"]),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        )
+    )
+    n = len(labels)
+    measure = {v: draw(rationals()) for v in labels}
+    weight = {}
+    for i in range(1, n):
+        weight[draw(st.integers(0, i - 1)), i] = draw(rationals())
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    if pairs:
+        for pair in draw(st.lists(st.sampled_from(pairs), max_size=4)):
+            weight.setdefault(pair, draw(rationals()))
+    zeros = [p for p in pairs if p not in weight]
+    zeros = draw(st.lists(st.sampled_from(zeros), max_size=4)) if zeros else []
+
+    def spelt(q):
+        return draw(st.sampled_from([q, f"{q.numerator}/{q.denominator}", f" {q}"]))
+
+    canonical = []
+    for (i, j), b in weight.items():
+        u, v = sorted((labels[i], labels[j]), key=label_key)
+        canonical.append((u, v, b))
+    canonical.sort(key=lambda e: (label_key(e[0]), label_key(e[1])))
+    ordered = ([(v, measure[v]) for v in sorted(labels, key=label_key)], canonical)
+    edges = []
+    for (i, j), b in weight.items():
+        ends = [labels[i], labels[j]]
+        if draw(st.booleans()):
+            ends.reverse()
+        edges.append((*ends, spelt(b)))
+        if draw(st.booleans()):
+            edges.append((*reversed(ends), spelt(b)))
+    for i, j in zeros:
+        edges.append((labels[i], labels[j], draw(st.sampled_from([0, "0", "0/5", Fraction(0)]))))
+    vertices = [(v, spelt(measure[v])) for v in labels]
+    return ordered, (draw(st.permutations(vertices)), draw(st.permutations(edges)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(shuffled_records())
+def test_record_order_and_repeats_do_not_change_the_graph(records):
+    ordered, shuffled = records
+    want = validate_graph(*ordered)
+    g = validate_graph(*shuffled)
+    assert g == want
+    assert list(g.vertices) == sorted(g.vertices, key=label_key)
+    for x in g.vertices:
+        assert list(g.adjacency[x]) == sorted(g.adjacency[x], key=label_key)
+        assert list(g.adjacency[x].items()) == list(want.adjacency[x].items())
+    assert graph_to_json(g) == graph_to_json(want)
 
 
 # --- distances and spheres ---
