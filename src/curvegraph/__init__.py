@@ -30,7 +30,6 @@ from .comparison import (
     laplacian_distance_compare,
     model_sphere_equality_report,
     partial_sum_equiv_check,
-    sc_series_partial_sums,
     stronger_average_growth,
     stronger_curvature_growth,
     stronger_outside_finite,
@@ -70,12 +69,9 @@ from .errors import (
 from .graphs import (
     RootedDecomposition,
     WeightedGraph,
-    ball_measure,
-    degree,
     distance,
     distance_map,
     format_rational,
-    graph_from_json,
     graph_from_json_dict,
     graph_to_json,
     graph_to_json_dict,
@@ -92,82 +88,3 @@ from .graphs import (
 from .verify import run_verification
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AsymmetricDuplicateEdge",
-    "BadRadiusOrder",
-    "BirthDeathChain",
-    "CurvegraphError",
-    "DisconnectedGraph",
-    "DuplicateVertex",
-    "EmptySphere",
-    "FormatError",
-    "GrowthRelation",
-    "HorizonExceeded",
-    "HorizonMismatch",
-    "HypothesisFailed",
-    "LedgerRow",
-    "ModelVerdict",
-    "NonPositiveEdgeWeight",
-    "NonPositiveEntry",
-    "NonPositiveMeasure",
-    "OllivierResult",
-    "PartialFunction",
-    "RootedDecomposition",
-    "SameVertex",
-    "SelfLoop",
-    "SequenceNotNonincreasing",
-    "TheoremReport",
-    "UnknownVertex",
-    "WeightedGraph",
-    "associated_bdc",
-    "asymptotic_constant",
-    "average_curvature",
-    "ball_measure",
-    "bdc_as_graph",
-    "bdc_ollivier_closed_form",
-    "chain_from_json_dict",
-    "chain_to_json",
-    "chain_to_json_dict",
-    "compcurv_check",
-    "curvature_profile",
-    "degree",
-    "distance",
-    "distance_map",
-    "format_rational",
-    "graph_from_json",
-    "graph_from_json_dict",
-    "graph_to_json",
-    "graph_to_json_dict",
-    "inner_curvature",
-    "is_model",
-    "label_key",
-    "laplacian",
-    "laplacian_distance_compare",
-    "laplacian_of_distance",
-    "loads_json",
-    "make_example_gprime",
-    "make_figure1",
-    "make_mirror_model",
-    "make_ollivier_matching_chain",
-    "make_unweighted_chain",
-    "model_sphere_equality_report",
-    "ollivier_pair",
-    "ollivier_pair_bruteforce",
-    "outer_curvature",
-    "parse_rational",
-    "partial_sum_equiv_check",
-    "rooted_decomposition",
-    "run_verification",
-    "sc_series_partial_sums",
-    "sphere_boundary",
-    "sphere_curvature",
-    "sphere_measure",
-    "sphere_volume_step",
-    "stronger_average_growth",
-    "stronger_curvature_growth",
-    "stronger_outside_finite",
-    "validate_graph",
-    "verify_witness",
-    "volume_comparison",
-]

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Tuple
 
 from .curvature import average_curvature, inner_curvature, outer_curvature
 from .errors import (
@@ -106,11 +106,6 @@ class BirthDeathChain(Record):
     def curvature_gap(self, r: int) -> Fraction:
         """Outer minus inner curvature at radius r."""
         return self.outer_curvature(r) - self.inner_curvature(r)
-
-    def ball_measure(self, r: int) -> Fraction:
-        if r < 0 or r > self.horizon:
-            raise HorizonExceeded(f"ball measure defined for 0 <= r <= {self.horizon}", radius=r)
-        return sum(self.measures[: r + 1], Fraction(0))
 
 
 def bdc_ollivier_closed_form(chain: BirthDeathChain, r: int, R: int) -> Fraction:
@@ -200,26 +195,21 @@ def bdc_as_graph(chain: BirthDeathChain) -> WeightedGraph:
     return validate_graph(vertices, edges)
 
 
-def sphere_volume_step(
-    subject: Union[BirthDeathChain, RootedDecomposition], r: int
-) -> Tuple[Fraction, Fraction]:
+def sphere_volume_step(decomp: RootedDecomposition, r: int) -> Tuple[Fraction, Fraction]:
     """Both sides of m(S_{r+1}) * avg-inner(r+1) = m(S_r) * avg-outer(r).
 
-    Works on a chain directly or on a rooted graph via sphere averages; the
-    two sides are computed independently and must agree exactly.
+    Each side is a sphere measure times a sphere average of per-vertex
+    curvatures, computed independently of the other; both count the weight
+    between spheres r and r+1, so they must agree exactly.
     """
-    if r < 0 or r + 1 > subject.horizon:
+    if r < 0 or r + 1 > decomp.horizon:
         raise HorizonExceeded(
             f"volume step needs radii {r} and {r + 1} within horizon "
-            f"{subject.horizon}",
+            f"{decomp.horizon}",
             radius=r,
         )
-    if isinstance(subject, BirthDeathChain):
-        lhs = subject.measures[r + 1] * subject.inner_curvature(r + 1)
-        rhs = subject.measures[r] * subject.outer_curvature(r)
-    else:
-        lhs = sphere_measure(subject, r + 1) * average_curvature(subject, r + 1, "inner")
-        rhs = sphere_measure(subject, r) * average_curvature(subject, r, "outer")
+    lhs = sphere_measure(decomp, r + 1) * average_curvature(decomp, r + 1, "inner")
+    rhs = sphere_measure(decomp, r) * average_curvature(decomp, r, "outer")
     if lhs != rhs:
         raise CurvegraphError(
             f"volume step identity failed at radius {r}: {lhs} != {rhs}"

@@ -29,7 +29,7 @@ from .chains import (
     is_model,
 )
 from .curvature import inner_curvature, outer_curvature, sphere_curvature
-from .errors import CurvegraphError, HorizonExceeded, HorizonMismatch, HypothesisFailed
+from .errors import CurvegraphError, HorizonMismatch, HypothesisFailed
 from .graphs import (
     Record,
     RootedDecomposition,
@@ -640,20 +640,3 @@ def model_sphere_equality_report(decomp: RootedDecomposition) -> TheoremReport:
         failure="values differ first at r = {r}: graph {lhs}, chain {rhs}",
         status="recorded",
     )
-
-
-def sc_series_partial_sums(decomp: RootedDecomposition, R: int) -> Tuple[Fraction, ...]:
-    """Partial sums of ball measure over sphere boundary weight, radii 0..R.
-
-    A diagnostic prefix of a series whose divergence this finite data cannot
-    decide; each term is m(B_r) divided by the total weight crossing from
-    sphere r to sphere r+1, read off the associated chain.
-    """
-    chain = associated_bdc(decomp)
-    if R < 0 or R > chain.horizon - 1:
-        raise HorizonExceeded(
-            f"series terms need boundary weights; valid range 0..{chain.horizon - 1}",
-            radius=R,
-        )
-    balls = accumulate(chain.measures)
-    return tuple(accumulate(ball / b for ball, b in zip(balls, chain.weights[: R + 1])))

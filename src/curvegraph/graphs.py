@@ -210,16 +210,6 @@ class WeightedGraph(Record):
         if x not in self.measure:
             raise UnknownVertex(f"unknown vertex: {x!r}", vertex=str(x))
 
-    def neighbors(self, x: VertexId) -> Tuple[Tuple[VertexId, Fraction], ...]:
-        """Neighbors of x with their edge weights, in label order."""
-        self.require_vertex(x)
-        return tuple(self.adjacency[x].items())
-
-    def weight(self, x: VertexId, y: VertexId) -> Fraction:
-        self.require_vertex(x)
-        self.require_vertex(y)
-        return self.adjacency[x].get(y, Fraction(0))
-
     @property
     def edges(self) -> Tuple[Tuple[VertexId, VertexId, Fraction], ...]:
         """Each undirected edge once, as (u, v, b) with u before v in label order."""
@@ -423,13 +413,6 @@ def rooted_decomposition(g: WeightedGraph, root: VertexId) -> RootedDecompositio
     return RootedDecomposition(graph=g, root=root, dist=dist, spheres=spheres)
 
 
-def degree(g: WeightedGraph, x: VertexId) -> Fraction:
-    """Weighted degree Deg(x) = (1/m(x)) * sum of b(x, y) over neighbors y."""
-    g.require_vertex(x)
-    total = sum(g.adjacency[x].values(), Fraction(0))
-    return total / g.measure[x]
-
-
 def laplacian(g: WeightedGraph, f: Mapping, x: VertexId) -> Fraction:
     """Formal Laplacian (Delta f)(x) = (1/m(x)) * sum b(x,y) (f(x) - f(y))."""
     g.require_vertex(x)
@@ -478,11 +461,6 @@ def sphere_boundary(decomp: RootedDecomposition, r: int) -> Fraction:
             if decomp.dist[y] == r + 1:
                 total += w
     return total
-
-
-def ball_measure(decomp: RootedDecomposition, r: int) -> Fraction:
-    """m(B_r): total vertex measure of the ball of radius r."""
-    return sum(sphere_measure(decomp, s) for s in range(r + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -549,10 +527,6 @@ def loads_json(text: str, source: str = "<string>"):
         raise FormatError(f"{source}: JSON nested too deeply", source=source) from None
     except ValueError:  # an integer past the interpreter's digit limit
         raise FormatError(f"{source}: JSON number too long", source=source) from None
-
-
-def graph_from_json(text: str, source: str = "<string>") -> WeightedGraph:
-    return graph_from_json_dict(loads_json(text, source))
 
 
 def graph_to_json(g: WeightedGraph) -> str:

@@ -33,7 +33,7 @@ def bfs_oracle(g, source):
         step += 1
         nxt = []
         for u in frontier:
-            for v, _w in g.neighbors(u):
+            for v in g.adjacency[u]:
                 if v not in seen:
                     seen[v] = step
                     nxt.append(v)

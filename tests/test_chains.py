@@ -64,7 +64,6 @@ def test_chain_curvature_accessors():
     assert c.inner_curvature(1) == 1
     assert c.inner_curvature(2) == 1
     assert c.curvature_gap(1) == 1
-    assert c.ball_measure(2) == 7
     with pytest.raises(HorizonExceeded):
         c.outer_curvature(2)
     with pytest.raises(HorizonExceeded):
@@ -175,13 +174,9 @@ def test_volume_step_figure1(figure1):
     assert lhs == rhs == 4
 
 
-def test_volume_step_on_chain():
-    c = BirthDeathChain(measures=(1, 2, 4), weights=(2, 4))
-    for r in range(2):
-        lhs, rhs = sphere_volume_step(c, r)
-        assert lhs == rhs == c.weights[r]
+def test_volume_step_past_the_horizon(figure1):
     with pytest.raises(HorizonExceeded):
-        sphere_volume_step(c, 2)
+        sphere_volume_step(rooted_decomposition(figure1, "w"), 3)
 
 
 @settings(derandomize=True, deadline=None)

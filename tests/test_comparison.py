@@ -26,7 +26,6 @@ from curvegraph import (
     outer_curvature,
     partial_sum_equiv_check,
     rooted_decomposition,
-    sc_series_partial_sums,
     sphere_volume_step,
     stronger_average_growth,
     stronger_curvature_growth,
@@ -475,34 +474,6 @@ def test_model_audit_rejects_non_models():
     )
     with pytest.raises(HypothesisFailed):
         model_sphere_equality_report(rooted_decomposition(g, "o"))
-
-
-# --- series diagnostic ---
-
-
-def test_series_partial_sums_unweighted_chain():
-    g = bdc_as_graph(make_unweighted_chain(6))
-    sums = sc_series_partial_sums(rooted_decomposition(g, 0), 4)
-    assert sums == (1, 3, 6, 10, 15)
-
-
-def test_series_partial_sums_gprime():
-    g = bdc_as_graph(make_example_gprime(6))
-    sums = sc_series_partial_sums(rooted_decomposition(g, 0), 3)
-    terms = [sums[0]] + [sums[i] - sums[i - 1] for i in range(1, len(sums))]
-    assert terms == [
-        Fraction((r + 1) * (r + 2), 2) * (r + 1) ** 2 for r in range(4)
-    ]
-
-
-@settings(derandomize=True, deadline=None, max_examples=30)
-@given(graphs_with_root())
-def test_series_partial_sums_nondecreasing(gr):
-    g, root = gr
-    d = rooted_decomposition(g, root)
-    assume(d.horizon >= 1)
-    sums = sc_series_partial_sums(d, d.horizon - 1)
-    assert all(sums[i] < sums[i + 1] for i in range(len(sums) - 1))
 
 
 # --- report serialization ---

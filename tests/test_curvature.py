@@ -124,8 +124,8 @@ def test_profile_boundary_identity(gr):
     horizon = max(dist.values())
     for x in g.vertices:
         r = dist[x]
-        inward = sum((w for y, w in g.neighbors(x) if dist[y] == r - 1), Fraction(0))
-        outward = sum((w for y, w in g.neighbors(x) if dist[y] == r + 1), Fraction(0))
+        inward = sum((w for y, w in g.adjacency[x].items() if dist[y] == r - 1), Fraction(0))
+        outward = sum((w for y, w in g.adjacency[x].items() if dist[y] == r + 1), Fraction(0))
         k_plus = outward / g.measure[x] if r < horizon else None
         assert prof[x] == (inward / g.measure[x], k_plus)
     # the outward weights of sphere r add up to its boundary weight
@@ -406,8 +406,8 @@ def test_high_degree_hubs_match_the_tree_edge_closed_form(g):
     mx, my = g.measure[0], g.measure[1]
     b = g.adjacency[0][1]
     expected = b * (1 / mx + 1 / my)
-    expected -= sum((w for z, w in g.neighbors(0) if z != 1), Fraction(0)) / mx
-    expected -= sum((w for z, w in g.neighbors(1) if z != 0), Fraction(0)) / my
+    expected -= sum((w for z, w in g.adjacency[0].items() if z != 1), Fraction(0)) / mx
+    expected -= sum((w for z, w in g.adjacency[1].items() if z != 0), Fraction(0)) / my
     assert result.value == expected
     verify_witness(g, result)
 
