@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 from functools import cached_property
 from fractions import Fraction
+from math import lcm
 from typing import Sequence, Tuple
 
 from .curvature import average_curvature, inner_curvature, outer_curvature
@@ -35,7 +36,6 @@ from .graphs import (
     RootedDecomposition,
     VertexId,
     WeightedGraph,
-    _lcd_add,
     format_rational,
     parse_rational,
     sphere_measure,
@@ -131,9 +131,10 @@ def associated_bdc(decomp: RootedDecomposition) -> BirthDeathChain:
     """Collapse each sphere around the root to one state of a birth-death chain.
 
     One pass over each sphere sums m(S_r) and the weight from S_r into
-    S_{r+1} as integers over their least common denominator, and each
-    becomes one ``Fraction``. ``sphere_measure`` and ``sphere_boundary`` stay
-    the definitional check of these values.
+    S_{r+1} in integers only, each value read once as its integer ratio,
+    over the least common denominator of the terms, and each sum becomes
+    one ``Fraction``. ``sphere_measure`` and ``sphere_boundary`` stay the
+    definitional check of these values.
     """
     measure = decomp.graph.measure
     adjacency = decomp.graph.adjacency
@@ -144,10 +145,16 @@ def associated_bdc(decomp: RootedDecomposition) -> BirthDeathChain:
         m_n = b_n = 0
         m_d = b_d = 1
         for x in shell:
-            m_n, m_d = _lcd_add(m_n, m_d, measure[x])
+            n, d = measure[x].as_integer_ratio()
+            common = lcm(m_d, d)
+            m_n = m_n * (common // m_d) + n * (common // d)
+            m_d = common
             for y, w in adjacency[x].items():
                 if dist[y] > r:
-                    b_n, b_d = _lcd_add(b_n, b_d, w)
+                    n, d = w.as_integer_ratio()
+                    common = lcm(b_d, d)
+                    b_n = b_n * (common // b_d) + n * (common // d)
+                    b_d = common
         measures.append(Fraction(m_n, m_d))
         if r < decomp.horizon:
             weights.append(Fraction(b_n, b_d))

@@ -161,10 +161,11 @@ def _json_records(records: list) -> str:
 
 def _cmd_validate(args) -> int:
     kind, obj = _load_payload(args.file)
-    if kind == "graph":
-        sys.stdout.write(graph_to_json(obj))
-    else:
-        sys.stdout.write(chain_to_json(obj))
+    text = graph_to_json(obj) if kind == "graph" else chain_to_json(obj)
+    # in slices: writing the whole text at once encodes all of it into one
+    # more copy, which on a large graph sets the command's peak memory
+    for start in range(0, len(text), 1 << 16):
+        sys.stdout.write(text[start:start + (1 << 16)])
     return 0
 
 
@@ -178,24 +179,25 @@ def _cmd_curvature(args) -> int:
     else:
         radii = list(range(decomp.horizon + 1))
     chain = associated_bdc(decomp)
+    # id of a k value -> its text, and None (k+ on the outermost sphere) ->
+    # "": per_vertex holds every value for the call, and the profile shares
+    # equal values, so each distinct one is formatted once
+    text = {id(None): ""}
     rows = [["r", "vertex", "k_minus", "k_plus", "avg_minus", "avg_plus", "m_Sr"]]
     for r in radii:
         avg_minus = format_rational(chain.inner_curvature(r))
         avg_plus = format_rational(chain.outer_curvature(r)) if r < chain.horizon else ""
         m_sr = format_rational(chain.measures[r])
+        radius = str(r)
         for v in decomp.sphere(r):
             k_minus, k_plus = per_vertex[v]
-            rows.append(
-                [
-                    str(r),
-                    str(v),
-                    format_rational(k_minus),
-                    "" if k_plus is None else format_rational(k_plus),
-                    avg_minus,
-                    avg_plus,
-                    m_sr,
-                ]
-            )
+            minus = text.get(id(k_minus))
+            if minus is None:
+                minus = text[id(k_minus)] = format_rational(k_minus)
+            plus = text.get(id(k_plus))
+            if plus is None:
+                plus = text[id(k_plus)] = format_rational(k_plus)
+            rows.append([radius, str(v), minus, plus, avg_minus, avg_plus, m_sr])
     _write_csv(rows)
     return 0
 

@@ -62,7 +62,6 @@ from .graphs import (
     RootedDecomposition,
     VertexId,
     WeightedGraph,
-    _lcd_add,
     distance,
     distance_map,
     label_key,
@@ -125,8 +124,10 @@ def curvature_profile(
 
     The outer entry is None on the outermost sphere: the data cannot say
     what lies beyond it. One pass over each vertex's neighbours sums the
-    weights into the previous and the next sphere as integers over their
-    least common denominator; each curvature is then one ``Fraction``.
+    weights into the previous and the next sphere in integers only, each
+    weight read once as its integer ratio, over the least common
+    denominator of the terms. A curvature is the sum over m(x) as an
+    unreduced pair, and equal pairs share one ``Fraction``.
     ``inner_curvature`` and ``outer_curvature`` stay the definitional check
     of these values.
     """
@@ -134,20 +135,34 @@ def curvature_profile(
     measure = decomp.graph.measure
     dist = decomp.dist
     horizon = decomp.horizon
+    made: dict = {}  # unreduced (numerator, denominator) -> its Fraction
     per_vertex: Dict[VertexId, Tuple[Fraction, Optional[Fraction]]] = {}
     for v in decomp.graph.vertices:
         r = dist[v]
         in_n = out_n = 0
         in_d = out_d = 1
         for y, w in adjacency[v].items():
+            n, d = w.as_integer_ratio()
             s = dist[y]  # BFS distances of neighbours differ by at most 1
             if s < r:
-                in_n, in_d = _lcd_add(in_n, in_d, w)
+                common = lcm(in_d, d)
+                in_n = in_n * (common // in_d) + n * (common // d)
+                in_d = common
             elif s > r:
-                out_n, out_d = _lcd_add(out_n, out_d, w)
-        m_num, m_den = measure[v].numerator, measure[v].denominator
-        inner = Fraction(in_n * m_den, in_d * m_num)
-        outer = Fraction(out_n * m_den, out_d * m_num) if r < horizon else None
+                common = lcm(out_d, d)
+                out_n = out_n * (common // out_d) + n * (common // d)
+                out_d = common
+        m_num, m_den = measure[v].as_integer_ratio()
+        key = (in_n * m_den, in_d * m_num)
+        inner = made.get(key)
+        if inner is None:
+            inner = made[key] = Fraction(*key)
+        outer = None
+        if r < horizon:
+            key = (out_n * m_den, out_d * m_num)
+            outer = made.get(key)
+            if outer is None:
+                outer = made[key] = Fraction(*key)
         per_vertex[v] = (inner, outer)
     return per_vertex
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
-from math import lcm
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import (
@@ -70,20 +70,6 @@ def format_rational(value: RationalLike) -> str:
         return f"{q.numerator}/{q.denominator}"
     except ValueError:  # past the interpreter's int digit limit
         raise FormatError("rational too long to format") from None
-
-
-def _lcd_add(n: int, d: int, q: Fraction) -> Tuple[int, int]:
-    """n/d + q as an unreduced pair (n', d') over lcm(d, q's denominator).
-
-    A run of these sums Fractions in integers, and one ``Fraction(n, d)`` at
-    the end reduces it. The denominator stays the least common multiple of
-    those seen, never their product, however many terms share it.
-    """
-    q_den = q.denominator
-    if d % q_den:
-        common = lcm(d, q_den)
-        return n * (common // d) + q.numerator * (common // q_den), common
-    return n + q.numerator * (d // q_den), d
 
 
 def label_key(label: VertexId) -> tuple:
@@ -210,6 +196,13 @@ class WeightedGraph(Record):
         if x not in self.measure:
             raise UnknownVertex(f"unknown vertex: {x!r}", vertex=str(x))
 
+    @cached_property
+    def _first_distances(self) -> dict:
+        """BFS distances from the first vertex in label order: the
+        connectivity check of :func:`validate_graph`, kept for a
+        decomposition around that vertex. Nothing may mutate it."""
+        return distance_map(self, self.vertices[0])
+
     @property
     def edges(self) -> Tuple[Tuple[VertexId, VertexId, Fraction], ...]:
         """Each undirected edge once, as (u, v, b) with u before v in label order."""
@@ -327,7 +320,7 @@ def validate_graph(
 
     g = WeightedGraph(tuple(order), adjacency=adjacency, measure=measure)
     if order:
-        reached = distance_map(g, order[0])
+        reached = g._first_distances
         if len(reached) != len(order):
             missing = next(v for v in order if v not in reached)
             raise DisconnectedGraph(
@@ -403,8 +396,12 @@ class RootedDecomposition(Record):
 
 
 def rooted_decomposition(g: WeightedGraph, root: VertexId) -> RootedDecomposition:
-    """Partition the vertex set into spheres around root."""
-    dist = distance_map(g, root)
+    """Partition the vertex set into spheres around root. Around the first
+    vertex, the distances are the graph's own connectivity map, shared."""
+    if g.vertices[:1] == (root,):
+        dist = g._first_distances
+    else:
+        dist = distance_map(g, root)
     horizon = max(dist.values())
     layers = [[] for _ in range(horizon + 1)]
     for v in g.vertices:
@@ -531,24 +528,38 @@ def loads_json(text: str, source: str = "<string>"):
 
 def graph_to_json(g: WeightedGraph) -> str:
     """Canonical JSON text: byte for byte ``json.dumps(graph_to_json_dict(g),
-    indent=2)`` and a newline, written from one template per record."""
+    indent=2)`` and a newline, written from one template per record.
+
+    Each distinct rational object is formatted once per call, and records
+    that share it share its text. The memo is keyed by ``id``, which is safe
+    because g holds every one of those objects for the whole call.
+    """
     measure = g.measure
-    vertices = [
+    text: dict = {}
+
+    def render(q: Fraction) -> str:
+        line = text[id(q)] = format_rational(q)
+        return line
+
+    vertices = _json_array([
         f'    {{\n      "id": {_quote(str(v))},\n'
-        f'      "m": "{format_rational(measure[v])}"\n    }}'
+        f'      "m": "{text.get(id(measure[v])) or render(measure[v])}"\n    }}'
         for v in g.vertices
-    ]
-    edges = [
+    ])
+    edges = _json_array([
         f'    {{\n      "u": {_quote(str(u))},\n      "v": {_quote(str(v))},\n'
-        f'      "b": "{format_rational(w)}"\n    }}'
+        f'      "b": "{text.get(id(w)) or render(w)}"\n    }}'
         for u, v, w in g.edges
-    ]
-    return (
-        f'{{\n  "vertices": {_json_array(vertices)},\n'
-        f'  "edges": {_json_array(edges)}\n}}\n'
-    )
+    ])
+    return f'{{\n  "vertices": {vertices},\n  "edges": {edges}\n}}\n'
 
 
 def _json_array(items: list) -> str:
-    """An indented array of already rendered items, as ``json.dumps`` writes it."""
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+    """An indented array of already rendered items, as ``json.dumps`` writes
+    it. The brackets go onto the first and the last item, so the array is
+    one join, not one more copy for each bracket."""
+    if not items:
+        return "[]"
+    items[0] = "[\n" + items[0]
+    items[-1] += "\n  ]"
+    return ",\n".join(items)

@@ -91,6 +91,24 @@ def graphs_with_root(draw, max_vertices=8, values=rationals()):
     return g, root
 
 
+def equal_values_as_distinct_objects():
+    """A connected graph whose equal rationals are each their own Fraction
+    object, as records built from Fractions give them."""
+    vertices = [(v, Fraction(1, 2) if v % 2 else Fraction(3, 1)) for v in range(7)]
+    edges = [(v // 2, v, Fraction(2, 3)) for v in range(1, 7)]
+    edges += [(1, 2, Fraction(2, 3)), (3, 4, Fraction(5, 7)), (5, 6, Fraction(5, 7))]
+    return validate_graph(vertices, edges)
+
+
+def mixed_spellings():
+    """A connected graph whose records spell one value as "1/2", "2/4" and
+    "3/6": each string is parsed to its own Fraction."""
+    vertices = [(0, "1/2"), (1, "2/4"), (2, "3/6"), (3, "1/2"), (4, "2/4"), (5, "1")]
+    edges = [(0, 1, "1/2"), (0, 2, "2/4"), (1, 3, "3/6"), (2, 4, "1/2"),
+             (1, 2, "2/4"), (3, 5, "1/2"), (4, 5, "3/6")]
+    return validate_graph(vertices, edges)
+
+
 @st.composite
 def chains(draw, min_horizon=2, max_horizon=6, values=rationals()):
     horizon = draw(st.integers(min_value=min_horizon, max_value=max_horizon))

@@ -3,7 +3,8 @@
 `bench/tracer.py` patches curvegraph functions by name. A refactor that moves
 or renames one of them should fail here rather than in `bench/run.py --trace 1`.
 The same spans guard that each command decomposes a graph once per root, that
-an adjacent pair runs no BFS, and that a farther pair's BFS work does not grow
+a root at the first vertex reuses validation's search, that an adjacent pair
+runs no BFS, and that a farther pair's BFS work does not grow
 with the graph around it.
 """
 
@@ -76,6 +77,21 @@ def test_one_rooted_pass_per_root(capsys, tmp_path, argv, passes):
         assert cli.run([str(path) if arg == "{g}" else arg for arg in argv]) == 0
     capsys.readouterr()
     assert [span[0] for span in trace.spans].count("rooted_decomposition") == passes
+
+
+@pytest.mark.parametrize("root, searches", [("w", 1), ("x", 2)], ids=["first", "other"])
+def test_a_root_at_the_first_vertex_reuses_the_connectivity_search(
+    capsys, tmp_path, root, searches
+):
+    # validation searches from the first vertex in label order, "w"; a
+    # decomposition around it reuses that map, around any other root it
+    # makes its own
+    path = tmp_path / "figure1.json"
+    path.write_text(graph_to_json(make_figure1()))
+    with tracer.Tracer() as trace:
+        assert cli.run(["curvature", str(path), "--root", root]) == 0
+    capsys.readouterr()
+    assert [span[0] for span in trace.spans].count("distance_map") == searches
 
 
 def _grid(side):

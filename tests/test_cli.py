@@ -9,8 +9,15 @@ from fractions import Fraction
 
 import pytest
 
-from curvegraph import cli, make_figure1, validate_graph
-from curvegraph.graphs import graph_to_json
+from curvegraph import (
+    cli,
+    curvature_profile,
+    graphs,
+    make_figure1,
+    rooted_decomposition,
+    validate_graph,
+)
+from curvegraph.graphs import format_rational, graph_to_json
 
 
 @pytest.fixture()
@@ -378,6 +385,51 @@ def test_validate_output_is_pinned(capsys, tmp_path, graph):
     code, out, err = run_cli(capsys, ["validate", str(path)])
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VALIDATE_DIGESTS[graph]
+
+
+def _seeded_layered(seed, layers, width):
+    """Root 0 and `layers` spheres of `width` vertices; each vertex is joined
+    to one or two vertices of the sphere below and to one of its own. The
+    weights are integers and the measures 1/k, so each k value is an integer
+    over 1, and equal k values are equal unreduced pairs."""
+    rng = random.Random(seed)
+    spheres = [[0]] + [list(range(1 + k * width, 1 + (k + 1) * width)) for k in range(layers)]
+    vertices = [(v, Fraction(1, rng.randint(1, 4))) for sphere in spheres for v in sphere]
+    edges = {}
+    for below, here in zip(spheres, spheres[1:]):
+        for v in here:
+            for u in rng.sample(below, min(len(below), rng.randint(1, 2))):
+                edges[u, v] = rng.randint(1, 3)
+            edges[tuple(sorted(rng.sample(here, 2)))] = rng.randint(1, 3)
+    return validate_graph(vertices, [(u, v, b) for (u, v), b in edges.items()])
+
+
+def test_each_distinct_value_is_formatted_once(capsys, tmp_path, monkeypatch):
+    # 1001 vertices: the canonical text is longer than one 64 KiB slice of
+    # the `validate` writer
+    g = _seeded_layered("pin:layered", 40, 25)
+    path = tmp_path / "layered.json"
+    path.write_text(graph_to_json(g))
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return format_rational(q)
+
+    monkeypatch.setattr(graphs, "format_rational", counting)
+    monkeypatch.setattr(cli, "format_rational", counting)
+    # loading shares one Fraction per distinct rational string, and `validate`
+    # formats each such object once
+    assert run_cli(capsys, ["validate", str(path)]) == (0, path.read_text(), "")
+    values = [*g.measure.values(), *(b for _, _, b in g.edges)]
+    assert len(calls) == len(set(values)) < len(values)
+    # `curvature` formats each distinct k value once and three chain values
+    # per sphere
+    calls.clear()
+    assert run_cli(capsys, ["curvature", str(path), "--root", "0"])[::2] == (0, "")
+    decomp = rooted_decomposition(g, 0)
+    ks = [k for pair in curvature_profile(decomp).values() for k in pair if k is not None]
+    assert len(calls) <= len(set(ks)) + 3 * (decomp.horizon + 1) < len(ks)
 
 
 # sha256 of stdout on chain payloads, recorded with the chain that divided on

@@ -6,7 +6,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from curvegraph import (
@@ -46,7 +46,9 @@ from conftest import (
     big_rationals,
     chains,
     connected_graphs,
+    equal_values_as_distinct_objects,
     graphs_with_root,
+    mixed_spellings,
     rationals,
 )
 
@@ -148,10 +150,35 @@ def _assert_rooted_sums_match_oracles(d):
 
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(st.one_of(graphs_with_root(), graphs_with_root(values=big_rationals())))
+@example((equal_values_as_distinct_objects(), 0))
+@example((mixed_spellings(), 0))
 def test_profile_and_chain_match_the_definitional_sums(gr):
     g, _root = gr
     for root in g.vertices:
         _assert_rooted_sums_match_oracles(rooted_decomposition(g, root))
+
+
+def test_rooted_sums_keep_the_least_common_denominator():
+    # the profile shares one Fraction per unreduced (numerator, denominator)
+    # pair, so sharing shows the denominator each sum was kept over
+    weights = {"b": Fraction(1, 6), "c": Fraction(1, 10), "d": Fraction(7, 15)}
+    g = validate_graph(
+        [("a", 1), ("b", Fraction(5, 22)), ("c", 1), ("d", 1), ("e", 1)],
+        [("a", v, w) for v, w in weights.items()] + [(v, "e", w) for v, w in weights.items()],
+    )
+    prof = curvature_profile(rooted_decomposition(g, "a"))
+    # k+(a) and k-(e), each 1/6 + 1/10 + 7/15 over lcm 30 (not the product
+    # 900), are 22/30, the same pair as k-(b) = (1/6) / (5/22)
+    assert prof["a"][1] is prof["e"][0] is prof["b"][0] == Fraction(11, 15)
+    # 1000 terms over one denominator keep it: k+ of a 1000-leaf hub and k-
+    # of a vertex joined to every leaf are the pair (3000, p), as is k- of a
+    # leaf of measure 1/1000
+    p = 2**61 - 1
+    leaves = [(f"leaf{k}", Fraction(1, 1000) if k == 0 else 1) for k in range(1000)]
+    edges = [(end, leaf, Fraction(3, p)) for end in ("hub", "sink") for leaf, _ in leaves]
+    g = validate_graph([("hub", 1), ("sink", 1), *leaves], edges)
+    prof = curvature_profile(rooted_decomposition(g, "hub"))
+    assert prof["hub"][1] is prof["sink"][0] is prof["leaf0"][0] == Fraction(3000, p)
 
 
 def _primes(count):
