@@ -48,10 +48,9 @@ print(
 
 print()
 print("scaling every edge weight and measure by 7/3 changes nothing:")
-vertices, edges = g.to_records()
 s = Fraction(7, 3)
 scaled = validate_graph(
-    [(v, m * s) for v, m in vertices], [(u, v, w * s) for u, v, w in edges]
+    [(v, g.measure[v] * s) for v in g.vertices], [(u, v, w * s) for u, v, w in g.edges]
 )
 assert ollivier_pair(scaled, "x", "y").value == fast.value
 print(f"  k(x,y) is still {format_rational(fast.value)}")

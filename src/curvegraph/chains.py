@@ -71,7 +71,7 @@ class BirthDeathChain(Record):
             for r, v in enumerate(values):
                 if v.numerator <= 0:
                     raise NonPositiveEntry(f"{kind} at radius {r} must be positive", radius=r)
-        super().__init__(measures, weights)
+        self.__dict__.update(measures=measures, weights=weights)
 
     @property
     def horizon(self) -> int:
@@ -169,6 +169,9 @@ class ModelVerdict(Record):
     """
 
     failures: Tuple[Tuple[int, str, VertexId, VertexId], ...]
+
+    def __init__(self, failures):
+        self.__dict__.update(failures=failures)
 
     @property
     def is_model(self) -> bool:

@@ -56,6 +56,11 @@ class GrowthRelation(Record):
     first_violation: Optional[Tuple[int, str, str]]
     common_range: Tuple[int, int]
 
+    def __init__(self, kind, first_violation, common_range):
+        self.__dict__.update(
+            kind=kind, first_violation=first_violation, common_range=common_range
+        )
+
     @property
     def holds(self) -> bool:
         return self.first_violation is None
@@ -87,7 +92,7 @@ class LedgerRow(Record):
     lhs: Fraction
     rhs: Fraction
     ok: bool
-    vertex: Optional[VertexId] = None
+    vertex: Optional[VertexId]
 
     def __init__(self, r, lhs, rhs, ok, vertex=None):
         self.__dict__.update(r=r, lhs=lhs, rhs=rhs, ok=ok, vertex=vertex)
@@ -123,10 +128,19 @@ class TheoremReport(Record):
     claim: str
     hypothesis_checked: bool
     ledger: Tuple[LedgerRow, ...]
-    failure: Optional[str] = None
-    note: Optional[str] = None
-    status: str = "asserted"
-    subreports: Tuple["TheoremReport", ...] = ()
+    failure: Optional[str]
+    note: Optional[str]
+    status: str
+    subreports: Tuple["TheoremReport", ...]
+
+    def __init__(
+        self, claim, hypothesis_checked, ledger,
+        failure=None, note=None, status="asserted", subreports=(),
+    ):
+        self.__dict__.update(
+            claim=claim, hypothesis_checked=hypothesis_checked, ledger=ledger,
+            failure=failure, note=note, status=status, subreports=subreports,
+        )
 
     @property
     def conclusion_checked(self) -> bool:

@@ -65,6 +65,7 @@ from .graphs import (
     distance,
     distance_map,
     label_key,
+    laplacian,
     sphere_measure,
 )
 
@@ -314,13 +315,7 @@ def _objective_coefficients(g: WeightedGraph, x: VertexId, y: VertexId):
 def _witness_value(
     g: WeightedGraph, x: VertexId, y: VertexId, witness: dict, d: int
 ) -> Fraction:
-    def lap(v):
-        acc = Fraction(0)
-        for z, w in g.adjacency[v].items():
-            acc += w * (witness[v] - witness[z])
-        return acc / g.measure[v]
-
-    return (lap(y) - lap(x)) / d
+    return (laplacian(g, witness, y) - laplacian(g, witness, x)) / d
 
 
 def _min_cost_flow_potentials(arcs, supply, pi):

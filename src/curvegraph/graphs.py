@@ -7,7 +7,7 @@ exact equality. Distances are combinatorial: edge weights decide adjacency
 only, never path length.
 
 Graph functions are plain mappings from vertex labels to ints or Fractions;
-they must be total on the graph wherever the Laplacian is applied.
+the Laplacian at x needs one defined at x and at x's neighbours.
 """
 
 from __future__ import annotations
@@ -99,44 +99,24 @@ def _check_label(label) -> None:
 class Record:
     """Frozen value type, built from the class body with no generated code.
 
-    The fields are the class annotations, in order, and a class attribute
-    of a field's name is its default; ``_fields`` names them, as on a
-    namedtuple. Construction takes them by position or keyword, with the
-    interpreter's own ``TypeError`` messages. Equality needs the same class
-    and compares the field tuples, the hash is the field tuple's, and the
-    repr is ``Name(field=value, ...)``. Assigning or deleting an attribute
-    raises ``AttributeError``. Anything else in ``__dict__``, such as a
+    The fields are the class annotations, in order; ``_fields`` names them,
+    as on a namedtuple. Equality needs the same class and compares the field
+    tuples, the hash is the field tuple's, and the repr is
+    ``Name(field=value, ...)``. Assigning or deleting an attribute raises
+    ``AttributeError``. Anything else in ``__dict__``, such as a
     ``cached_property`` value, is outside the record's identity.
 
-    A record built in a hot loop defines its own ``__init__`` that fills
-    ``__dict__`` in one call. That builds faster than the generic
-    ``__init__``, which binds ``*args, **kwargs`` and sets each field with
-    ``object.__setattr__``, but a filled ``__dict__`` makes each later
-    attribute read a little slower: it suits a record that is read a few
-    times, not a graph that is read in every loop.
+    Each record defines its own ``__init__``, whose parameters are the
+    fields in order with their defaults, so the interpreter binds every call
+    and raises its own ``TypeError``. It stores them in one keyword call,
+    ``self.__dict__.update(field=field, ...)``. Filled from pairs instead,
+    as ``update(zip(self._fields, values))`` would, the dict makes every
+    later field read about twice as slow.
     """
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
-        cls._names = frozenset(cls._fields)
-        cls._defaults = {f: cls.__dict__[f] for f in cls._fields if f in cls.__dict__}
-
-    def __init__(self, *args, **kwargs):
-        fields = self._fields
-        bound = kwargs
-        if args:
-            bound = dict(zip(fields, args))
-            if len(args) > len(fields) or not bound.keys().isdisjoint(kwargs):
-                raise _call_error(type(self), args, kwargs)
-            bound.update(kwargs)
-        if bound.keys() != self._names:
-            bound = {**self._defaults, **bound}
-            if bound.keys() != self._names:
-                raise _call_error(type(self), args, kwargs)
-        set_field = object.__setattr__
-        for name in fields:
-            set_field(self, name, bound[name])
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -160,37 +140,15 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-def _call_error(cls, args: tuple, kwargs: dict) -> TypeError:
-    """The error the interpreter raises for this call of an ``__init__``
-    whose parameters are the record's fields, found in the same order."""
-    fields = cls._fields
-    call = f"{cls.__qualname__}.__init__()"
-    for name in kwargs:
-        if name not in fields:
-            return TypeError(f"{call} got an unexpected keyword argument {name!r}")
-        if name in fields[: len(args)]:
-            return TypeError(f"{call} got multiple values for argument {name!r}")
-    if len(args) > len(fields):
-        most, least = len(fields) + 1, len(fields) - len(cls._defaults) + 1
-        takes = most if most == least else f"from {least} to {most}"
-        given = len(args) + 1
-        return TypeError(f"{call} takes {takes} positional arguments but {given} were given")
-    missing = [repr(f) for f in fields[len(args):] if f not in kwargs and f not in cls._defaults]
-    if len(missing) > 2:
-        listed = ", ".join(missing[:-1]) + ", and " + missing[-1]
-    else:
-        listed = " and ".join(missing)
-    plural = "s" if len(missing) > 1 else ""
-    count = f"{len(missing)} required positional argument{plural}"
-    return TypeError(f"{call} missing {count}: {listed}")
-
-
 class WeightedGraph(Record):
     """Validated, connected weighted graph. Build via :func:`validate_graph`."""
 
     vertices: Tuple[VertexId, ...]
     measure: Mapping[VertexId, Fraction]
     adjacency: Mapping[VertexId, Mapping[VertexId, Fraction]]
+
+    def __init__(self, vertices, measure, adjacency):
+        self.__dict__.update(vertices=vertices, measure=measure, adjacency=adjacency)
 
     def require_vertex(self, x: VertexId) -> None:
         if x not in self.measure:
@@ -213,13 +171,6 @@ class WeightedGraph(Record):
             for u in self.vertices
             for v, w in self.adjacency[u].items()
             if rank[u] < rank[v]
-        )
-
-    def to_records(self):
-        """(vertex records, edge records) suitable for validate_graph."""
-        return (
-            [(v, self.measure[v]) for v in self.vertices],
-            [(u, v, w) for u, v, w in self.edges],
         )
 
 
@@ -377,6 +328,9 @@ class RootedDecomposition(Record):
     dist: Mapping[VertexId, int]
     spheres: Tuple[Tuple[VertexId, ...], ...]
 
+    def __init__(self, graph, root, dist, spheres):
+        self.__dict__.update(graph=graph, root=root, dist=dist, spheres=spheres)
+
     @property
     def horizon(self) -> int:
         """Largest occupied radius (the root's eccentricity)."""
@@ -411,16 +365,19 @@ def rooted_decomposition(g: WeightedGraph, root: VertexId) -> RootedDecompositio
 
 
 def laplacian(g: WeightedGraph, f: Mapping, x: VertexId) -> Fraction:
-    """Formal Laplacian (Delta f)(x) = (1/m(x)) * sum b(x,y) (f(x) - f(y))."""
+    """Formal Laplacian (Delta f)(x) = (1/m(x)) * sum b(x,y) (f(x) - f(y)).
+
+    f must be defined at x and at x's neighbours, the only values read."""
     g.require_vertex(x)
-    missing = [v for v in g.vertices if v not in f]
+    row = g.adjacency[x]
+    missing = [v for v in (x, *row) if v not in f]
     if missing:
         raise PartialFunction(
             f"function undefined on {len(missing)} vertices, e.g. {missing[0]!r}",
             vertex=str(missing[0]),
         )
     acc = Fraction(0)
-    for y, w in g.adjacency[x].items():
+    for y, w in row.items():
         acc += w * (f[x] - f[y])
     return acc / g.measure[x]
 

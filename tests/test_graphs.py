@@ -442,6 +442,10 @@ def test_laplacian_of_constant_is_zero(figure1):
 def test_laplacian_rejects_partial_function(figure1):
     with pytest.raises(PartialFunction):
         laplacian(figure1, {"w": 0}, "w")
+    # defined everywhere but at one neighbour of w
+    missed = next(iter(figure1.adjacency["w"]))
+    with pytest.raises(PartialFunction):
+        laplacian(figure1, {v: 0 for v in figure1.vertices if v != missed}, "w")
 
 
 def test_laplacian_of_distance_on_chain():
@@ -483,6 +487,10 @@ def test_greens_identity(gr):
     lhs = sum(g.measure[x] * f[x] * laplacian(g, h, x) for x in g.vertices)
     rhs = sum(g.measure[x] * h[x] * laplacian(g, f, x) for x in g.vertices)
     assert lhs == rhs
+    # the Laplacian at x reads f at x and its neighbours only
+    for x in g.vertices:
+        local = {v: f[v] for v in (x, *g.adjacency[x])}
+        assert laplacian(g, local, x) == laplacian(g, f, x)
 
 
 def test_sphere_boundary_examples(figure1_decomp):

@@ -7,6 +7,7 @@ equality, hash (or hash error), construction errors and frozen attributes.
 """
 
 import dataclasses
+import inspect
 import random
 import subprocess
 import sys
@@ -113,6 +114,11 @@ def _hash_or_error(obj):
 def test_record_matches_a_frozen_dataclass(cls):
     twin = _twin(cls)
     assert cls._fields == tuple(_names(cls))
+    # the record's own __init__ takes its fields, in order, with their defaults
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    assert [(p.name, p.default) for p in params] == [
+        f if isinstance(f, tuple) else (f, inspect.Parameter.empty) for f in FIELDS[cls]
+    ]
     rng = random.Random(f"records:{cls.__name__}")
     pairs = []
     for _ in range(60):
