@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence, Tuple
 
-from .curvature import average_curvature, inner_curvature, outer_curvature
+from .curvature import curvature_profile
 from .errors import (
     BadRadiusOrder,
     CurvegraphError,
@@ -38,7 +38,6 @@ from .graphs import (
     WeightedGraph,
     format_rational,
     parse_rational,
-    sphere_measure,
     validate_graph,
 )
 
@@ -184,15 +183,15 @@ def is_model(decomp: RootedDecomposition) -> ModelVerdict:
     The outer side is only checked through horizon - 1; the data cannot
     price the outermost sphere's outgoing edges.
     """
+    profile = curvature_profile(decomp)
     failures = []
     for r in range(decomp.horizon + 1):
         shell = decomp.sphere(r)
-        for side, fn in (("inner", inner_curvature), ("outer", outer_curvature)):
-            if side == "outer" and r == decomp.horizon:
-                continue
-            baseline = fn(decomp, shell[0])
+        # outer entries on the outermost sphere are all None, so never differ
+        for k, side in enumerate(("inner", "outer")):
+            baseline = profile[shell[0]][k]
             for v in shell[1:]:
-                if fn(decomp, v) != baseline:
+                if profile[v][k] != baseline:
                     failures.append((r, side, shell[0], v))
                     break
     return ModelVerdict(failures=tuple(failures))
@@ -208,9 +207,10 @@ def bdc_as_graph(chain: BirthDeathChain) -> WeightedGraph:
 def sphere_volume_step(decomp: RootedDecomposition, r: int) -> Tuple[Fraction, Fraction]:
     """Both sides of m(S_{r+1}) * avg-inner(r+1) = m(S_r) * avg-outer(r).
 
-    Each side is a sphere measure times a sphere average of per-vertex
-    curvatures, computed independently of the other; both count the weight
-    between spheres r and r+1, so they must agree exactly.
+    A sphere measure times an average curvature is the sum of k(v) m(v), so
+    the sides sum the profile's k-(v) m(v) over sphere r + 1 and k+(v) m(v)
+    over sphere r: each counts every edge between the two spheres once,
+    from its own side, so they must agree exactly.
     """
     if r < 0 or r + 1 > decomp.horizon:
         raise HorizonExceeded(
@@ -218,8 +218,10 @@ def sphere_volume_step(decomp: RootedDecomposition, r: int) -> Tuple[Fraction, F
             f"{decomp.horizon}",
             radius=r,
         )
-    lhs = sphere_measure(decomp, r + 1) * average_curvature(decomp, r + 1, "inner")
-    rhs = sphere_measure(decomp, r) * average_curvature(decomp, r, "outer")
+    profile = curvature_profile(decomp)
+    measure = decomp.graph.measure
+    lhs = sum((profile[v][0] * measure[v] for v in decomp.spheres[r + 1]), Fraction(0))
+    rhs = sum((profile[v][1] * measure[v] for v in decomp.spheres[r]), Fraction(0))
     if lhs != rhs:
         raise CurvegraphError(
             f"volume step identity failed at radius {r}: {lhs} != {rhs}"

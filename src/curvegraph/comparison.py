@@ -28,7 +28,7 @@ from .chains import (
     bdc_ollivier_closed_form,
     is_model,
 )
-from .curvature import inner_curvature, outer_curvature, sphere_curvature
+from .curvature import curvature_profile, inner_curvature, outer_curvature, sphere_curvature
 from .errors import CurvegraphError, HorizonMismatch, HypothesisFailed
 from .graphs import (
     Record,
@@ -429,6 +429,7 @@ def laplacian_distance_compare(
     _require_span(common, 1, "laplacian-distance comparison")
     chain_graph = bdc_as_graph(model_chain)
     identity = {v: v for v in chain_graph.vertices}
+    profile = curvature_profile(decomp)
     rows = []
     for r in range(common):
         chain_gap = model_chain.curvature_gap(r)
@@ -438,7 +439,7 @@ def laplacian_distance_compare(
                 f"chain distance Laplacian is not the negated gap at r = {r}"
             )
         for x in decomp.sphere(r):
-            gap = outer_curvature(decomp, x) - inner_curvature(decomp, x)
+            gap = profile[x][1] - profile[x][0]
             lap = laplacian_of_distance(decomp, x)
             if lap != -gap:
                 raise CurvegraphError(
@@ -554,7 +555,8 @@ def compcurv_check(
     """
     last = min(model_chain.horizon, decomp.horizon) - 1
     _require_span(last, 1, "partial-sum comparison")
-    root_graph = outer_curvature(decomp, decomp.root)
+    profile = curvature_profile(decomp)
+    root_graph = profile[decomp.root][1]
     root_chain = model_chain.outer_curvature(0)
     if root_chain != root_graph:
         raise HypothesisFailed(
@@ -566,10 +568,7 @@ def compcurv_check(
     k_assoc = _chain_sphere_curvatures(associated_bdc(decomp), graph_last)
     chain_gaps = [model_chain.curvature_gap(r) for r in range(last + 1)]
     # vertex gaps per radius, for the part-one hypothesis and part-two bound
-    gaps = [
-        [outer_curvature(decomp, x) - inner_curvature(decomp, x) for x in decomp.sphere(r)]
-        for r in range(last + 1)
-    ]
+    gaps = [[profile[x][1] - profile[x][0] for x in decomp.sphere(r)] for r in range(last + 1)]
     hyp_note = next(
         (
             f"chain gap {format_rational(chain_gap)} exceeds vertex "

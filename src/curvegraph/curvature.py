@@ -4,40 +4,29 @@ Three layers live here:
 
 * inner/outer curvature of a vertex relative to a root (edge weight into the
   previous/next sphere divided by the vertex measure), and their
-  measure-weighted sphere averages. Those averages are the curvatures of the
-  associated birth-death chain, which is where the program reads them from.
-  ``curvature_profile`` and ``associated_bdc`` sum exact weights as
-  integers over a least common denominator and build one ``Fraction`` per
-  value they return. The definitional functions, ``inner_curvature``,
-  ``outer_curvature``, ``average_curvature``, ``graphs.sphere_measure`` and
-  ``graphs.sphere_boundary``, keep their per-neighbour ``Fraction`` sums and
-  stay as the independent checks of both;
+  measure-weighted sphere averages, the curvatures of the associated
+  birth-death chain. ``curvature_profile``, built once per decomposition,
+  and ``associated_bdc`` sum exact weights as integers over a least common
+  denominator; every rooted check reads them but the lazy per-vertex scan
+  of ``comparison.stronger_curvature_growth``. The definitional functions,
+  ``inner_curvature``, ``outer_curvature``, ``average_curvature``,
+  ``graphs.sphere_measure`` and ``graphs.sphere_boundary``, keep their
+  per-neighbour ``Fraction`` sums and stay as the independent checks;
 * Ollivier curvature of a vertex pair via its Laplacian formulation: the
   infimum of the normalized Laplacian difference over 1-Lipschitz functions
   with unit gradient along the pair. The feasible set is a difference
   constraint polytope with integer bounds, so an integer optimizer exists;
-  the solver returns the lexicographically smallest one. A perturbed
-  objective (the scaled one plus the sum of f) has that point as its only
-  optimum, since the optimal face is a lattice whose componentwise minimum
-  has the least sum; any exact solver therefore returns the same witness.
-  The cost of a pair is that of its kept arcs: the Lipschitz pairs not
-  implied through x or y. One rule finds them at every distance, never
-  building a dense metric: the support's edges, x or y with a neighbour of
-  the other alone, and a neighbour of x alone with one of y alone joined
-  by a short path around x and y. A BFS from x and one from y, each cut at
-  d(x, y), and a BFS around x and y from each neighbour of x alone give
-  every distance it reads. The objective is integers over one denominator,
-  and the min-cost flow runs in primal-dual phases over the kept arcs only:
-  a multi-source Dijkstra to the nearest sink, a potential update, a
-  blocking flow over the tight arcs. A phase raises the source-sink
-  distance by at least 1 and costs are at most d(x, y) + 2, so the phases
-  are few and a pair costs O(phases x kept arcs). The solver certifies its
-  flow, and its potentials on the kept arcs, which imply the rest. The
-  two oracles, ``verify_witness`` and ``ollivier_pair_bruteforce``, share
-  only the support with it: they build every pair's full metric by a BFS
-  from each support vertex, never through the kept-arc rule, check every
-  pair of the support, and value a witness with the definitional
-  ``Fraction`` Laplacian;
+  the solver returns the lexicographically smallest one, the only optimum
+  of a perturbed objective (``ollivier_pair``). It reads the Lipschitz
+  pairs not implied through x or y, found by local searches
+  (``_pair_support``), and the integer Laplacian rows of x and y that the
+  graph keeps, and runs a primal-dual min-cost flow over those arcs alone,
+  certifying its flow and potentials. The two oracles, ``verify_witness``
+  and ``ollivier_pair_bruteforce``, share only the support with it: they
+  build the support's full metric by a BFS from each support vertex and
+  check every pair of it, and they read the definitional ``Fraction``
+  Laplacian, the replay to value the witness, the brute force once per
+  support vertex for its integer coefficient;
 * the min-max sphere curvature built from pair curvatures, solving only
   the pairs that can decide it.
 """
@@ -64,7 +53,6 @@ from .graphs import (
     WeightedGraph,
     distance,
     distance_map,
-    label_key,
     laplacian,
     sphere_measure,
 )
@@ -121,51 +109,10 @@ def average_curvature(decomp: RootedDecomposition, r: int, side: str) -> Fractio
 def curvature_profile(
     decomp: RootedDecomposition,
 ) -> Dict[VertexId, Tuple[Fraction, Optional[Fraction]]]:
-    """Per-vertex (inner, outer) curvatures around the decomposition's root.
-
-    The outer entry is None on the outermost sphere: the data cannot say
-    what lies beyond it. One pass over each vertex's neighbours sums the
-    weights into the previous and the next sphere in integers only, each
-    weight read once as its integer ratio, over the least common
-    denominator of the terms. A curvature is the sum over m(x) as an
-    unreduced pair, and equal pairs share one ``Fraction``.
-    ``inner_curvature`` and ``outer_curvature`` stay the definitional check
-    of these values.
-    """
-    adjacency = decomp.graph.adjacency
-    measure = decomp.graph.measure
-    dist = decomp.dist
-    horizon = decomp.horizon
-    made: dict = {}  # unreduced (numerator, denominator) -> its Fraction
-    per_vertex: Dict[VertexId, Tuple[Fraction, Optional[Fraction]]] = {}
-    for v in decomp.graph.vertices:
-        r = dist[v]
-        in_n = out_n = 0
-        in_d = out_d = 1
-        for y, w in adjacency[v].items():
-            n, d = w.as_integer_ratio()
-            s = dist[y]  # BFS distances of neighbours differ by at most 1
-            if s < r:
-                common = lcm(in_d, d)
-                in_n = in_n * (common // in_d) + n * (common // d)
-                in_d = common
-            elif s > r:
-                common = lcm(out_d, d)
-                out_n = out_n * (common // out_d) + n * (common // d)
-                out_d = common
-        m_num, m_den = measure[v].as_integer_ratio()
-        key = (in_n * m_den, in_d * m_num)
-        inner = made.get(key)
-        if inner is None:
-            inner = made[key] = Fraction(*key)
-        outer = None
-        if r < horizon:
-            key = (out_n * m_den, out_d * m_num)
-            outer = made.get(key)
-            if outer is None:
-                outer = made[key] = Fraction(*key)
-        per_vertex[v] = (inner, outer)
-    return per_vertex
+    """Per-vertex (inner, outer) curvatures around the decomposition's root,
+    the outer one None on the outermost sphere. The decomposition builds the
+    map once, outside its identity; callers share it and must not mutate it."""
+    return decomp._profile
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +149,7 @@ def _support(g: WeightedGraph, x: VertexId, y: VertexId) -> Tuple[VertexId, ...]
     if x == y:
         raise SameVertex(f"pair curvature needs two distinct vertices, got {x!r}")
     adjacency = g.adjacency
-    return tuple(sorted({x, y, *adjacency[x], *adjacency[y]}, key=label_key))
+    return tuple(sorted({x, y, *adjacency[x], *adjacency[y]}, key=g._rank.__getitem__))
 
 
 def _pair_support(g: WeightedGraph, x: VertexId, y: VertexId):
@@ -290,40 +237,13 @@ def _oracle_support(g: WeightedGraph, x: VertexId, y: VertexId):
     return support, {u: distance_map(g, u, d + 2) for u in support}
 
 
-def _objective_coefficients(g: WeightedGraph, x: VertexId, y: VertexId):
-    """Integers c and den with Delta f(y) - Delta f(x) = sum_u c[u] f(u) / den.
-
-    Each w/m enters as the integers w.num * m.den over w.den * m.num, and den
-    is the lcm of those denominators, so no ``Fraction`` is built. den may be
-    an unreduced multiple of the coefficients' least common denominator.
-    """
-    terms = []
-    for v, sign in ((y, 1), (x, -1)):
-        m_num, m_den = g.measure[v].as_integer_ratio()
-        for z, w in g.adjacency[v].items():
-            w_num, w_den = w.as_integer_ratio()
-            terms.append((v, z, sign * w_num * m_den, w_den * m_num))
-    den = lcm(*(term[3] for term in terms))
-    coef: dict = {}
-    for v, z, num, q_den in terms:
-        q = num * (den // q_den)
-        coef[v] = coef.get(v, 0) + q
-        coef[z] = coef.get(z, 0) - q
-    return coef, den
-
-
-def _witness_value(
-    g: WeightedGraph, x: VertexId, y: VertexId, witness: dict, d: int
-) -> Fraction:
-    return (laplacian(g, witness, y) - laplacian(g, witness, x)) / d
-
-
-def _min_cost_flow_potentials(arcs, supply, pi):
+def _min_cost_flow_potentials(arcs, out, supply, pi):
     """Exact uncapacitated min-cost flow by primal-dual phases; returns the
     final potentials, which solve the flow LP's dual.
 
     ``arcs`` lists the network arcs as (tail, head, cost), with no capacity
-    bound; ``supply[i]`` is the required net inflow at node i (integers
+    bound, and ``out[u]`` the arcs leaving u as (head, cost, k) in the order
+    of k; ``supply[i]`` is the required net inflow at node i (integers
     summing to zero). The residual network has each arc k, always open, and
     its reverse, at the negated cost and open while ``flow[k] > 0``.
     Invariant: every open arc u->v has reduced cost c + pi[u] - pi[v] >= 0;
@@ -351,8 +271,9 @@ def _min_cost_flow_potentials(arcs, supply, pi):
     less than minus the spread of the entry potentials and ends at no more
     than the shortest s-t path length. In a pair network every node reaches
     every other within d(x, y) + 2 <= C + 2, C the largest arc cost, so
-    there are at most C + 3 + spread phases; the guard allows n iterations
-    for each.
+    there are at most C + 3 + spread phases, 2 d(x, y) + 4 from the warm
+    potentials of ``ollivier_pair``, whose spread is at most d(x, y) + 1;
+    the guard allows n iterations for each.
 
     Before it returns, the solver certifies its answer: every flow is >= 0,
     every node's inflow less its outflow is its supply, every arc that
@@ -362,11 +283,8 @@ def _min_cost_flow_potentials(arcs, supply, pi):
     """
     n = len(supply)
     # residual arcs leaving each node as (head, cost, code): arc k has code
-    # k and is always open; its reverse has code ~k and sits in back[head of
-    # k] while flow[k] > 0
-    out: list = [[] for _ in range(n)]
-    for k, (u, v, c) in enumerate(arcs):
-        out[u].append((v, c, k))
+    # k and is always open, in out; its reverse has code ~k and sits in
+    # back[head of k] while flow[k] > 0
     back: list = [{} for _ in range(n)]
     flow = [0] * len(arcs)
     need = list(supply)
@@ -518,10 +436,10 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
 
     The network has one arc each way per kept pair, plus x->y at -d and
     y->x at d, so a pair costs O(phases x kept arcs). Arc costs are at most
-    d + 2 and the initial potentials span at most d, so there are at most
-    2d + 3 phases (``_min_cost_flow_potentials``); on an adjacent pair, at
-    most 5. The perturbed optimum is unique, so the witness does not depend
-    on the order the solver takes its arcs in.
+    d + 2 and the initial potentials span at most d + 1, so there are at
+    most 2d + 4 phases (``_min_cost_flow_potentials``); on an adjacent pair,
+    at most 6. The perturbed optimum is unique, so the witness depends
+    neither on the order of the arcs nor on the valid entry potentials.
 
     The Lipschitz bounds of the pruned pairs hold anyway, by induction on
     d(u, v): a pruned pair has x (or y), not an end, on a shortest u-v path,
@@ -551,10 +469,16 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
       of its own, an edge, leave nothing else in the support.
     """
     support, d, dx, dy, kept = _pair_support(g, x, y)
-    ix = support.index(x)
-    iy = support.index(y)
+    ix, iy = support.index(x), support.index(y)
 
-    coef, den = _objective_coefficients(g, x, y)
+    # Delta f(y) - Delta f(x) = sum coef[u] f(u) / den, from the graph's
+    # integer Laplacian rows of y and x over the lcm of their denominators
+    (den_y, row_y), (den_x, row_x) = g._laplacian_rows[y], g._laplacian_rows[x]
+    den = lcm(den_x, den_y)
+    coef = dict.fromkeys(support, 0)
+    for row, scale in ((row_y, den // den_y), (row_x, -(den // den_x))):
+        for u, q in row.items():
+            coef[u] += scale * q
 
     # Integer supplies: scale the objective past the perturbation gap, then
     # add an all-ones secondary weight (balanced at the gauge vertex x). The
@@ -564,7 +488,7 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
     # of it differ by at least width in the supplies, more than the secondary
     # sum of f can vary; an unreduced den only widens that gap.
     width = 1 + 2 * sum(dx)
-    supply = [width * coef[u] + 1 for u in support]
+    supply = [width * c + 1 for c in coef.values()]
     supply[ix] -= len(support)
     if sum(supply) != 0:
         raise CurvegraphError("internal error: unbalanced supplies")
@@ -574,10 +498,14 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
     arcs: list = [(ix, iy, -d), (iy, ix, d)]
     for i, j, c in kept:
         arcs += ((i, j, c), (j, i, c))
+    out: list = [[] for _ in support]
+    for k, (i, j, c) in enumerate(arcs):
+        out[i].append((j, c, k))
 
-    # Closed-form valid initial potentials: shortest distances with the one
-    # negative arc folded in.
-    pi = _min_cost_flow_potentials(arcs, supply, [min(0, e - d) for e in dy])
+    # warm entry potentials in [-d, 1]: -f for f = min(d(x, .), d - d(y, .)),
+    # 1-Lipschitz with f(x) = 0 and f(y) = d, so no reduced cost is negative
+    pi = [max(-a, b - d) for a, b in zip(dx, dy)]
+    pi = _min_cost_flow_potentials(arcs, out, supply, pi)
 
     # the solver has checked every arc's bound: the kept pairs' Lipschitz
     # bounds, which imply the rest, and the two arcs that fix the gradient
@@ -593,40 +521,44 @@ def ollivier_pair_bruteforce(g: WeightedGraph, x: VertexId, y: VertexId) -> Olli
     """Independent oracle: exhaustive search over integer Lipschitz functions.
 
     Enumerates, in lexicographic order over the sorted support, every integer
-    assignment inside the Lipschitz box and keeps the first minimizer. Meant
-    for small supports only.
+    assignment inside the Lipschitz box and keeps the first minimizer. Each
+    support vertex u's coefficient, Delta 1_u(y) - Delta 1_u(x) for 1_u the
+    indicator of u, is read once from the definitional Laplacian and scaled
+    to an integer over the lcm; a running integer sum carries the objective
+    down the enumeration. Meant for small supports only.
     """
     support, dist = _oracle_support(g, x, y)
     d = dist[x][y]
+    zero = dict.fromkeys(support, 0)
+    ones = {u: {**zero, u: 1} for u in support}  # each u's indicator function
+    coef = {u: laplacian(g, one, y) - laplacian(g, one, x) for u, one in ones.items()}
+    scale = lcm(*[c.denominator for c in coef.values()])
+    weight = {u: c.numerator * (scale // c.denominator) for u, c in coef.items()}
     free = [u for u in support if u != x and u != y]
-    pinned = {x: 0, y: d}
 
-    best: list = [None, None]  # value, witness
+    best: list = [None, None]  # scaled objective, witness
 
-    def walk(k: int, assigned: dict):
+    def walk(k: int, assigned: dict, total: int):
         if k == len(free):
-            value = _witness_value(g, x, y, assigned, d)
-            if best[0] is None or value < best[0]:
-                best[0] = value
+            if best[0] is None or total < best[0]:
+                best[0] = total
                 best[1] = dict(assigned)
             return
-        v = free[k]
-        lo = -dist[v][x]
-        hi = dist[v][x]
-        for u, val in assigned.items():
-            duv = dist[u][v]
-            lo = max(lo, val - duv)
-            hi = min(hi, val + duv)
+        v, near = free[k], dist[free[k]]
+        lo = max([val - near[u] for u, val in assigned.items()])
+        hi = min([val + near[u] for u, val in assigned.items()])
+        c = weight[v]
         for a in range(lo, hi + 1):
             assigned[v] = a
-            walk(k + 1, assigned)
+            walk(k + 1, assigned, total + c * a)
         assigned.pop(v, None)
 
-    walk(0, dict(pinned))
+    walk(0, {x: 0, y: d}, weight[y] * d)
     if best[0] is None:
         raise CurvegraphError("internal oracle error: no feasible assignment")
+    value = Fraction(best[0], scale * d)
     return OllivierResult(
-        x=x, y=y, distance=d, value=best[0], witness=best[1], support=support
+        x=x, y=y, distance=d, value=value, witness=best[1], support=support
     )
 
 
@@ -634,10 +566,10 @@ def verify_witness(g: WeightedGraph, result: OllivierResult) -> None:
     """Re-check the witness invariants and value from scratch; raise on failure.
 
     The replay rebuilds the full support metric by BFS and, through the
-    definitional Laplacian (``_witness_value``), the value. It shares no
-    state with the solve, never reads the solver's kept-arc rule and checks
-    every pair of the support, so a fault in the solver's rule cannot hide
-    in its own check.
+    definitional ``Fraction`` Laplacian, the value. It shares no state with
+    the solve, never reads the solver's kept-arc rule and checks every pair
+    of the support, so a fault in the solver's rule cannot hide in its own
+    check.
     """
     x, y, witness = result.x, result.y, result.witness
     support, dist = _oracle_support(g, x, y)
@@ -659,7 +591,7 @@ def verify_witness(g: WeightedGraph, result: OllivierResult) -> None:
         raise CurvegraphError("witness gradient along the pair is not 1")
     if witness[x] != 0:
         raise CurvegraphError("witness is not normalized to 0 at x")
-    if _witness_value(g, x, y, witness, d) != result.value:
+    if (laplacian(g, witness, y) - laplacian(g, witness, x)) / d != result.value:
         raise CurvegraphError("witness does not reproduce the reported value")
 
 

@@ -16,6 +16,7 @@ import json
 from fractions import Fraction
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
+from math import lcm
 from typing import Iterable, Mapping, Optional, Tuple, Union
 
 from .errors import (
@@ -161,6 +162,18 @@ class WeightedGraph(Record):
         decomposition around that vertex. Nothing may mutate it."""
         return distance_map(self, self.vertices[0])
 
+    @cached_property
+    def _rank(self) -> dict:
+        """Each vertex's position in ``vertices``, its label order; read only."""
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
+    def _laplacian_rows(self) -> dict:
+        """v -> (den, row), (Delta f)(v) = sum row[u] f(u) / den over v and its
+        neighbours u in integers, den the lcm of the b.den * m.num. Each row is
+        built when the pair solver first reads it; nothing else may mutate it."""
+        return _LaplacianRows(self)
+
     @property
     def edges(self) -> Tuple[Tuple[VertexId, VertexId, Fraction], ...]:
         """Each undirected edge once, as (u, v, b) with u before v in label order."""
@@ -172,6 +185,21 @@ class WeightedGraph(Record):
             for v, w in self.adjacency[u].items()
             if rank[u] < rank[v]
         )
+
+
+class _LaplacianRows(dict):
+    """``WeightedGraph._laplacian_rows``: a vertex's row, built on first read."""
+
+    def __init__(self, g: WeightedGraph):
+        self.adjacency, self.measure = g.adjacency, g.measure
+
+    def __missing__(self, v):
+        m_num, m_den = self.measure[v].as_integer_ratio()
+        ratios = [w.as_integer_ratio() for w in self.adjacency[v].values()]
+        common = lcm(*[w_den for _, w_den in ratios])
+        q = [-w_num * m_den * (common // w_den) for w_num, w_den in ratios]
+        entry = self[v] = (common * m_num, {**dict(zip(self.adjacency[v], q)), v: -sum(q)})
+        return entry
 
 
 def validate_graph(
@@ -347,6 +375,45 @@ class RootedDecomposition(Record):
         if x not in self.dist:
             raise UnknownVertex(f"unknown vertex: {x!r}", vertex=str(x))
         return self.dist[x]
+
+    @cached_property
+    def _profile(self) -> dict:
+        """``curvature.curvature_profile``, built on first use: one pass over
+        each vertex's neighbours sums the weights into the previous and the
+        next sphere as integers over their least common denominator, then
+        over m(x) as an unreduced pair; equal pairs share one ``Fraction``."""
+        adjacency, measure = self.graph.adjacency, self.graph.measure
+        dist, horizon = self.dist, self.horizon
+        made: dict = {}  # unreduced (numerator, denominator) -> its Fraction
+        per_vertex: dict = {}
+        for v in self.graph.vertices:
+            r = dist[v]
+            in_n = out_n = 0
+            in_d = out_d = 1
+            for y, w in adjacency[v].items():
+                n, d = w.as_integer_ratio()
+                s = dist[y]  # BFS distances of neighbours differ by at most 1
+                if s < r:
+                    common = lcm(in_d, d)
+                    in_n = in_n * (common // in_d) + n * (common // d)
+                    in_d = common
+                elif s > r:
+                    common = lcm(out_d, d)
+                    out_n = out_n * (common // out_d) + n * (common // d)
+                    out_d = common
+            m_num, m_den = measure[v].as_integer_ratio()
+            key = (in_n * m_den, in_d * m_num)
+            inner = made.get(key)
+            if inner is None:
+                inner = made[key] = Fraction(*key)
+            outer = None
+            if r < horizon:
+                key = (out_n * m_den, out_d * m_num)
+                outer = made.get(key)
+                if outer is None:
+                    outer = made[key] = Fraction(*key)
+            per_vertex[v] = (inner, outer)
+        return per_vertex
 
 
 def rooted_decomposition(g: WeightedGraph, root: VertexId) -> RootedDecomposition:

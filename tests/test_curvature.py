@@ -30,10 +30,12 @@ from curvegraph import (
     ollivier_pair,
     ollivier_pair_bruteforce,
     outer_curvature,
+    label_key,
     rooted_decomposition,
     sphere_boundary,
     sphere_curvature,
     sphere_measure,
+    sphere_volume_step,
     validate_graph,
     verify_witness,
 )
@@ -137,7 +139,8 @@ def test_profile_boundary_identity(gr):
 
 
 def _assert_rooted_sums_match_oracles(d):
-    """The integer-sum profile and chain against the per-neighbour Fraction sums."""
+    """The integer-sum profile, the chain and the volume step's two sides,
+    which read the profile, against the per-neighbour Fraction sums."""
     prof = curvature_profile(d)
     for v in d.graph.vertices:
         outer = outer_curvature(d, v) if d.dist[v] < d.horizon else None
@@ -145,7 +148,35 @@ def _assert_rooted_sums_match_oracles(d):
     chain = associated_bdc(d)
     assert chain.measures == tuple(sphere_measure(d, r) for r in range(d.horizon + 1))
     assert chain.weights == tuple(sphere_boundary(d, r) for r in range(d.horizon))
+    for r in range(d.horizon):
+        assert sphere_volume_step(d, r) == (
+            sphere_measure(d, r + 1) * average_curvature(d, r + 1, "inner"),
+            sphere_measure(d, r) * average_curvature(d, r, "outer"),
+        )
     return prof, chain
+
+
+def test_cached_state_stays_out_of_the_records_identity(figure1):
+    # the profile a decomposition keeps, and the rank and Laplacian rows a
+    # graph keeps for its pair solves, are built once and change neither
+    # record's fields, equality, hash or repr
+    d = rooted_decomposition(figure1, "x")
+    g = d.graph
+    before = (d._fields, d._values(), repr(d), g._fields, g._values(), repr(g))
+    prof = curvature_profile(d)
+    assert curvature_profile(d) is prof
+    ollivier_pair(g, "x", "y")
+    assert g._laplacian_rows.keys() == {"x", "y"}
+    assert (d._fields, d._values(), repr(d), g._fields, g._values(), repr(g)) == before
+    assert d._fields == ("graph", "root", "dist", "spheres")
+    assert g._fields == ("vertices", "measure", "adjacency")
+    fresh = rooted_decomposition(make_figure1(), "x")
+    assert (d == fresh, repr(d)) == (True, repr(fresh))
+    assert (g == fresh.graph, repr(g)) == (True, repr(fresh.graph))
+    # a record's hash is its field tuple's, which holds dicts here
+    for record in (d, g, fresh, fresh.graph):
+        with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+            hash(record)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -311,21 +342,34 @@ def test_pair_support_metric_matches_bfs_oracle(gr):
                 }
 
 
+def mixed_labels():
+    """A graph whose int labels sit among numeric and non-numeric strings,
+    so label order is neither int order nor string order."""
+    labels = [2, "07", 10, "a", "011", 9, "b"]
+    edges = [(2, "07"), ("07", 10), (10, "a"), ("a", 2), (2, "011"), ("011", 9),
+             (9, "b"), ("b", "07"), (10, "011")]
+    return validate_graph([(v, Fraction(k + 1, 2)) for k, v in enumerate(labels)],
+                          [(u, v, Fraction(len(str(u)) + k, 3)) for k, (u, v) in enumerate(edges)])
+
+
 @settings(derandomize=True, deadline=None, max_examples=60)
 @given(graphs_with_root(max_vertices=10))
+@example((mixed_labels(), 2))
 def test_solver_matches_bruteforce_on_small_supports(gr):
     g, _ = gr
-    for u in g.vertices:
+    for i, u in enumerate(g.vertices):
         reach = bfs_oracle(g, u)
-        for v in g.vertices:
+        for v in g.vertices[i + 1 :]:
             # adjacent pairs and pairs at distance 2 and 3, each once
-            if not (u < v and reach[v] <= 3):
+            if reach[v] > 3:
                 continue
             support = {u, v} | set(g.adjacency[u]) | set(g.adjacency[v])
             if len(support) > 10:
                 continue
             solved = ollivier_pair(g, u, v)
             brute = ollivier_pair_bruteforce(g, u, v)
+            # the support in the graph's rank order is the label order
+            assert solved.support == brute.support == tuple(sorted(support, key=label_key))
             assert solved.distance == reach[v]
             assert solved.value == brute.value
             # both search rules pick the lexicographically smallest optimum
