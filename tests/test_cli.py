@@ -1,11 +1,16 @@
-"""End-to-end command tests, run in process through cli.run."""
+"""End-to-end command tests, run in process through cli.run; the last
+section runs the process entry, cli.main, in a child interpreter."""
 
+import gc
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +23,8 @@ from curvegraph import (
     validate_graph,
 )
 from curvegraph.graphs import format_rational, graph_to_json
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture()
@@ -791,3 +798,54 @@ def test_resolve_vertex_reads_decimal_tokens_as_integers(token, expected):
     g = validate_graph([(v, 1) for v in range(4)], [(0, 1, 1), (1, 2, 1), (2, 3, 1)])
     resolved = cli._resolve_vertex(g, token)
     assert (resolved, type(resolved)) == (expected, type(expected))
+
+
+# --- the process entry ---
+
+
+def run_child(args):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["validate"], 0),
+        (["ollivier", "--all-adjacent"], 0),
+        (["curvature", "--root", "w"], 0),
+        (["curvature", "--root", "nope"], 1),
+        (["ollivier"], 2),
+    ],
+    ids=["validate", "all-adjacent", "curvature", "unknown-root", "usage-error"],
+)
+def test_process_entry_prints_what_run_prints(capsys, figure1_file, argv, expected):
+    argv = [argv[0], figure1_file, *argv[1:]]
+    in_process = run_cli(capsys, argv)
+    assert in_process[0] == expected
+    assert run_child(["-m", "curvegraph.cli", *argv]) == in_process
+
+
+def test_run_leaves_the_collector_as_it_was(capsys, figure1_file):
+    before = (gc.get_freeze_count(), gc.isenabled())
+    assert run_cli(capsys, ["curvature", figure1_file, "--root", "w"])[0] == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_main_freezes_the_collector_once_the_command_is_done():
+    code = """
+import gc, sys
+from curvegraph import cli
+frozen_before = gc.get_freeze_count()
+sys.argv = ["curvegraph", "gen", "chain", "--n", "2"]
+try:
+    cli.main()
+except SystemExit as exc:
+    print(exc.code, frozen_before, gc.get_freeze_count() > 0)
+"""
+    status, out, err = run_child(["-c", code])
+    assert (status, err) == (0, "")
+    assert out.splitlines()[-1] == "0 0 True"
