@@ -77,6 +77,7 @@ def _read_source(source: str) -> Tuple[str, str]:
 def _load_payload(source: str) -> Payload:
     text, name = _read_source(source)
     data = loads_json(text, name)
+    del text  # not held beside the document while the payload is built
     if isinstance(data, dict) and "vertices" in data and "edges" in data:
         return "graph", graph_from_json_dict(data)
     if isinstance(data, dict) and "m" in data and "b" in data:

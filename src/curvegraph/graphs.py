@@ -15,9 +15,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
-from typing import Iterable, Mapping, Optional, Tuple, Union
+from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 from .errors import (
     AsymmetricDuplicateEdge,
@@ -61,7 +62,7 @@ def parse_rational(value: RationalLike) -> Fraction:
                 ) from None
     elif isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return Fraction(value)
-    raise FormatError(f"not a rational: {value!r}")
+    raise FormatError(f"not a rational: {_shown(value, repr)}")
 
 
 def format_rational(value: RationalLike) -> str:
@@ -88,13 +89,30 @@ def label_key(label: VertexId) -> tuple:
         return (1, 0, text)
 
 
-def _check_label(label) -> None:
+def _check_label(label) -> str:
+    """Check a vertex label and return its ``str`` form, the text it is
+    written as and the text that tells duplicates apart."""
     if isinstance(label, str):
-        return
+        return str(label)
     if isinstance(label, bool) or not isinstance(label, int):
-        raise FormatError(f"vertex label must be a string or an integer: {label!r}")
+        raise FormatError(f"vertex label must be a string or an integer: {_shown(label, repr)}")
+    try:
+        text = str(label)
+    except ValueError:  # past the interpreter's int digit limit
+        raise FormatError(f"integer vertex label too long: {label.bit_length()} bits") from None
     if label < 0:
-        raise FormatError(f"integer vertex labels must be nonnegative: {label!r}")
+        raise FormatError(f"integer vertex labels must be nonnegative: {text}")
+    return text
+
+
+def _shown(value, show=str) -> str:
+    """``show(value)`` for an error message. A value that holds an int past
+    the interpreter's int digit limit cannot be written out, so its type is
+    named instead, and building the message never raises."""
+    try:
+        return show(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to show>"
 
 
 class Record:
@@ -177,14 +195,16 @@ class WeightedGraph(Record):
     @property
     def edges(self) -> Tuple[Tuple[VertexId, VertexId, Fraction], ...]:
         """Each undirected edge once, as (u, v, b) with u before v in label order."""
+        return tuple(self._each_edge())
+
+    def _each_edge(self) -> Iterator[Tuple[VertexId, VertexId, Fraction]]:
+        """``edges``, one at a time."""
         # vertices and each adjacency are already in label order
-        rank = {v: i for i, v in enumerate(self.vertices)}
-        return tuple(
-            (u, v, w)
-            for u in self.vertices
-            for v, w in self.adjacency[u].items()
-            if rank[u] < rank[v]
-        )
+        rank = self._rank
+        for i, u in enumerate(self.vertices):
+            for v, w in self.adjacency[u].items():
+                if rank[v] > i:
+                    yield u, v, w
 
 
 class _LaplacianRows(dict):
@@ -214,25 +234,29 @@ def validate_graph(
 
     Records are checked in the order given, each check in a fixed order, so
     the first fault in the records is the one reported, whatever its kind.
-    One pass does the work in proportion to the records:
+    Each argument is read once, in order, and may be a generator: no record
+    is kept. One pass does the work in proportion to the records, and holds
+    little besides the graph it builds:
 
     - Each distinct rational string is parsed once per call and every record
       that spells it shares the one ``Fraction``. Only an exact ``str`` is
       looked up, so ``True`` or ``1.0`` never meets a cached ``"1/1"``: any
       other value goes to :func:`parse_rational` every time, which rejects
       it.
+    - Duplicate labels are found by their ``str`` forms, which are dropped
+      once the vertices are read; :func:`label_key` is computed only to sort.
     - An endpoint whose type is exactly ``int`` or ``str`` and that is a
       vertex needs no label check, since the vertex passed one. Any other
       endpoint is checked as a label first and then looked up, so an
       unhashable one is a ``FormatError``.
-    - An edge is keyed by the ranks of its ends in label order. Sorting
-      those rank pairs once fills every neighbour map in label order: a
-      vertex's pairs with lower-ranked vertices sort before those with
-      higher-ranked ones, each run by the other end's rank.
+    - An edge is keyed by one int, lower rank * n + higher rank, where a rank
+      is a position in label order. Sorting those keys once fills every
+      neighbour map in label order: a vertex's pairs with lower-ranked
+      vertices sort before those with higher-ranked ones, each run by the
+      other end's rank.
     """
     measure: dict = {}
-    keys: dict = {}
-    taken: set = set()  # label keys differ exactly where str() forms do
+    taken: set = set()  # str() forms; label keys differ exactly where these do
     parsed: dict = {}  # rational string -> its Fraction, for this call only
 
     def rational(raw) -> Fraction:
@@ -244,22 +268,24 @@ def validate_graph(
         return q
 
     for label, raw_m in vertex_records:
-        _check_label(label)
-        key = label_key(label)
-        if key in taken:
-            raise DuplicateVertex(f"duplicate vertex: {label!r}", vertex=str(label))
-        taken.add(key)
-        keys[label] = key
+        text = _check_label(label)
+        if text in taken:
+            raise DuplicateVertex(f"duplicate vertex: {label!r}", vertex=text)
+        taken.add(text)
         m = rational(raw_m)
         if m.numerator <= 0:
             raise NonPositiveMeasure(
-                f"measure of {label!r} must be positive, got {m}", vertex=str(label)
+                f"measure of {label!r} must be positive, got {_shown(m)}", vertex=text
             )
         measure[label] = m
+    del taken  # not needed past the vertices, so not held with the edges
 
-    order = sorted(measure, key=keys.__getitem__)
-    rank = {v: i for i, v in enumerate(order)}
-    seen: dict = {}  # (rank, rank) in ascending order -> weight
+    vertices = tuple(sorted(measure, key=label_key))
+    n = len(vertices)
+    adjacency = {u: {} for u in vertices}
+    g = WeightedGraph(vertices, adjacency=adjacency, measure=measure)
+    rank = g._rank
+    seen: dict = {}  # lower rank * n + higher rank -> the pair's first weight
     for u, v, raw_b in edge_records:
         if not (
             (type(u) is int or type(u) is str) and u in rank
@@ -277,33 +303,34 @@ def validate_graph(
         b = rational(raw_b)
         if b.numerator < 0:
             raise NonPositiveEdgeWeight(
-                f"weight of ({u!r}, {v!r}) must be nonnegative, got {b}",
+                f"weight of ({u!r}, {v!r}) must be nonnegative, got {_shown(b)}",
                 u=str(u),
                 v=str(v),
             )
-        first = seen.setdefault((ru, rv) if ru < rv else (rv, ru), b)
+        first = seen.setdefault(ru * n + rv if ru < rv else rv * n + ru, b)
         if first is not b and first != b:
             lo, hi = (u, v) if ru < rv else (v, u)
             raise AsymmetricDuplicateEdge(
-                f"pair ({lo!r}, {hi!r}) listed twice with weights {first} and {b}",
+                f"pair ({lo!r}, {hi!r}) listed twice with weights "
+                f"{_shown(first)} and {_shown(b)}",
                 u=str(lo),
                 v=str(hi),
             )
 
-    adjacency = {u: {} for u in order}
     rows = list(adjacency.values())
-    for ru, rv in sorted(pair for pair, b in seen.items() if b.numerator):
-        b = seen[ru, rv]
-        rows[ru][order[rv]] = b
-        rows[rv][order[ru]] = b
+    for key in sorted(key for key, b in seen.items() if b.numerator):
+        b = seen[key]
+        ru, rv = divmod(key, n)
+        rows[ru][vertices[rv]] = b
+        rows[rv][vertices[ru]] = b
+    del seen, rows  # not held with the search below
 
-    g = WeightedGraph(tuple(order), adjacency=adjacency, measure=measure)
-    if order:
+    if vertices:
         reached = g._first_distances
-        if len(reached) != len(order):
-            missing = next(v for v in order if v not in reached)
+        if len(reached) != n:
+            missing = next(v for v in vertices if v not in reached)
             raise DisconnectedGraph(
-                f"graph is not connected: {missing!r} unreachable from {order[0]!r}",
+                f"graph is not connected: {missing!r} unreachable from {vertices[0]!r}",
                 vertex=str(missing),
             )
     return g
@@ -507,26 +534,29 @@ def graph_from_json_dict(payload) -> WeightedGraph:
 
     The document is an object with a ``vertices`` array of ``{"id", "m"}``
     objects and an ``edges`` array of ``{"u", "v", "b"}`` objects; other
-    keys are ignored. Every entry's shape is checked before any record is
-    validated, and the records then go to :func:`validate_graph` in document
-    order. Every fault raises a ``CurvegraphError``, never a ``TypeError``.
+    keys are ignored. Every entry's shape is checked, in one pass over each
+    array, before any record is validated; the records then go to
+    :func:`validate_graph` in document order, read from the entries as it
+    asks for them, so no list of records is built beside the document, and
+    the document is left as it was. Every fault raises a
+    ``CurvegraphError``, never a ``TypeError``.
     """
     if not isinstance(payload, dict):
         raise FormatError("graph document must be a JSON object")
     for key in ("vertices", "edges"):
         if key not in payload or not isinstance(payload[key], list):
             raise FormatError(f"graph document needs a {key!r} array")
-    vertex_records = []
-    for entry in payload["vertices"]:
+    vertices, edges = payload["vertices"], payload["edges"]
+    for entry in vertices:
         if not isinstance(entry, dict) or "id" not in entry or "m" not in entry:
-            raise FormatError(f"bad vertex entry: {entry!r}")
-        vertex_records.append((entry["id"], entry["m"]))
-    edge_records = []
-    for entry in payload["edges"]:
+            raise FormatError(f"bad vertex entry: {_shown(entry, repr)}")
+    for entry in edges:
         if not isinstance(entry, dict) or "u" not in entry or "v" not in entry or "b" not in entry:
-            raise FormatError(f"bad edge entry: {entry!r}")
-        edge_records.append((entry["u"], entry["v"], entry["b"]))
-    return validate_graph(vertex_records, edge_records)
+            raise FormatError(f"bad edge entry: {_shown(entry, repr)}")
+    return validate_graph(
+        ((entry["id"], entry["m"]) for entry in vertices),
+        ((entry["u"], entry["v"], entry["b"]) for entry in edges),
+    )
 
 
 def loads_json(text: str, source: str = "<string>"):
@@ -550,13 +580,19 @@ def loads_json(text: str, source: str = "<string>"):
         raise FormatError(f"{source}: JSON number too long", source=source) from None
 
 
+_RENDER_BATCH = 512  # records joined into one piece of graph_to_json's text
+
+
 def graph_to_json(g: WeightedGraph) -> str:
     """Canonical JSON text: byte for byte ``json.dumps(graph_to_json_dict(g),
     indent=2)`` and a newline, written from one template per record.
 
-    Each distinct rational object is formatted once per call, and records
-    that share it share its text. The memo is keyed by ``id``, which is safe
-    because g holds every one of those objects for the whole call.
+    The records are joined in batches of ``_RENDER_BATCH`` and the batches
+    once, so besides the text the call holds one batch's records and pieces
+    that add up to the text, never a list of every record. Each distinct
+    rational object is formatted once per call, and records that share it
+    share its text. The memo is keyed by ``id``, which is safe because g
+    holds every one of those objects for the whole call.
     """
     measure = g.measure
     text: dict = {}
@@ -565,25 +601,31 @@ def graph_to_json(g: WeightedGraph) -> str:
         line = text[id(q)] = format_rational(q)
         return line
 
-    vertices = _json_array([
+    parts = ['{\n  "vertices": ']
+    _json_array(parts, (
         f'    {{\n      "id": {_quote(str(v))},\n'
         f'      "m": "{text.get(id(measure[v])) or render(measure[v])}"\n    }}'
         for v in g.vertices
-    ])
-    edges = _json_array([
+    ))
+    parts.append(',\n  "edges": ')
+    _json_array(parts, (
         f'    {{\n      "u": {_quote(str(u))},\n      "v": {_quote(str(v))},\n'
         f'      "b": "{text.get(id(w)) or render(w)}"\n    }}'
-        for u, v, w in g.edges
-    ])
-    return f'{{\n  "vertices": {vertices},\n  "edges": {edges}\n}}\n'
+        for u, v, w in g._each_edge()
+    ))
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
-def _json_array(items: list) -> str:
-    """An indented array of already rendered items, as ``json.dumps`` writes
-    it. The brackets go onto the first and the last item, so the array is
-    one join, not one more copy for each bracket."""
-    if not items:
-        return "[]"
-    items[0] = "[\n" + items[0]
-    items[-1] += "\n  ]"
-    return ",\n".join(items)
+def _json_array(parts: list, records: Iterator[str]) -> None:
+    """Append an indented array of rendered records to parts, as
+    ``json.dumps`` writes it: one piece per batch of records, each batch
+    after a separator, the first separator being the opening bracket."""
+    start = len(parts)
+    while batch := ",\n".join(islice(records, _RENDER_BATCH)):
+        parts += (",\n", batch)
+    if len(parts) == start:
+        parts.append("[]")
+    else:
+        parts[start] = "[\n"
+        parts.append("\n  ]")

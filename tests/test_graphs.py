@@ -1,7 +1,10 @@
 """Graph construction, distances, spheres, and the Laplacian."""
 
+import copy
 import json
+import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -251,6 +254,65 @@ def test_validation_error_precedence(vertices, edges, exc, message):
         validate_graph(vertices, edges)
     assert type(info.value) is exc
     assert str(info.value) == message
+
+
+HUGE = 10**5000  # past the interpreter's default int -> str digit limit
+
+
+# a value past the digit limit cannot be written out: a label that holds one
+# is a FormatError, and a message that names one names its type instead
+@pytest.mark.parametrize(
+    "vertices,edges,exc,message",
+    [
+        ([(HUGE, 1)], [], FormatError, "integer vertex label too long: 16610 bits"),
+        ([(-HUGE, 1)], [], FormatError, "integer vertex label too long: 16610 bits"),
+        ([(1, 1)], [(1, HUGE, 1)], FormatError, "integer vertex label too long: 16610 bits"),
+        ([(1, 1)], [(HUGE, 1, 1)], FormatError, "integer vertex label too long: 16610 bits"),
+        (
+            [([HUGE], 1)],
+            [],
+            FormatError,
+            "vertex label must be a string or an integer: <list too long to show>",
+        ),
+        ([("a", [HUGE])], [], FormatError, "not a rational: <list too long to show>"),
+        (
+            [("a", -HUGE)],
+            [],
+            NonPositiveMeasure,
+            "measure of 'a' must be positive, got <Fraction too long to show>",
+        ),
+        (
+            ABC,
+            [("a", "b", -HUGE)],
+            NonPositiveEdgeWeight,
+            "weight of ('a', 'b') must be nonnegative, got <Fraction too long to show>",
+        ),
+        (
+            ABC,
+            [("b", "a", HUGE), ("a", "b", 1)],
+            AsymmetricDuplicateEdge,
+            "pair ('a', 'b') listed twice with weights <Fraction too long to show> and 1",
+        ),
+        (
+            ABC,
+            [("a", "b", 1), ("b", "a", -HUGE - 1)],
+            NonPositiveEdgeWeight,
+            "weight of ('b', 'a') must be nonnegative, got <Fraction too long to show>",
+        ),
+        (
+            ABC,
+            [("a", "b", 1), ("b", "a", Fraction(1, HUGE))],
+            AsymmetricDuplicateEdge,
+            "pair ('a', 'b') listed twice with weights 1 and <Fraction too long to show>",
+        ),
+    ],
+)
+def test_numbers_past_the_digit_limit_raise_domain_errors(vertices, edges, exc, message):
+    with pytest.raises(CurvegraphError) as info:
+        validate_graph(vertices, edges)
+    assert type(info.value) is exc
+    assert str(info.value) == message
+    info.value.payload()  # the detail fields are written out too
 
 
 def test_each_distinct_rational_string_is_parsed_once(monkeypatch):
@@ -635,6 +697,118 @@ def test_json_shaped_payloads_load_or_raise_domain_errors(graph_doc, chain_doc):
             load(doc)
         except CurvegraphError:
             pass
+
+
+BATCH = graphs_module._RENDER_BATCH
+
+
+# graph_to_json joins its records in batches: a path of n vertices has n - 1
+# edges, so these cut each array at no record, at exactly one batch and at
+# one record past a batch
+@pytest.mark.parametrize(
+    "n", [1, BATCH, BATCH + 1, BATCH + 2],
+    ids=["no edges", "one batch of vertices", "one batch of edges", "one edge past a batch"],
+)
+def test_graph_to_json_matches_json_dumps_at_batch_boundaries(n):
+    g = validate_graph(
+        [(v, Fraction(v % 5 + 1, 3)) for v in range(n)],
+        [(v - 1, v, Fraction(v % 7 + 1, 2)) for v in range(1, n)],
+    )
+    assert graph_to_json(g) == _dumps_oracle(g)
+
+
+def test_edges_read_the_cached_rank():
+    g = make_figure1()
+    edges = g.edges
+    rank = vars(g)["_rank"]
+    assert g.edges == edges and vars(g)["_rank"] is rank
+    assert edges == tuple(
+        (u, v, g.adjacency[u][v])
+        for u in g.vertices for v in g.vertices
+        if v in g.adjacency[u] and rank[u] < rank[v]
+    )
+
+
+def _layered_document(rng, layers=100, width=11, extra=4):
+    """A root and `layers` layers of `width` vertices, each vertex joined to
+    one of the layer below, plus `extra` more edges per layer, half of them
+    inside the layer, and no pair twice: 1,101 vertices and 1,500 edges at
+    the defaults."""
+    rational = lambda: f"{rng.randint(1, 9)}/{rng.randint(1, 9)}"  # noqa: E731
+    layer = lambda i: range(1 + (i - 1) * width, 1 + i * width) if i else [0]  # noqa: E731
+    vertices = [{"id": v, "m": rational()} for v in range(1 + layers * width)]
+    weights = {}
+    for i in range(1, layers + 1):
+        for v in layer(i):
+            weights[rng.choice(layer(i - 1)), v] = rational()
+        added = 0
+        while added < extra:
+            if added % 2 or i == 1:  # the root's layer-1 pairs are all taken
+                u, v = rng.sample(layer(i), 2)
+            else:
+                u, v = rng.choice(layer(i - 1)), rng.choice(layer(i))
+            if (u, v) not in weights and (v, u) not in weights:
+                weights[u, v] = rational()
+                added += 1
+    return {
+        "vertices": vertices,
+        "edges": [{"u": u, "v": v, "b": b} for (u, v), b in weights.items()],
+    }
+
+
+def test_loading_holds_less_than_the_document_beside_it():
+    # the document is alive for the whole load, so what the load adds at its
+    # peak (the graph it returns and any scaffolding) is measured above it,
+    # and stays below the document's own size: no list of records, edge map
+    # of tuples or copy of every label is held beside it
+    text = json.dumps(_layered_document(random.Random(3)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        doc = json.loads(text)
+        size = tracemalloc.get_traced_memory()[0] - before
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        g = graph_from_json_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (len(g.vertices), len(doc["edges"])) == (1101, 1500)
+    assert peak < size, f"load peak {peak} bytes above a document of {size}"
+
+
+# every entry's shape is checked, in both arrays, before any record is
+@pytest.mark.parametrize(
+    "doc,message",
+    [
+        ({"vertices": [{"id": "a", "m": "0"}], "edges": [7]}, "bad edge entry: 7"),
+        (
+            {"vertices": [{"id": "a", "m": 1}, {"id": "a", "m": 1}], "edges": [{"u": "a"}]},
+            "bad edge entry: {'u': 'a'}",
+        ),
+        (
+            {"vertices": [{"id": "a", "m": "0"}, {"id": "b"}], "edges": [7]},
+            "bad vertex entry: {'id': 'b'}",
+        ),
+        (
+            {"vertices": [{"id": "a", "m": 1}], "edges": [{"u": "a", "v": "a", "b": [HUGE]}, 7]},
+            "bad edge entry: 7",
+        ),
+        ({"vertices": [[HUGE]], "edges": []}, "bad vertex entry: <list too long to show>"),
+    ],
+)
+def test_entry_shapes_are_checked_before_any_record(doc, message):
+    with pytest.raises(FormatError) as info:
+        graph_from_json_dict(doc)
+    assert str(info.value) == message
+
+
+def test_loading_leaves_the_document_as_it_was():
+    doc = _layered_document(random.Random(4), layers=6)
+    kept = copy.deepcopy(doc)
+    g = graph_from_json_dict(doc)
+    assert doc == kept
+    assert graph_from_json_dict(kept) == g
 
 
 def test_graph_json_is_exact(figure1):
