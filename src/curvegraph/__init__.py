@@ -2,51 +2,38 @@
 
 Everything runs on `fractions.Fraction`; no floats anywhere, including the
 JSON formats, so every comparison in the library is an exact statement.
+
+Importing the package runs only `errors` and `graphs`, which every command
+needs to read its input. The other modules are lazy
+(`importlib.util.LazyLoader`): each is in `sys.modules` and is an attribute
+of the package from the start, but its code is compiled and run on the
+first read of one of its attributes. So a command pays only for the
+modules it calls. The public names those modules define are served from
+`_LAZY_NAMES` by the module `__getattr__` (PEP 562); the package's public
+surface is that table and the names imported below.
 """
 
-from .chains import (
-    BirthDeathChain,
-    ModelVerdict,
-    associated_bdc,
-    bdc_as_graph,
-    bdc_ollivier_closed_form,
-    chain_from_json_dict,
-    chain_to_json,
-    chain_to_json_dict,
-    is_model,
-    make_example_gprime,
-    make_figure1,
-    make_mirror_model,
-    make_ollivier_matching_chain,
-    make_unweighted_chain,
-    sphere_volume_step,
+
+def _lazy(name):
+    import sys
+    from importlib.util import LazyLoader, find_spec, module_from_spec
+
+    spec = find_spec(f"{__name__}.{name}")
+    spec.loader = LazyLoader(spec.loader)
+    module = sys.modules[spec.name] = module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# Registered before the eager imports. A walk over sys.modules that rebinds
+# names as it goes, as bench/tracer.py makes, then reaches each lazy module,
+# and so runs it, before graphs: the module imports graphs' own functions,
+# not replacements that the walk would not know to put back.
+chains, comparison, curvature, generators, verify = map(
+    _lazy, ("chains", "comparison", "curvature", "generators", "verify")
 )
-from .comparison import (
-    GrowthRelation,
-    LedgerRow,
-    TheoremReport,
-    asymptotic_constant,
-    compcurv_check,
-    laplacian_distance_compare,
-    model_sphere_equality_report,
-    partial_sum_equiv_check,
-    stronger_average_growth,
-    stronger_curvature_growth,
-    stronger_outside_finite,
-    volume_comparison,
-)
-from .curvature import (
-    OllivierResult,
-    average_curvature,
-    curvature_profile,
-    inner_curvature,
-    ollivier_pair,
-    ollivier_pair_bruteforce,
-    outer_curvature,
-    sphere_curvature,
-    verify_witness,
-)
-from .errors import (
+
+from .errors import (  # noqa: E402
     AsymmetricDuplicateEdge,
     BadRadiusOrder,
     CurvegraphError,
@@ -66,7 +53,7 @@ from .errors import (
     SequenceNotNonincreasing,
     UnknownVertex,
 )
-from .graphs import (
+from .graphs import (  # noqa: E402
     RootedDecomposition,
     WeightedGraph,
     distance,
@@ -85,6 +72,58 @@ from .graphs import (
     sphere_measure,
     validate_graph,
 )
-from .verify import run_verification
+
+# public name -> the lazy module that defines it
+_LAZY_NAMES = {
+    "BirthDeathChain": chains,
+    "ModelVerdict": chains,
+    "associated_bdc": chains,
+    "bdc_as_graph": chains,
+    "bdc_ollivier_closed_form": chains,
+    "chain_from_json_dict": chains,
+    "chain_to_json": chains,
+    "chain_to_json_dict": chains,
+    "is_model": chains,
+    "make_example_gprime": chains,
+    "make_figure1": chains,
+    "make_mirror_model": chains,
+    "make_ollivier_matching_chain": chains,
+    "make_unweighted_chain": chains,
+    "sphere_volume_step": chains,
+    "GrowthRelation": comparison,
+    "LedgerRow": comparison,
+    "TheoremReport": comparison,
+    "asymptotic_constant": comparison,
+    "compcurv_check": comparison,
+    "laplacian_distance_compare": comparison,
+    "model_sphere_equality_report": comparison,
+    "partial_sum_equiv_check": comparison,
+    "stronger_average_growth": comparison,
+    "stronger_curvature_growth": comparison,
+    "stronger_outside_finite": comparison,
+    "volume_comparison": comparison,
+    "OllivierResult": curvature,
+    "average_curvature": curvature,
+    "curvature_profile": curvature,
+    "inner_curvature": curvature,
+    "ollivier_pair": curvature,
+    "ollivier_pair_bruteforce": curvature,
+    "outer_curvature": curvature,
+    "sphere_curvature": curvature,
+    "verify_witness": curvature,
+    "run_verification": verify,
+}
+
+
+def __getattr__(name):
+    module = _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY_NAMES})
+
 
 __version__ = "0.1.0"

@@ -36,6 +36,7 @@ from .graphs import (
     RootedDecomposition,
     VertexId,
     WeightedGraph,
+    _shown,
     format_rational,
     parse_rational,
     validate_graph,
@@ -307,11 +308,11 @@ def make_ollivier_matching_chain(seq: Sequence[RationalLike]) -> BirthDeathChain
         if a <= 0:
             raise NonPositiveEntry(f"sequence entry {i} must be positive", index=i)
     if values[0] != 1:
-        raise CurvegraphError(f"sequence must start at 1, got {values[0]}")
+        raise CurvegraphError(f"sequence must start at 1, got {_shown(values[0])}")
     for i in range(1, len(values)):
         if values[i] > values[i - 1]:
             raise SequenceNotNonincreasing(
-                f"entry {i} exceeds entry {i - 1}: {values[i]} > {values[i - 1]}",
+                f"entry {i} exceeds entry {i - 1}: {_shown(values[i])} > {_shown(values[i - 1])}",
                 index=i,
             )
     return chain_from_curvatures(Fraction(1), values[:-1], values[1:])

@@ -8,11 +8,19 @@ are exact "p/q" strings and the output is byte-stable for fixed inputs.
 
 Exit codes: 0 success, 1 domain error (a JSON error object goes to the
 error stream), 2 usage error.
+
+Of the package's modules only `errors` and `graphs` run when this one is
+imported; `chains`, `comparison`, `curvature` and `verify` are lazy (see
+the package docstring), and each command runs only those it calls.
+`run()` loads a command's modules before it imports `argparse`, builds the
+parser or reads any input: compiled later, a module would add its
+compiler's memory on top of those, and raise the command's peak. So no
+module-level name here reads a lazy module, the handlers call through the
+modules, and only `build_parser()` imports `argparse`.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import gc
 import json
@@ -21,27 +29,7 @@ import sys
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Tuple, Union
 
-from .chains import (
-    BirthDeathChain,
-    associated_bdc,
-    bdc_as_graph,
-    bdc_ollivier_closed_form,
-    chain_from_json_dict,
-    chain_to_json,
-    make_example_gprime,
-    make_figure1,
-    make_mirror_model,
-    make_ollivier_matching_chain,
-    make_unweighted_chain,
-)
-from .comparison import (
-    asymptotic_constant,
-    stronger_average_growth,
-    stronger_curvature_growth,
-    stronger_outside_finite,
-    volume_comparison,
-)
-from .curvature import OllivierResult, curvature_profile, ollivier_pair, sphere_curvature
+from . import chains, comparison, curvature, verify
 from .errors import CurvegraphError, FormatError
 from .graphs import (
     WeightedGraph,
@@ -52,9 +40,6 @@ from .graphs import (
     parse_rational,
     rooted_decomposition,
 )
-from .verify import run_verification
-
-Payload = Tuple[str, Union[WeightedGraph, BirthDeathChain]]
 
 
 def _read_source(source: str) -> Tuple[str, str]:
@@ -74,14 +59,14 @@ def _read_source(source: str) -> Tuple[str, str]:
         ) from None
 
 
-def _load_payload(source: str) -> Payload:
+def _load_payload(source: str) -> Tuple[str, Union[WeightedGraph, chains.BirthDeathChain]]:
     text, name = _read_source(source)
     data = loads_json(text, name)
     del text  # not held beside the document while the payload is built
     if isinstance(data, dict) and "vertices" in data and "edges" in data:
         return "graph", graph_from_json_dict(data)
     if isinstance(data, dict) and "m" in data and "b" in data:
-        return "chain", chain_from_json_dict(data)
+        return "chain", chains.chain_from_json_dict(data)
     raise FormatError(
         f"{name}: cannot tell a graph from a chain; expected keys "
         "vertices/edges or m/b",
@@ -91,7 +76,7 @@ def _load_payload(source: str) -> Payload:
 
 def _load_graph(source: str) -> WeightedGraph:
     kind, obj = _load_payload(source)
-    return bdc_as_graph(obj) if kind == "chain" else obj
+    return chains.bdc_as_graph(obj) if kind == "chain" else obj
 
 
 def _resolve_vertex(g: WeightedGraph, token: str):
@@ -108,19 +93,23 @@ def _resolve_vertex(g: WeightedGraph, token: str):
 
 
 def _positive_int(text: str) -> int:
+    from argparse import ArgumentTypeError  # the parser calling this loaded it
+
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+        raise ArgumentTypeError(f"expected an integer, got {text!r}")
     if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+        raise ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
 
 
 def _pair(text: str) -> Tuple[str, str]:
+    from argparse import ArgumentTypeError  # the parser calling this loaded it
+
     parts = text.split(",")
     if len(parts) != 2 or not parts[0] or not parts[1]:
-        raise argparse.ArgumentTypeError(
+        raise ArgumentTypeError(
             f"expected two comma-separated vertex ids, got {text!r}"
         )
     return parts[0], parts[1]
@@ -131,7 +120,7 @@ def _write_csv(rows) -> None:
     writer.writerows(rows)
 
 
-def _ollivier_json(result: OllivierResult) -> str:
+def _ollivier_json(result: curvature.OllivierResult) -> str:
     """One pair record, byte for byte ``json.dumps(record, indent=2)`` of the
     dict with keys x, y, distance, value, witness and support, written from
     one template."""
@@ -163,7 +152,7 @@ def _json_records(records: list) -> str:
 
 def _cmd_validate(args) -> int:
     kind, obj = _load_payload(args.file)
-    text = graph_to_json(obj) if kind == "graph" else chain_to_json(obj)
+    text = graph_to_json(obj) if kind == "graph" else chains.chain_to_json(obj)
     # in slices: writing the whole text at once encodes all of it into one
     # more copy, which on a large graph sets the command's peak memory
     for start in range(0, len(text), 1 << 16):
@@ -174,13 +163,13 @@ def _cmd_validate(args) -> int:
 def _cmd_curvature(args) -> int:
     g = _load_graph(args.file)
     decomp = rooted_decomposition(g, _resolve_vertex(g, args.root))
-    per_vertex = curvature_profile(decomp)
+    per_vertex = curvature.curvature_profile(decomp)
     if args.radius is not None:
         decomp.sphere(args.radius)  # range check
         radii = [args.radius]
     else:
         radii = list(range(decomp.horizon + 1))
-    chain = associated_bdc(decomp)
+    chain = chains.associated_bdc(decomp)
     # id of a k value -> its text, and None (k+ on the outermost sphere) ->
     # "": per_vertex holds every value for the call, and the profile shares
     # equal values, so each distinct one is formatted once
@@ -207,25 +196,25 @@ def _cmd_curvature(args) -> int:
 def _cmd_ollivier(args) -> int:
     g = _load_graph(args.file)
     if args.all_adjacent:
-        records = [_ollivier_json(ollivier_pair(g, u, v)) for u, v, _ in g.edges]
+        records = [_ollivier_json(curvature.ollivier_pair(g, u, v)) for u, v, _ in g.edges]
         sys.stdout.write(_json_records(records) + "\n")
         return 0
     x = _resolve_vertex(g, args.pair[0])
     y = _resolve_vertex(g, args.pair[1])
-    sys.stdout.write(_ollivier_json(ollivier_pair(g, x, y)) + "\n")
+    sys.stdout.write(_ollivier_json(curvature.ollivier_pair(g, x, y)) + "\n")
     return 0
 
 
 def _cmd_sphere_curv(args) -> int:
     g = _load_graph(args.file)
     decomp = rooted_decomposition(g, _resolve_vertex(g, args.root))
-    chain = associated_bdc(decomp)
+    chain = chains.associated_bdc(decomp)
     h = chain.horizon
     rows = [["r", "k_graph", "k_chain"]]
     for r in range(1, h + 1):
-        graph_side = format_rational(sphere_curvature(decomp, r))
+        graph_side = format_rational(curvature.sphere_curvature(decomp, r))
         if r < h:
-            chain_value = bdc_ollivier_closed_form(chain, r - 1, r)
+            chain_value = chains.bdc_ollivier_closed_form(chain, r - 1, r)
         else:
             # k(r - 1, r) is the drop in the gap, and past the horizon nothing
             # lies: the gap there is -k-(h)
@@ -238,17 +227,21 @@ def _cmd_sphere_curv(args) -> int:
 def _cmd_bdc(args) -> int:
     g = _load_graph(args.file)
     decomp = rooted_decomposition(g, _resolve_vertex(g, args.root))
-    sys.stdout.write(chain_to_json(associated_bdc(decomp)))
+    sys.stdout.write(chains.chain_to_json(chains.associated_bdc(decomp)))
     return 0
 
 
-# chain generators by name, shared by `gen` and `gen mirror --of`
-_CHAIN_MAKERS = {"chain": make_unweighted_chain, "gprime": make_example_gprime}
+def _chain_maker(name: str):
+    """The chain generator of this name, shared by `gen` and `gen mirror
+    --of`, or None."""
+    makers = {"chain": chains.make_unweighted_chain, "gprime": chains.make_example_gprime}
+    return makers.get(name)
 
 
-def _chain_for_mirror(args) -> BirthDeathChain:
-    if args.of in _CHAIN_MAKERS:
-        return _CHAIN_MAKERS[args.of](args.n)
+def _chain_for_mirror(args) -> chains.BirthDeathChain:
+    maker = _chain_maker(args.of)
+    if maker is not None:
+        return maker(args.n)
     kind, obj = _load_payload(args.of)
     if kind != "chain":
         raise FormatError(
@@ -260,18 +253,19 @@ def _chain_for_mirror(args) -> BirthDeathChain:
 
 def _cmd_gen(args) -> int:
     name = args.generator
-    if name in _CHAIN_MAKERS:
-        sys.stdout.write(chain_to_json(_CHAIN_MAKERS[name](args.n)))
+    maker = _chain_maker(name)
+    if maker is not None:
+        sys.stdout.write(chains.chain_to_json(maker(args.n)))
     elif name == "figure1":
-        sys.stdout.write(graph_to_json(make_figure1()))
+        sys.stdout.write(graph_to_json(chains.make_figure1()))
     elif name == "mirror":
-        sys.stdout.write(graph_to_json(make_mirror_model(_chain_for_mirror(args))))
+        sys.stdout.write(graph_to_json(chains.make_mirror_model(_chain_for_mirror(args))))
     else:  # ollivier-match, choices enforced by argparse
         if args.seq is None:
             sys.stderr.write("gen ollivier-match: --seq is required\n")
             return 2
         values = [parse_rational(tok.strip()) for tok in args.seq.split(",")]
-        sys.stdout.write(chain_to_json(make_ollivier_matching_chain(values)))
+        sys.stdout.write(chains.chain_to_json(chains.make_ollivier_matching_chain(values)))
     return 0
 
 
@@ -296,18 +290,18 @@ def _cmd_compare(args) -> int:
         sys.stderr.write("compare: --constant requires --outside\n")
         return 2
     # root2 is checked before root1, and both before horizon-mismatch
-    c2 = associated_bdc(rooted_decomposition(g2, _resolve_vertex(g2, args.root2)))
+    c2 = chains.associated_bdc(rooted_decomposition(g2, _resolve_vertex(g2, args.root2)))
     d1 = rooted_decomposition(g1, _resolve_vertex(g1, args.root1))
-    per_vertex = stronger_curvature_growth(d1, c2)
-    c1 = associated_bdc(d1)
-    averaged = stronger_average_growth(c1, c2)
+    per_vertex = comparison.stronger_curvature_growth(d1, c2)
+    c1 = chains.associated_bdc(d1)
+    averaged = comparison.stronger_average_growth(c1, c2)
     outside = None
     if args.outside is not None:
-        outside = stronger_outside_finite(c1, c2, args.outside)
-    volume = volume_comparison(c1, c2)
+        outside = comparison.stronger_outside_finite(c1, c2, args.outside)
+    volume = comparison.volume_comparison(c1, c2)
     constant = report = None
     if args.constant:
-        constant, report = asymptotic_constant(c1, c2, args.outside)
+        constant, report = comparison.asymptotic_constant(c1, c2, args.outside)
 
     if args.json:
         payload = {
@@ -345,7 +339,7 @@ def _env_seed() -> int:
 
 def _cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else _env_seed()
-    text, ok = run_verification(seed=seed, instances=args.instances)
+    text, ok = verify.run_verification(seed=seed, instances=args.instances)
     sys.stdout.write(text)
     return 0 if ok else 1
 
@@ -356,6 +350,8 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # after run() has loaded the command's modules
+
     parser = argparse.ArgumentParser(
         prog="curvegraph",
         description=(
@@ -441,7 +437,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the lazy modules whose functions each command calls; validate and
+# ollivier load chains only when their input is a chain
+_USES = {
+    "curvature": (chains, curvature),
+    "ollivier": (curvature,),
+    "sphere-curv": (chains, curvature),
+    "bdc": (chains,),
+    "gen": (chains,),
+    "compare": (chains, comparison),
+    "verify": (verify,),
+}
+
+
 def run(argv) -> int:
+    for module in _USES.get(argv[0] if argv else None, ()):
+        module.__spec__  # the first attribute read runs a lazy module
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

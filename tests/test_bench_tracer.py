@@ -8,7 +8,10 @@ runs no BFS, and that a farther pair's BFS work does not grow
 with the graph around it.
 """
 
+import ast
 import importlib
+import os
+import subprocess
 import sys
 import types
 from pathlib import Path
@@ -18,7 +21,9 @@ import pytest
 from curvegraph import cli, make_figure1, ollivier_pair, validate_graph
 from curvegraph.graphs import graph_to_json
 
-TRACER_PATH = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+TRACER_PATH = ROOT / "bench" / "tracer.py"
 
 
 def _load_tracer():
@@ -125,3 +130,42 @@ def test_pair_metric_is_local(side, x, y, searched):
         assert calls > 0 and vertices > 0
     else:
         assert calls <= 2 and vertices <= 10
+
+
+def test_tracer_runs_and_restores_modules_that_first_load_inside_it(tmp_path):
+    # validate runs only errors and graphs, so the other modules first run
+    # while Tracer.__enter__ walks sys.modules; none of them may keep a
+    # wrapper bound once the tracer exits
+    path = tmp_path / "figure1.json"
+    path.write_text(graph_to_json(make_figure1()))
+    code = f"""
+import io, sys
+from contextlib import redirect_stdout
+sys.path.insert(0, {str(TRACER_PATH.parent)!r})
+import tracer
+from curvegraph import cli
+
+with redirect_stdout(io.StringIO()):
+    assert cli.run(["validate", {str(path)!r}]) == 0
+    with tracer.Tracer() as trace:
+        assert cli.run(["compare", {str(path)!r}, {str(path)!r}, "--root1", "w", "--root2", "w"]) == 0
+print(sorted({{span[0] for span in trace.spans}}))
+print(sorted(
+    f"{{name}}.{{attr}}"
+    for name, module in sys.modules.items()
+    if name.split(".")[0] == "curvegraph"
+    for attr, value in vars(module).items()
+    if getattr(value, "__module__", None) == "tracer"
+))
+"""
+    done = subprocess.run(
+        [sys.executable, "-B", "-c", code],
+        env=dict(os.environ, PYTHONPATH=str(SRC)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    spans, left_bound = map(ast.literal_eval, done.stdout.splitlines())
+    assert {"run", "stronger_curvature_growth", "volume_comparison"} <= set(spans)
+    assert left_bound == []

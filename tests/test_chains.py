@@ -268,6 +268,25 @@ def test_matching_chain_input_errors():
         make_ollivier_matching_chain([1, "1/2", "3/4"])
 
 
+@pytest.mark.parametrize(
+    "seq, error, message",
+    [
+        ([10**5000], CurvegraphError,
+         "sequence must start at 1, got <Fraction too long to show>"),
+        ([1, 2 * 10**5000], SequenceNotNonincreasing,
+         "entry 1 exceeds entry 0: <Fraction too long to show> > 1"),
+    ],
+    ids=["first", "later"],
+)
+def test_matching_chain_errors_past_the_digit_limit(seq, error, message):
+    # an entry past the interpreter's int -> str digit limit cannot be
+    # written out; the message names its type instead of raising ValueError
+    with pytest.raises(error) as caught:
+        make_ollivier_matching_chain(seq)
+    assert type(caught.value) is error
+    assert caught.value.payload()["message"] == message
+
+
 def test_figure1_constructor(figure1):
     assert len(figure1.vertices) == 7
     weights = {(u, v): w for u, v, w in figure1.edges}

@@ -849,3 +849,59 @@ except SystemExit as exc:
     status, out, err = run_child(["-c", code])
     assert (status, err) == (0, "")
     assert out.splitlines()[-1] == "0 0 True"
+
+
+# the package modules each command runs, besides cli: errors and graphs run
+# on import, the rest only when a command calls them
+READS_INPUT = ["errors", "graphs"]
+PAIRS = sorted(READS_INPUT + ["curvature"])
+ROOTED = sorted(PAIRS + ["chains"])
+
+
+@pytest.mark.parametrize(
+    "argv, modules",
+    [
+        (["validate", "{g}"], READS_INPUT),
+        (["ollivier", "{g}", "--pair", "w,x"], PAIRS),
+        (["curvature", "{g}", "--root", "w"], ROOTED),
+        (["sphere-curv", "{g}", "--root", "w"], ROOTED),
+        (["bdc", "{g}", "--root", "w"], ROOTED),
+        (["gen", "chain", "--n", "2"], ROOTED),
+        (
+            ["compare", "{g}", "{g}", "--root1", "w", "--root2", "w"],
+            sorted(ROOTED + ["comparison"]),
+        ),
+        (
+            ["verify", "--instances", "1"],
+            sorted(ROOTED + ["comparison", "generators", "verify"]),
+        ),
+    ],
+    ids=["validate", "ollivier", "curvature", "sphere-curv", "bdc", "gen", "compare", "verify"],
+)
+def test_each_command_runs_only_the_modules_it_calls(figure1_file, argv, modules):
+    # a module has run once it is no longer the lazy placeholder; run()
+    # loads them all before it imports argparse and builds the parser, and
+    # none runs after that. -S keeps the environment's site hooks from
+    # importing argparse first
+    code = """
+import json, sys, types
+from curvegraph import cli
+
+def ran():
+    return sorted(name.rpartition(".")[2] for name, module in sys.modules.items()
+                  if name.startswith("curvegraph.") and name != "curvegraph.cli"
+                  and type(module) is types.ModuleType)
+
+at_parser = []
+build_parser = cli.build_parser
+def spy():
+    at_parser.append(ran() + ["argparse"] * ("argparse" in sys.modules))
+    return build_parser()
+cli.build_parser = spy
+code = cli.run(sys.argv[1:])
+sys.stderr.write(json.dumps([code, at_parser, ran()]))
+"""
+    argv = [figure1_file if arg == "{g}" else arg for arg in argv]
+    status, _, err = run_child(["-S", "-c", code, *argv])
+    assert status == 0, err
+    assert json.loads(err) == [0, [modules], modules]

@@ -3,15 +3,18 @@
 The layers, lowest first: errors, graphs, curvature, chains, then
 comparison and generators side by side, verify, and cli. A ``from .x
 import`` may only name a module in a lower layer, so comparison and
-generators, which share a layer, do not import each other. ``__init__``
-is not a layer: the names it imports are the package's public surface, and
-every one of them must have a caller outside the tests.
+generators, which share a layer, do not import each other; a ``from .
+import x, y`` names x and y. ``__init__`` is not a layer: the names it
+imports and the names of its lazy-name table are the package's public
+surface, and every one of them must have a caller outside the tests.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import curvegraph
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "curvegraph"
@@ -30,9 +33,10 @@ LAYER = {
 def _relative_imports(module):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     return [
-        node.module
+        target
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.level == 1
+        for target in ([node.module] if node.module else [a.name for a in node.names])
     ]
 
 
@@ -64,7 +68,8 @@ def _loaded_names(path):
     return names
 
 
-def test_every_public_name_has_a_caller():
+def _public_names():
+    """The names ``__init__`` imports and the keys of its lazy-name table."""
     init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
     public = {
         alias.asname or alias.name
@@ -72,8 +77,26 @@ def test_every_public_name_has_a_caller():
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
+    (table,) = [
+        node.value
+        for node in init.body
+        if isinstance(node, ast.Assign)
+        and [getattr(target, "id", None) for target in node.targets] == ["_LAZY_NAMES"]
+    ]
+    return public | {key.value for key in table.keys}
+
+
+def test_every_public_name_has_a_caller():
+    public = _public_names()
+    assert len(public) == 72, "the surface is the 35 eager imports and the 37 lazy names"
     paths = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
     paths += [*(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")]
     loaded = set().union(*map(_loaded_names, paths))
     unused = sorted(public - loaded - TEST_ONLY_NAMES)
     assert not unused, f"public names no code outside the tests loads: {unused}"
+
+
+def test_every_public_name_is_served_and_listed():
+    public = _public_names()
+    assert public <= set(dir(curvegraph))
+    assert [name for name in sorted(public) if not hasattr(curvegraph, name)] == []
