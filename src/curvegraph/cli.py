@@ -12,22 +12,31 @@ error stream), 2 usage error.
 Of the package's modules only `errors` and `graphs` run when this one is
 imported; `chains`, `comparison`, `curvature` and `verify` are lazy (see
 the package docstring), and each command runs only those it calls.
-`run()` loads a command's modules before it imports `argparse`, builds the
-parser or reads any input: compiled later, a module would add its
-compiler's memory on top of those, and raise the command's peak. So no
-module-level name here reads a lazy module, the handlers call through the
-modules, and only `build_parser()` imports `argparse`.
+`run()` loads a command's modules before it parses the command line or
+reads any input: compiled later, a module would add its compiler's memory
+on top of those, and raise the command's peak. So no module-level name
+here reads a lazy module, and the handlers call through the modules.
+
+`argparse` runs only for help and for errors. Each command is described
+once, in `_COMMANDS`; `_plain_args` reads a plain command line (full option
+names, each at most once, and one run of positionals) straight from that
+table into the namespace argparse would build, and anything else goes to
+the argparse parser `build_parser()` makes from the same table, so help,
+usage and error messages are argparse's. Importing `argparse`, `gettext`
+and `locale` and building the eight subparsers cost ~5-8 ms of a 65-90 ms
+command; `_plain_args` takes ~0.02 ms. The converters import argparse's
+error class only when they fail, so a valid command line never loads it.
 """
 
 from __future__ import annotations
 
-import csv
 import gc
 import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Tuple, Union
+from types import SimpleNamespace
+from typing import Optional, Tuple, Union
 
 from . import chains, comparison, curvature, verify
 from .errors import CurvegraphError, FormatError
@@ -92,30 +101,34 @@ def _resolve_vertex(g: WeightedGraph, token: str):
     return token
 
 
-def _positive_int(text: str) -> int:
-    from argparse import ArgumentTypeError  # the parser calling this loaded it
+def _type_error(message: str) -> Exception:
+    """The error a converter raises for argparse to report; argparse is
+    imported only here, so that a valid command line never loads it."""
+    from argparse import ArgumentTypeError
 
+    return ArgumentTypeError(message)
+
+
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise ArgumentTypeError(f"expected an integer, got {text!r}")
+        raise _type_error(f"expected an integer, got {text!r}")
     if value < 1:
-        raise ArgumentTypeError(f"expected a positive integer, got {value}")
+        raise _type_error(f"expected a positive integer, got {value}")
     return value
 
 
 def _pair(text: str) -> Tuple[str, str]:
-    from argparse import ArgumentTypeError  # the parser calling this loaded it
-
     parts = text.split(",")
     if len(parts) != 2 or not parts[0] or not parts[1]:
-        raise ArgumentTypeError(
-            f"expected two comma-separated vertex ids, got {text!r}"
-        )
+        raise _type_error(f"expected two comma-separated vertex ids, got {text!r}")
     return parts[0], parts[1]
 
 
 def _write_csv(rows) -> None:
+    import csv  # only the commands that write CSV load it
+
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerows(rows)
 
@@ -170,26 +183,33 @@ def _cmd_curvature(args) -> int:
     else:
         radii = list(range(decomp.horizon + 1))
     chain = chains.associated_bdc(decomp)
-    # id of a k value -> its text, and None (k+ on the outermost sphere) ->
-    # "": per_vertex holds every value for the call, and the profile shares
-    # equal values, so each distinct one is formatted once
+    # every value is formatted before any row is written, so that a value
+    # too long to format leaves the output empty; the rows then stream to
+    # the writer one at a time. text maps the id of a k value to its text,
+    # and None (k+ on the outermost sphere) to "": per_vertex holds every
+    # value for the call, and the profile shares equal values, so each
+    # distinct one is formatted once
     text = {id(None): ""}
-    rows = [["r", "vertex", "k_minus", "k_plus", "avg_minus", "avg_plus", "m_Sr"]]
+    spheres = []
     for r in radii:
         avg_minus = format_rational(chain.inner_curvature(r))
         avg_plus = format_rational(chain.outer_curvature(r)) if r < chain.horizon else ""
-        m_sr = format_rational(chain.measures[r])
-        radius = str(r)
+        spheres.append((str(r), decomp.sphere(r), avg_minus, avg_plus,
+                        format_rational(chain.measures[r])))
         for v in decomp.sphere(r):
-            k_minus, k_plus = per_vertex[v]
-            minus = text.get(id(k_minus))
-            if minus is None:
-                minus = text[id(k_minus)] = format_rational(k_minus)
-            plus = text.get(id(k_plus))
-            if plus is None:
-                plus = text[id(k_plus)] = format_rational(k_plus)
-            rows.append([radius, str(v), minus, plus, avg_minus, avg_plus, m_sr])
-    _write_csv(rows)
+            for k in per_vertex[v]:
+                if id(k) not in text:
+                    text[id(k)] = format_rational(k)
+
+    def rows():
+        yield ["r", "vertex", "k_minus", "k_plus", "avg_minus", "avg_plus", "m_Sr"]
+        for radius, sphere, avg_minus, avg_plus, m_sr in spheres:
+            for v in sphere:
+                k_minus, k_plus = per_vertex[v]
+                minus, plus = text[id(k_minus)], text[id(k_plus)]
+                yield [radius, str(v), minus, plus, avg_minus, avg_plus, m_sr]
+
+    _write_csv(rows())
     return 0
 
 
@@ -349,8 +369,95 @@ def _cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Each command once, in the order `curvegraph -h` lists them: its help, its
+# handler, and its arguments as (name, keyword arguments of argparse's
+# add_argument), in the order its usage lists them; "one_of" holds the
+# options of a required mutually exclusive group. build_parser() hands the
+# table to argparse and _plain_args() reads the same entries.
+_FILE = ("file", dict(nargs="?", default="-"))
+_ROOT = ("--root", dict(required=True))
+_COMMANDS = {
+    "validate": dict(
+        help="check a payload and echo its canonical form",
+        func=_cmd_validate,
+        args=[("file", dict(nargs="?", default="-", help="graph or chain JSON; - for stdin"))],
+    ),
+    "curvature": dict(
+        help="per-vertex and per-radius curvature CSV",
+        func=_cmd_curvature,
+        args=[
+            _FILE,
+            ("--root", dict(required=True, help="root vertex id")),
+            ("--radius", dict(type=int, default=None, help="restrict to one radius")),
+        ],
+    ),
+    "ollivier": dict(
+        help="exact pair curvature with an optimal witness",
+        func=_cmd_ollivier,
+        args=[_FILE],
+        one_of=[
+            ("--pair", dict(type=_pair, help="two vertex ids, comma separated")),
+            ("--all-adjacent", dict(action="store_true", help="every adjacent pair instead")),
+        ],
+    ),
+    "sphere-curv": dict(
+        help="sphere curvatures beside the associated chain's",
+        func=_cmd_sphere_curv,
+        args=[_FILE, _ROOT],
+    ),
+    "bdc": dict(
+        help="reduce to the associated birth-death chain",
+        func=_cmd_bdc,
+        args=[_FILE, _ROOT],
+    ),
+    "gen": dict(
+        help="emit a built-in example graph or chain",
+        func=_cmd_gen,
+        args=[
+            ("generator", dict(choices=["chain", "gprime", "figure1", "mirror", "ollivier-match"])),
+            ("--n", dict(type=_positive_int, default=8, help="horizon for chain/gprime/mirror")),
+            ("--of", dict(
+                default="chain",
+                help="mirror source: chain, gprime, or a chain JSON file (- for stdin)",
+            )),
+            ("--seq", dict(help="comma-separated rationals for ollivier-match")),
+        ],
+    ),
+    "compare": dict(
+        help="growth relations, volume ledger, constant",
+        func=_cmd_compare,
+        args=[
+            ("files", dict(nargs="*", help="two payloads: first vs second")),
+            ("--against", dict(help="first payload (--root1); the second comes on stdin")),
+            ("--root1", dict(required=True, help="root in the first payload")),
+            ("--root2", dict(required=True, help="root in the second payload")),
+            ("--outside", dict(
+                type=_positive_int,
+                default=None,
+                help="also check domination only from this radius on",
+            )),
+            ("--constant", dict(
+                action="store_true",
+                help="compute the volume-ratio constant (needs --outside)",
+            )),
+            ("--json", dict(action="store_true", help="machine-readable output")),
+        ],
+    ),
+    "verify": dict(
+        help="run the seeded verification suite",
+        func=_cmd_verify,
+        args=[
+            ("--seed", dict(type=int, default=None, help="override CURVEGRAPH_SEED (default 7)")),
+            ("--instances", dict(type=_positive_int, default=100)),
+        ],
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    import argparse  # after run() has loaded the command's modules
+    """The argparse parser of `_COMMANDS`, which run() builds only for help
+    and for command lines that `_plain_args` leaves to it."""
+    import argparse
 
     parser = argparse.ArgumentParser(
         prog="curvegraph",
@@ -360,81 +467,97 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check a payload and echo its canonical form")
-    p.add_argument("file", nargs="?", default="-", help="graph or chain JSON; - for stdin")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("curvature", help="per-vertex and per-radius curvature CSV")
-    p.add_argument("file", nargs="?", default="-")
-    p.add_argument("--root", required=True, help="root vertex id")
-    p.add_argument("--radius", type=int, default=None, help="restrict to one radius")
-    p.set_defaults(func=_cmd_curvature)
-
-    p = sub.add_parser("ollivier", help="exact pair curvature with an optimal witness")
-    p.add_argument("file", nargs="?", default="-")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--pair", type=_pair, help="two vertex ids, comma separated")
-    group.add_argument(
-        "--all-adjacent", action="store_true", help="every adjacent pair instead"
-    )
-    p.set_defaults(func=_cmd_ollivier)
-
-    p = sub.add_parser(
-        "sphere-curv", help="sphere curvatures beside the associated chain's"
-    )
-    p.add_argument("file", nargs="?", default="-")
-    p.add_argument("--root", required=True)
-    p.set_defaults(func=_cmd_sphere_curv)
-
-    p = sub.add_parser("bdc", help="reduce to the associated birth-death chain")
-    p.add_argument("file", nargs="?", default="-")
-    p.add_argument("--root", required=True)
-    p.set_defaults(func=_cmd_bdc)
-
-    p = sub.add_parser("gen", help="emit a built-in example graph or chain")
-    p.add_argument(
-        "generator",
-        choices=["chain", "gprime", "figure1", "mirror", "ollivier-match"],
-    )
-    p.add_argument(
-        "--n", type=_positive_int, default=8, help="horizon for chain/gprime/mirror"
-    )
-    p.add_argument(
-        "--of",
-        default="chain",
-        help="mirror source: chain, gprime, or a chain JSON file (- for stdin)",
-    )
-    p.add_argument("--seq", help="comma-separated rationals for ollivier-match")
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("compare", help="growth relations, volume ledger, constant")
-    p.add_argument("files", nargs="*", help="two payloads: first vs second")
-    p.add_argument("--against", help="first payload (--root1); the second comes on stdin")
-    p.add_argument("--root1", required=True, help="root in the first payload")
-    p.add_argument("--root2", required=True, help="root in the second payload")
-    p.add_argument(
-        "--outside",
-        type=_positive_int,
-        default=None,
-        help="also check domination only from this radius on",
-    )
-    p.add_argument(
-        "--constant",
-        action="store_true",
-        help="compute the volume-ratio constant (needs --outside)",
-    )
-    p.add_argument("--json", action="store_true", help="machine-readable output")
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("verify", help="run the seeded verification suite")
-    p.add_argument(
-        "--seed", type=int, default=None, help="override CURVEGRAPH_SEED (default 7)"
-    )
-    p.add_argument("--instances", type=_positive_int, default=100)
-    p.set_defaults(func=_cmd_verify)
-
+    for command, spec in _COMMANDS.items():
+        p = sub.add_parser(command, help=spec["help"])
+        for name, kwargs in spec["args"]:
+            p.add_argument(name, **kwargs)
+        if "one_of" in spec:
+            group = p.add_mutually_exclusive_group(required=True)
+            for name, kwargs in spec["one_of"]:
+                group.add_argument(name, **kwargs)
+        p.set_defaults(func=spec["func"])
     return parser
+
+
+def _is_value(word: str) -> bool:
+    """Whether argparse reads ``word`` as an argument, not an option, on
+    the command lines `_plain_args` accepts."""
+    return word == "-" or not word.startswith("-")
+
+
+def _value(kwargs: dict, text: str):
+    """``text`` through an argument's converter, checked against its
+    choices; raises where argparse would report a usage error."""
+    value = kwargs["type"](text) if "type" in kwargs else text
+    if "choices" in kwargs and value not in kwargs["choices"]:
+        raise ValueError(f"not a choice: {value!r}")
+    return value
+
+
+def _plain_args(argv) -> Optional[SimpleNamespace]:
+    """The namespace argparse builds from ``argv``, when ``argv`` is plain;
+    otherwise None, and argparse parses it.
+
+    Plain is a known command, then each option at most once in its full
+    spelling with its value (if it takes one) as the next word, and the
+    positionals as one run of words; a value or positional is "-" or does
+    not start with "-". Anything else ("-h", an abbreviation, "--opt=value",
+    "--", a repeated option, a negative number) and any argument that fails
+    its converter, its choices, the required options, the exclusive group or
+    the count of positionals gives None.
+    """
+    spec = _COMMANDS.get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    one_of = spec.get("one_of", [])
+    arguments = spec["args"] + one_of
+    options = {name: kwargs for name, kwargs in arguments if name.startswith("-")}
+    given, run = {}, []  # option -> its value word, or True for a flag; positional indices
+    index = 1
+    while index < len(argv):
+        word = argv[index]
+        if _is_value(word):
+            run.append(index)
+        elif word in options and word not in given:
+            if options[word].get("action") == "store_true":
+                given[word] = True
+            else:
+                index += 1
+                if index == len(argv) or not _is_value(argv[index]):
+                    return None
+                given[word] = argv[index]
+        else:
+            return None
+        index += 1
+    if run and run[-1] - run[0] != len(run) - 1:
+        return None  # argparse reads a second run as unrecognized arguments
+    if one_of and sum(name in given for name, _ in one_of) != 1:
+        return None
+    words = [argv[i] for i in run]
+    values = {"command": argv[0], "func": spec["func"]}
+    try:
+        for name, kwargs in arguments:
+            if not name.startswith("-"):
+                nargs = kwargs.get("nargs")
+                if nargs == "*":
+                    values[name] = [_value(kwargs, word) for word in words]
+                elif len(words) == 1 or (nargs == "?" and not words):
+                    values[name] = _value(kwargs, words[0]) if words else kwargs["default"]
+                else:
+                    return None
+                words = []
+                continue
+            dest = name[2:].replace("-", "_")
+            flag = kwargs.get("action") == "store_true"
+            if name in given:
+                values[dest] = flag or _value(kwargs, given[name])
+            elif kwargs.get("required"):
+                return None
+            else:
+                values[dest] = False if flag else kwargs.get("default")
+    except Exception:  # argparse runs the same converter or check and reports it
+        return None
+    return SimpleNamespace(**values) if not words else None
 
 
 # the lazy modules whose functions each command calls; validate and
@@ -453,11 +576,12 @@ _USES = {
 def run(argv) -> int:
     for module in _USES.get(argv[0] if argv else None, ()):
         module.__spec__  # the first attribute read runs a lazy module
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _plain_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except CurvegraphError as exc:

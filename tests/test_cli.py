@@ -9,10 +9,13 @@ import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curvegraph import (
     cli,
@@ -858,31 +861,46 @@ PAIRS = sorted(READS_INPUT + ["curvature"])
 ROOTED = sorted(PAIRS + ["chains"])
 
 
+# the stdlib modules a command may load only to parse its command line or
+# write CSV; -S keeps the environment's site hooks from importing them first
+PARSING = ["argparse", "gettext", "locale"]
+
+
 @pytest.mark.parametrize(
-    "argv, modules",
+    "argv, status, modules, loaded",
     [
-        (["validate", "{g}"], READS_INPUT),
-        (["ollivier", "{g}", "--pair", "w,x"], PAIRS),
-        (["curvature", "{g}", "--root", "w"], ROOTED),
-        (["sphere-curv", "{g}", "--root", "w"], ROOTED),
-        (["bdc", "{g}", "--root", "w"], ROOTED),
-        (["gen", "chain", "--n", "2"], ROOTED),
+        (["validate", "{g}"], 0, READS_INPUT, []),
+        (["ollivier", "{g}", "--pair", "w,x"], 0, PAIRS, []),
+        (["curvature", "{g}", "--root", "w"], 0, ROOTED, ["csv"]),
+        (["sphere-curv", "{g}", "--root", "w"], 0, ROOTED, ["csv"]),
+        (["bdc", "{g}", "--root", "w"], 0, ROOTED, []),
+        (["gen", "chain", "--n", "2"], 0, ROOTED, []),
         (
             ["compare", "{g}", "{g}", "--root1", "w", "--root2", "w"],
+            0,
             sorted(ROOTED + ["comparison"]),
+            [],
         ),
         (
             ["verify", "--instances", "1"],
+            0,
             sorted(ROOTED + ["comparison", "generators", "verify"]),
+            [],
         ),
+        (["ollivier", "{g}"], 2, PAIRS, PARSING),
+        (["-h"], 0, READS_INPUT, PARSING),
+        (["validate", "-h"], 0, READS_INPUT, PARSING),
     ],
-    ids=["validate", "ollivier", "curvature", "sphere-curv", "bdc", "gen", "compare", "verify"],
+    ids=[
+        "validate", "ollivier", "curvature", "sphere-curv", "bdc", "gen", "compare",
+        "verify", "usage-error", "help", "command-help",
+    ],
 )
-def test_each_command_runs_only_the_modules_it_calls(figure1_file, argv, modules):
+def test_each_command_runs_only_the_modules_it_calls(figure1_file, argv, status, modules, loaded):
     # a module has run once it is no longer the lazy placeholder; run()
-    # loads them all before it imports argparse and builds the parser, and
-    # none runs after that. -S keeps the environment's site hooks from
-    # importing argparse first
+    # loads them all before it parses the command line, and none runs after
+    # that. A valid command line is parsed without argparse, which only help
+    # and usage errors load, and only the commands that write CSV load csv
     code = """
 import json, sys, types
 from curvegraph import cli
@@ -892,16 +910,137 @@ def ran():
                   if name.startswith("curvegraph.") and name != "curvegraph.cli"
                   and type(module) is types.ModuleType)
 
-at_parser = []
-build_parser = cli.build_parser
-def spy():
-    at_parser.append(ran() + ["argparse"] * ("argparse" in sys.modules))
-    return build_parser()
-cli.build_parser = spy
+at_parse = []
+plain_args = cli._plain_args
+def spy(argv):
+    at_parse.append(ran())
+    return plain_args(argv)
+cli._plain_args = spy
 code = cli.run(sys.argv[1:])
-sys.stderr.write(json.dumps([code, at_parser, ran()]))
+loaded = [name for name in ("argparse", "csv", "gettext", "locale") if name in sys.modules]
+sys.stderr.write(json.dumps([code, at_parse, ran(), loaded]))
 """
     argv = [figure1_file if arg == "{g}" else arg for arg in argv]
-    status, _, err = run_child(["-S", "-c", code, *argv])
-    assert status == 0, err
-    assert json.loads(err) == [0, [modules], modules]
+    process, _, err = run_child(["-S", "-c", code, *argv])
+    assert process == 0, err
+    # a usage error writes argparse's message on the lines before
+    assert json.loads(err.splitlines()[-1]) == [status, [modules], modules, loaded]
+
+
+# --- parsing without argparse ---
+
+
+def _argparse_vars(argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate"],
+        ["validate", "g.json"],
+        ["validate", "-"],
+        ["curvature", "--root", "0", "g.json"],
+        ["curvature", "g.json", "--root", "0", "--radius", "2"],
+        ["ollivier", "--all-adjacent", "g.json"],
+        ["ollivier", "--pair", "0,1", "g.json"],
+        ["ollivier", "g.json", "--pair", "0,1"],
+        ["sphere-curv", "--root", "0", "-"],
+        ["bdc", "--root", ""],
+        ["gen", "mirror", "--of", "-", "--n", "3"],
+        ["gen", "ollivier-match", "--seq", "1,1/2"],
+        ["compare", "a.json", "b.json", "--root1", "0", "--root2", "0", "--outside", "1",
+         "--constant", "--json"],
+        ["compare", "--root1", "0", "--against", "a.json", "--root2", "0"],
+        ["compare", "--root1", "0", "a.json", "b.json", "--root2", "0"],
+        ["verify"],
+        ["verify", "--seed", "7", "--instances", "15"],
+    ],
+)
+def test_plain_command_lines_are_parsed_as_argparse_parses_them(argv):
+    plain = cli._plain_args(argv)
+    assert plain is not None
+    assert vars(plain) == _argparse_vars(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, accepted",
+    [
+        # a nargs="*" positional takes one run of words: argparse reads B
+        # as an unrecognized argument
+        (["compare", "A", "--root1", "0", "B", "--root2", "0"], False),
+        (["ollivier", "--all", "g.json"], True),
+        (["curvature", "--root=0", "g.json"], True),
+        (["curvature", "--root", "0", "--", "g.json"], True),
+        (["curvature", "--root", "0", "--root", "1"], True),
+        (["curvature", "--radius", "-1", "--root", "0"], True),
+        (["validate", "-5"], True),
+        (["gen", "chain", "--n", "0"], False),
+        (["ollivier", "--pair", "0,1", "--all-adjacent"], False),
+    ],
+)
+def test_other_command_lines_are_left_to_argparse(argv, accepted):
+    assert cli._plain_args(argv) is None
+    assert (_argparse_vars(argv) is not None) == accepted
+
+
+def _options(command):
+    """(name, whether it is required, whether it takes a value) for each
+    option of the command."""
+    spec = cli._COMMANDS.get(command, {"args": []})
+    return [
+        (name, kwargs.get("required", False), kwargs.get("action") != "store_true")
+        for name, kwargs in spec["args"] + spec.get("one_of", [])
+        if name.startswith("-")
+    ]
+
+
+# values that the converters take, and values that fail a converter or that
+# argparse reads as options
+_VALUES = ["0", "1", "7", "0,1", "w,x", "1/2,1/3", "-", "chain", "g.json"]
+_ODD_VALUES = ["", "w", "-1", "-x", " 2", "x,y,z", "a,", "0" * 5000, "--root", "--"]
+_POSITIONALS = ["g.json", "-", "", "chain", "figure1", "mirror", "ollivier-match", "torus", "-5"]
+
+
+@st.composite
+def command_lines(draw):
+    """A command with its required options (at times one left out), some
+    others, their values and a run of positionals, in any order, and noise:
+    abbreviations, "=" forms, repeated and unknown options, "--", help,
+    values that start with "-", empty and junk words."""
+    command = draw(st.sampled_from([*cli._COMMANDS, "frobnicate", "-h", ""]))
+    options = _options(command)
+    value = st.sampled_from(_VALUES)
+    required = [name for name, is_required, _ in options if is_required]
+    left_out = draw(st.sampled_from([None] * 3 + required))
+    parts = [
+        [name, draw(value)] if takes_value else [name]
+        for name, is_required, takes_value in options
+        if name != left_out and (is_required or draw(st.booleans()))
+    ]
+    parts.append(draw(st.lists(st.sampled_from(_POSITIONALS), max_size=2)))
+    name = st.sampled_from([name for name, _, _ in options] + ["--loud"])
+    odd = st.sampled_from(_ODD_VALUES)
+    noise = st.one_of(
+        st.builds(lambda n, k: [n[:k]], name, st.integers(3, 6)),
+        st.builds(lambda n, v: [f"{n}={v}"], name, value),
+        st.builds(lambda n, v: [n, v], name, st.one_of(value, odd)),
+        st.builds(lambda w: [w], st.one_of(odd, st.sampled_from(["-h", "--help", "junk"]))),
+    )
+    parts += draw(st.lists(noise, max_size=2))
+    return [command] + [word for part in draw(st.permutations(parts)) for word in part]
+
+
+@settings(derandomize=True, deadline=None, max_examples=600)
+@given(command_lines())
+def test_plain_parsing_agrees_with_argparse(argv):
+    # where _plain_args reads a command line, argparse accepts it (it does
+    # not exit) and builds the same namespace
+    plain = cli._plain_args(argv)
+    if plain is not None:
+        assert vars(plain) == _argparse_vars(argv)
