@@ -20,9 +20,16 @@ Three layers live here:
   of a perturbed objective (``ollivier_pair``). It reads the Lipschitz
   pairs not implied through x or y, found by local searches
   (``_pair_support``), and the integer Laplacian rows of x and y that the
-  graph keeps, and runs a primal-dual min-cost flow over those arcs alone,
-  certifying its flow and potentials. The two oracles, ``verify_witness``
-  and ``ollivier_pair_bruteforce``, share only the support with it: they
+  graph keeps. With f(x) = 0 and f(y) = d(x, y), each other support vertex
+  is confined to a box of at most 3 integers by its bounds to x and y; a
+  kept pair that some point of two boxes breaks links its ends, and the
+  linked groups are independent. A lone vertex takes the end of its box
+  that the sign of its coefficient picks, a group of up to 3 vertices is
+  exhausted, and only a larger group sends the whole support to a
+  primal-dual min-cost flow over the kept arcs, which certifies its flow
+  and potentials. The witness is checked against every kept pair either
+  way; ``ollivier_pair``'s docstring has the proof. The two oracles,
+  ``verify_witness`` and ``ollivier_pair_bruteforce``, share only the support with it: they
   build the support's full metric by a BFS from each support vertex and
   check every pair of it, and they read the definitional ``Fraction``
   Laplacian, the replay to value the witness, the brute force once per
@@ -35,9 +42,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import chain, compress, repeat
+from itertools import chain, compress, product, repeat
 from math import lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Dict, Optional, Tuple
 
 from .errors import (
@@ -430,16 +437,50 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
 
     Minimizes (Delta f(y) - Delta f(x)) / d(x, y) over integer 1-Lipschitz f
     on the support {x, y} and their neighbors, with f(x) = 0 and
-    f(y) = d(x, y). Solved as an exact min-cost flow on the dual of the
-    difference-constraint system; a secondary perturbation picks the
-    lexicographically smallest optimal witness.
+    f(y) = d(x, y): the objective is sum c(u) f(u) / (den d) with integer
+    coefficients c. A secondary perturbation picks the lexicographically
+    smallest optimal witness: the solve minimizes width * sum c f + sum f,
+    whose unique minimum is the least (sum c f, sum f) in lexicographic
+    order (the comment on the supplies in ``_flow_witness`` says why).
 
-    The network has one arc each way per kept pair, plus x->y at -d and
-    y->x at d, so a pair costs O(phases x kept arcs). Arc costs are at most
-    d + 2 and the initial potentials span at most d + 1, so there are at
-    most 2d + 4 phases (``_min_cost_flow_potentials``); on an adjacent pair,
-    at most 6. The perturbed optimum is unique, so the witness depends
-    neither on the order of the arcs nor on the valid entry potentials.
+    The pair is solved by parts. Write lo(u) = max(-d(x, u), d - d(y, u))
+    and hi(u) = min(d(x, u), d + d(y, u)), the bounds of the pairs {x, u}
+    and {y, u} once f(x) = 0 and f(y) = d, and call [lo(u), hi(u)] the box
+    of u; x's box is {0} and y's is {d}.
+    * A box has at most 3 points: every other support vertex is a
+      neighbour of x, so its box lies in [-1, 1], or of y, in [d - 1, d + 1].
+    * The feasible set is the points of the boxes that keep every kept
+      pair: a box's bounds are pair bounds of the support, which the kept
+      pairs imply (see below). A kept pair {u, v} whose bound holds at
+      every point of the two boxes, that is hi(u) - lo(v) and
+      hi(v) - lo(u) are at most d(u, v), can then be dropped; a pair with
+      x or y is one of the bounds that make a box, so it always is. The
+      kept pairs left are the links.
+    * The links join the free vertices into groups. The feasible set is
+      now the boxes and the links, each link within one group, so it is
+      the product of the groups' sets, and the objective is a sum over the
+      groups: the groups are independent.
+    * On a product, a sum of pairs (sum c f, sum f) is least in
+      lexicographic order exactly when each group's part is least in its
+      group; any other point is larger in some part and no smaller in any.
+      So the perturbed optimum restricted to a group is the group's least
+      (sum c f, sum f), which is unique because the whole optimum is.
+    * A group of one vertex has no link, so its points are its box, and
+      (c v, v) is least at lo when c >= 0 (c = 0 leaves v to be least) and
+      at hi when c < 0: the sign rule.
+    A group of up to ``_EXHAUSTED`` = 3 vertices is exhausted over its at
+    most 27 points (``_group_optimum``). If a group is larger, the whole
+    support goes to the min-cost flow (``_flow_witness``). Either way, the
+    witness is checked against every kept pair and the gradient before it
+    is returned, so only a fault in the solve can fail that check.
+
+    The flow's network has one arc each way per kept pair, plus x->y at -d
+    and y->x at d, so a pair costs O(phases x kept arcs). Arc costs are at
+    most d + 2 and the initial potentials span at most d + 1, so there are
+    at most 2d + 4 phases (``_min_cost_flow_potentials``); on an adjacent
+    pair, at most 6. The perturbed optimum is unique, so the witness
+    depends neither on the order of the arcs nor on the valid entry
+    potentials, nor on which of the two ways solved it.
 
     The Lipschitz bounds of the pruned pairs hold anyway, by induction on
     d(u, v): a pruned pair has x (or y), not an end, on a shortest u-v path,
@@ -471,15 +512,75 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
     support, d, dx, dy, kept = _pair_support(g, x, y)
     ix, iy = support.index(x), support.index(y)
 
-    # Delta f(y) - Delta f(x) = sum coef[u] f(u) / den, from the graph's
+    # Delta f(y) - Delta f(x) = sum coef[i] f(i) / den, from the graph's
     # integer Laplacian rows of y and x over the lcm of their denominators
     (den_y, row_y), (den_x, row_x) = g._laplacian_rows[y], g._laplacian_rows[x]
     den = lcm(den_x, den_y)
-    coef = dict.fromkeys(support, 0)
+    by_vertex = dict.fromkeys(support, 0)
     for row, scale in ((row_y, den // den_y), (row_x, -(den // den_x))):
         for u, q in row.items():
-            coef[u] += scale * q
+            by_vertex[u] += scale * q
+    coef = list(by_vertex.values())
 
+    # each vertex's box, its bounds to x and to y with f(x) = 0 and
+    # f(y) = d, and the sign rule's point of it; the links, the kept pairs
+    # some point of their ends' boxes breaks, join the free vertices into
+    # groups (x's box is {0} and y's {d}, so neither is in a link)
+    lo = [max(-a, d - b) for a, b in zip(dx, dy)]
+    hi = [min(a, d + b) for a, b in zip(dx, dy)]
+    f = [h if c < 0 else l for l, h, c in zip(lo, hi, coef)]
+    links = [(i, j, e) for i, j, e in kept if hi[i] - lo[j] > e or hi[j] - lo[i] > e]
+    group: dict = {}
+    for i, j, _ in links:
+        a, b = group.setdefault(i, [i]), group.setdefault(j, [j])
+        if a is not b:
+            a += b
+            for k in b:
+                group[k] = a
+    groups = {id(m): m for m in group.values()}.values()
+    if all(len(m) <= _EXHAUSTED for m in groups):
+        for m in groups:
+            for i, v in zip(m, _group_optimum(m, links, lo, hi, coef)):
+                f[i] = v
+    else:
+        f = _flow_witness(support, ix, iy, d, dx, dy, kept, coef)
+
+    # the witness must keep every kept pair's bound, which imply the rest,
+    # and the gradient
+    if f[ix] or f[iy] != d or any(abs(f[i] - f[j]) > e for i, j, e in kept):
+        raise CurvegraphError("internal pair error: the witness breaks a kept bound")
+    value = Fraction(sum(map(mul, coef, f)), den * d)
+    return OllivierResult(
+        x=x, y=y, distance=d, value=value, witness=dict(zip(support, f)), support=support
+    )
+
+
+# the largest group of free vertices ``ollivier_pair`` solves by exhaustion,
+# over at most 3 ** 3 = 27 points
+_EXHAUSTED = 3
+
+
+def _group_optimum(members, links, lo, hi, coef):
+    """The least (sum coef f, sum f) over the integer points f of the
+    members' boxes that keep every link among them, as values in member
+    order; the perturbed optimum there (``ollivier_pair``)."""
+    ends = [(members.index(i), members.index(j), e) for i, j, e in links if i in members]
+    weights = [coef[i] for i in members]
+    best = None
+    for p in product(*[range(lo[i], hi[i] + 1) for i in members]):
+        for a, b, e in ends:
+            if abs(p[a] - p[b]) > e:
+                break
+        else:
+            key = sum(map(mul, weights, p)), sum(p)
+            if best is None or key < best:
+                best, point = key, p
+    return point
+
+
+def _flow_witness(support, ix, iy, d, dx, dy, kept, coef):
+    """The perturbed optimum of the whole support by min-cost flow, as
+    values in support order."""
     # Integer supplies: scale the objective past the perturbation gap, then
     # add an all-ones secondary weight (balanced at the gauge vertex x). The
     # optimal face is a lattice, so this selects its componentwise-minimal,
@@ -488,7 +589,7 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
     # of it differ by at least width in the supplies, more than the secondary
     # sum of f can vary; an unreduced den only widens that gap.
     width = 1 + 2 * sum(dx)
-    supply = [width * c + 1 for c in coef.values()]
+    supply = [width * c + 1 for c in coef]
     supply[ix] -= len(support)
     if sum(supply) != 0:
         raise CurvegraphError("internal error: unbalanced supplies")
@@ -506,15 +607,8 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
     # 1-Lipschitz with f(x) = 0 and f(y) = d, so no reduced cost is negative
     pi = [max(-a, b - d) for a, b in zip(dx, dy)]
     pi = _min_cost_flow_potentials(arcs, out, supply, pi)
-
-    # the solver has checked every arc's bound: the kept pairs' Lipschitz
-    # bounds, which imply the rest, and the two arcs that fix the gradient
     p = pi[ix]
-    witness = {u: p - pi[i] for i, u in enumerate(support)}
-    value = Fraction(sum(c * witness[u] for u, c in coef.items()), den * d)
-    return OllivierResult(
-        x=x, y=y, distance=d, value=value, witness=witness, support=support
-    )
+    return [p - q for q in pi]
 
 
 def ollivier_pair_bruteforce(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:

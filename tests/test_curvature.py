@@ -40,7 +40,7 @@ from curvegraph import (
     verify_witness,
 )
 from curvegraph import curvature
-from curvegraph.chains import associated_bdc, bdc_as_graph
+from curvegraph.chains import BirthDeathChain, associated_bdc, bdc_as_graph
 from curvegraph.curvature import _oracle_support, _pair_support
 
 from conftest import (
@@ -483,19 +483,41 @@ def test_high_degree_hubs_match_the_tree_edge_closed_form(g):
     verify_witness(g, result)
 
 
-def _hub_graph(leaves):
-    """Adjacent hubs 0 and 1, each with its own leaves."""
+def _hub_graph(leaves, linked=False):
+    """Adjacent hubs 0 and 1, each with its own leaves; with ``linked``,
+    each hub's leaves are also joined in a path."""
     vertices = [(v, Fraction(1 + v % 3, 1 + v % 2)) for v in range(2 + 2 * leaves)]
     edges = [(0, 1, 1)]
     for k in range(leaves):
         edges.append((0, 2 + k, Fraction(1 + k % 4, 2)))
         edges.append((1, 2 + leaves + k, Fraction(1 + k % 5, 3)))
+    if linked:
+        for first in (2, 2 + leaves):
+            edges += [(first + k, first + k + 1, Fraction(1 + k % 3, 2))
+                      for k in range(leaves - 1)]
     return validate_graph(vertices, edges)
 
 
+def _counting_flows(monkeypatch):
+    """Route the module's flow solves through a list that counts them."""
+    flows = []
+    real = curvature._min_cost_flow_potentials
+
+    def counting(*args):
+        flows.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(curvature, "_min_cost_flow_potentials", counting)
+    return flows
+
+
 def test_pair_cost_is_linear_in_degree(monkeypatch):
-    # a hub pair's support is both hubs' leaves: quadrupling them may
-    # quadruple the solver's heap work, not multiply it by sixteen
+    # a hub pair's support is both hubs' leaves. On plain hubs each leaf is
+    # a group of its own and no flow runs. Joined in a path, each hub's
+    # leaves make one linked group, too large to exhaust, so the flow runs:
+    # quadrupling the leaves may quadruple its heap work, not multiply it
+    # by sixteen
+    flows = _counting_flows(monkeypatch)
     pushes = []
     real = curvature.heappush
 
@@ -506,10 +528,96 @@ def test_pair_cost_is_linear_in_degree(monkeypatch):
     monkeypatch.setattr(curvature, "heappush", counting)
     counts = {}
     for leaves in (64, 256):
-        pushes.clear()
         ollivier_pair(_hub_graph(leaves), 0, 1)
+        assert flows == [] and pushes == []
+        ollivier_pair(_hub_graph(leaves, linked=True), 0, 1)
+        assert len(flows) == 1
         counts[leaves] = len(pushes)
+        flows.clear()
+        pushes.clear()
     assert 0 < counts[256] <= 5 * counts[64]
+
+
+def _rational_grid(side, seed):
+    """A side x side grid with seeded rational data; vertex i * side + j."""
+    rng = random.Random(seed)
+
+    def draw():
+        return Fraction(rng.randint(1, 9), rng.randint(1, 9))
+
+    edges = [(v, v + 1, draw()) for v in range(side * side) if v % side + 1 < side]
+    edges += [(v, v + side, draw()) for v in range(side * side - side)]
+    return validate_graph([(v, draw()) for v in range(side * side)], edges)
+
+
+def _chain_path():
+    """A seeded rational chain on 9 vertices as a path graph."""
+    rng = random.Random(26)
+    return bdc_as_graph(BirthDeathChain(
+        measures=[Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(9)],
+        weights=[Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(8)],
+    ))
+
+
+def _edges(g):
+    return [(u, v) for u in g.vertices for v in g.adjacency[u] if label_key(u) < label_key(v)]
+
+
+def _both_ways(pairs):
+    return [p for u, v in pairs for p in ((u, v), (v, u))]
+
+
+# graph, its pairs, and the flow solves each pair makes: a grid edge, a hub
+# pair and a chain pair at distance 3 or more have groups of at most 2
+# vertices; the linked hubs have a group of 4 or 64
+PATHS = {
+    "grid-edges": (lambda: _rational_grid(4, 26), lambda g: _both_ways(_edges(g)), 0),
+    "hub": (lambda: _hub_graph(3), lambda g: [(0, 1), (1, 0)], 0),
+    "wide-hub": (lambda: _hub_graph(64), lambda g: [(0, 1), (1, 0)], 0),
+    "chain-path": (_chain_path, lambda g: [(u, v) for u in range(9) for v in range(9)
+                                           if abs(u - v) >= 3], 0),
+    "linked-hub": (lambda: _hub_graph(4, linked=True), lambda g: [(0, 1), (1, 0)], 1),
+    "wide-linked-hub": (lambda: _hub_graph(64, linked=True), lambda g: [(0, 1), (1, 0)], 1),
+}
+
+
+@pytest.mark.parametrize("name", list(PATHS))
+def test_each_pair_takes_the_path_its_largest_group_picks(monkeypatch, name):
+    # the flow runs only for a group too large to exhaust; either way the
+    # result is the brute force's on a small support, and passes the replay
+    build, pairs, per_pair = PATHS[name]
+    g = build()
+    flows = _counting_flows(monkeypatch)
+    for x, y in pairs(g):
+        flows.clear()
+        solved = ollivier_pair(g, x, y)
+        assert len(flows) == per_pair, (x, y)
+        if len(solved.support) <= 10:
+            brute = ollivier_pair_bruteforce(g, x, y)
+            assert (solved.value, solved.witness) == (brute.value, brute.witness)
+        verify_witness(g, solved)
+
+
+def test_a_faulty_group_solve_fails_the_pairs_own_check(monkeypatch):
+    # a ~ x and b ~ y are joined through c, so {a, b} is a linked group of
+    # two; a group solve that puts a outside its box [-1, 1] breaks the kept
+    # pair {x, a}, and the solver's own check, not only the replay, says so
+    g = validate_graph(
+        [(v, 1) for v in "abcxy"],
+        [("x", "y", 1), ("x", "a", 1), ("y", "b", 1), ("a", "c", 1), ("b", "c", 1)],
+    )
+    verify_witness(g, ollivier_pair(g, "x", "y"))
+    groups = []
+
+    def faulty(members, *rest):
+        groups.append(sorted(members))
+        return [2] * len(members)
+
+    monkeypatch.setattr(curvature, "_group_optimum", faulty)
+    message = "^internal pair error: the witness breaks a kept bound$"
+    with pytest.raises(CurvegraphError, match=message):
+        ollivier_pair(g, "x", "y")
+    assert groups == [[0, 1]]  # a and b, first in the support (a, b, x, y)
 
 
 class _CountedRows(Mapping):
@@ -682,15 +790,8 @@ def test_sphere_curvature_solves_at_most_70_percent_of_a_grid(monkeypatch):
     # a 14x14 grid with seeded rational data, rooted at its corner: a plain
     # min-max solves all 364 inward pairs; each vertex past the root needs
     # at least one (195), and the cut leaves most second pairs unsolved
-    rng = random.Random(14)
-
-    def draw():
-        return Fraction(rng.randint(1, 9), rng.randint(1, 9))
-
     side = 14
-    edges = [(v, v + 1, draw()) for v in range(side * side) if v % side + 1 < side]
-    edges += [(v, v + side, draw()) for v in range(side * side - side)]
-    d = rooted_decomposition(validate_graph([(v, draw()) for v in range(side * side)], edges), 0)
+    d = rooted_decomposition(_rational_grid(side, 14), 0)
     inward = sum(
         1 for y, r in d.dist.items() for x in d.graph.adjacency[y] if d.dist[x] == r - 1
     )
