@@ -56,16 +56,20 @@ from .errors import (  # noqa: E402
 from .graphs import (  # noqa: E402
     RootedDecomposition,
     WeightedGraph,
+    average_curvature,
+    curvature_profile,
     distance,
     distance_map,
     format_rational,
     graph_from_json_dict,
     graph_to_json,
     graph_to_json_dict,
+    inner_curvature,
     label_key,
     laplacian,
     laplacian_of_distance,
     loads_json,
+    outer_curvature,
     parse_rational,
     rooted_decomposition,
     sphere_boundary,
@@ -84,11 +88,6 @@ _LAZY_NAMES = {
     "chain_to_json": chains,
     "chain_to_json_dict": chains,
     "is_model": chains,
-    "make_example_gprime": chains,
-    "make_figure1": chains,
-    "make_mirror_model": chains,
-    "make_ollivier_matching_chain": chains,
-    "make_unweighted_chain": chains,
     "sphere_volume_step": chains,
     "GrowthRelation": comparison,
     "LedgerRow": comparison,
@@ -103,14 +102,15 @@ _LAZY_NAMES = {
     "stronger_outside_finite": comparison,
     "volume_comparison": comparison,
     "OllivierResult": curvature,
-    "average_curvature": curvature,
-    "curvature_profile": curvature,
-    "inner_curvature": curvature,
     "ollivier_pair": curvature,
     "ollivier_pair_bruteforce": curvature,
-    "outer_curvature": curvature,
     "sphere_curvature": curvature,
     "verify_witness": curvature,
+    "make_example_gprime": generators,
+    "make_figure1": generators,
+    "make_mirror_model": generators,
+    "make_ollivier_matching_chain": generators,
+    "make_unweighted_chain": generators,
     "run_verification": verify,
 }
 

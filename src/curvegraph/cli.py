@@ -10,8 +10,9 @@ Exit codes: 0 success, 1 domain error (a JSON error object goes to the
 error stream), 2 usage error.
 
 Of the package's modules only `errors` and `graphs` run when this one is
-imported; `chains`, `comparison`, `curvature` and `verify` are lazy (see
-the package docstring), and each command runs only those it calls.
+imported; `chains`, `comparison`, `curvature`, `generators` and `verify`
+are lazy (see the package docstring), and each command runs only those it
+calls.
 `run()` loads a command's modules before it parses the command line or
 reads any input: compiled later, a module would add its compiler's memory
 on top of those, and raise the command's peak. So no module-level name
@@ -38,10 +39,11 @@ from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
 from typing import Optional, Tuple, Union
 
-from . import chains, comparison, curvature, verify
+from . import chains, comparison, curvature, generators, verify
 from .errors import CurvegraphError, FormatError
 from .graphs import (
     WeightedGraph,
+    curvature_profile,
     format_rational,
     graph_from_json_dict,
     graph_to_json,
@@ -176,7 +178,7 @@ def _cmd_validate(args) -> int:
 def _cmd_curvature(args) -> int:
     g = _load_graph(args.file)
     decomp = rooted_decomposition(g, _resolve_vertex(g, args.root))
-    per_vertex = curvature.curvature_profile(decomp)
+    per_vertex = curvature_profile(decomp)
     if args.radius is not None:
         decomp.sphere(args.radius)  # range check
         radii = [args.radius]
@@ -254,7 +256,10 @@ def _cmd_bdc(args) -> int:
 def _chain_maker(name: str):
     """The chain generator of this name, shared by `gen` and `gen mirror
     --of`, or None."""
-    makers = {"chain": chains.make_unweighted_chain, "gprime": chains.make_example_gprime}
+    makers = {
+        "chain": generators.make_unweighted_chain,
+        "gprime": generators.make_example_gprime,
+    }
     return makers.get(name)
 
 
@@ -277,15 +282,15 @@ def _cmd_gen(args) -> int:
     if maker is not None:
         sys.stdout.write(chains.chain_to_json(maker(args.n)))
     elif name == "figure1":
-        sys.stdout.write(graph_to_json(chains.make_figure1()))
+        sys.stdout.write(graph_to_json(generators.make_figure1()))
     elif name == "mirror":
-        sys.stdout.write(graph_to_json(chains.make_mirror_model(_chain_for_mirror(args))))
+        sys.stdout.write(graph_to_json(generators.make_mirror_model(_chain_for_mirror(args))))
     else:  # ollivier-match, choices enforced by argparse
         if args.seq is None:
             sys.stderr.write("gen ollivier-match: --seq is required\n")
             return 2
         values = [parse_rational(tok.strip()) for tok in args.seq.split(",")]
-        sys.stdout.write(chains.chain_to_json(chains.make_ollivier_matching_chain(values)))
+        sys.stdout.write(chains.chain_to_json(generators.make_ollivier_matching_chain(values)))
     return 0
 
 
@@ -563,11 +568,11 @@ def _plain_args(argv) -> Optional[SimpleNamespace]:
 # the lazy modules whose functions each command calls; validate and
 # ollivier load chains only when their input is a chain
 _USES = {
-    "curvature": (chains, curvature),
+    "curvature": (chains,),
     "ollivier": (curvature,),
     "sphere-curv": (chains, curvature),
     "bdc": (chains,),
-    "gen": (chains,),
+    "gen": (chains, generators),
     "compare": (chains, comparison),
     "verify": (verify,),
 }

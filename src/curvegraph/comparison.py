@@ -21,6 +21,7 @@ from itertools import accumulate
 from operator import ge, le
 from typing import List, Optional, Tuple
 
+from . import curvature
 from .chains import (
     BirthDeathChain,
     associated_bdc,
@@ -28,15 +29,17 @@ from .chains import (
     bdc_ollivier_closed_form,
     is_model,
 )
-from .curvature import curvature_profile, inner_curvature, outer_curvature, sphere_curvature
 from .errors import CurvegraphError, HorizonMismatch, HypothesisFailed
 from .graphs import (
     Record,
     RootedDecomposition,
     VertexId,
+    curvature_profile,
     format_rational,
+    inner_curvature,
     laplacian,
     laplacian_of_distance,
+    outer_curvature,
 )
 
 
@@ -564,7 +567,7 @@ def compcurv_check(
             f"{format_rational(root_chain)} != graph {format_rational(root_graph)}"
         )
     graph_last = decomp.horizon - 1
-    k_graph = [sphere_curvature(decomp, r) for r in range(1, graph_last + 1)]
+    k_graph = [curvature.sphere_curvature(decomp, r) for r in range(1, graph_last + 1)]
     k_assoc = _chain_sphere_curvatures(associated_bdc(decomp), graph_last)
     chain_gaps = [model_chain.curvature_gap(r) for r in range(last + 1)]
     # vertex gaps per radius, for the part-one hypothesis and part-two bound
@@ -643,7 +646,7 @@ def model_sphere_equality_report(decomp: RootedDecomposition) -> TheoremReport:
     chain = associated_bdc(decomp)
     rows = []
     for r in range(1, last + 1):
-        lhs = sphere_curvature(decomp, r)
+        lhs = curvature.sphere_curvature(decomp, r)
         rhs = bdc_ollivier_closed_form(chain, r - 1, r)
         rows.append(LedgerRow(r=r, lhs=lhs, rhs=rhs, ok=lhs == rhs))
     return TheoremReport(

@@ -1,17 +1,9 @@
-"""Curvature notions on weighted graphs, all in exact rational arithmetic.
+"""Ollivier curvature on weighted graphs, all in exact rational arithmetic.
 
-Three layers live here:
+The rooted inner and outer curvatures live in ``graphs``, so that a command
+about them alone never compiles the pair solver; their four functions are
+imported back here as the same objects. Two layers live here:
 
-* inner/outer curvature of a vertex relative to a root (edge weight into the
-  previous/next sphere divided by the vertex measure), and their
-  measure-weighted sphere averages, the curvatures of the associated
-  birth-death chain. ``curvature_profile``, built once per decomposition,
-  and ``associated_bdc`` sum exact weights as integers over a least common
-  denominator; every rooted check reads them but the lazy per-vertex scan
-  of ``comparison.stronger_curvature_growth``. The definitional functions,
-  ``inner_curvature``, ``outer_curvature``, ``average_curvature``,
-  ``graphs.sphere_measure`` and ``graphs.sphere_boundary``, keep their
-  per-neighbour ``Fraction`` sums and stay as the independent checks;
 * Ollivier curvature of a vertex pair via its Laplacian formulation: the
   infimum of the normalized Laplacian difference over 1-Lipschitz functions
   with unit gradient along the pair. The feasible set is a difference
@@ -45,7 +37,7 @@ from heapq import heappop, heappush
 from itertools import chain, compress, product, repeat
 from math import lcm
 from operator import itemgetter, mul
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .errors import (
     CurvegraphError,
@@ -53,74 +45,19 @@ from .errors import (
     HorizonExceeded,
     SameVertex,
 )
-from .graphs import (
+from .graphs import (  # noqa: F401 (the rooted curvatures, imported back)
     Record,
     RootedDecomposition,
     VertexId,
     WeightedGraph,
+    average_curvature,
+    curvature_profile,
     distance,
     distance_map,
+    inner_curvature,
     laplacian,
-    sphere_measure,
+    outer_curvature,
 )
-
-# ---------------------------------------------------------------------------
-# inner / outer curvature and sphere averages
-# ---------------------------------------------------------------------------
-
-
-def inner_curvature(decomp: RootedDecomposition, x: VertexId) -> Fraction:
-    """Weight into the previous sphere over m(x); zero at the root."""
-    r = decomp.radius_of(x)
-    if r == 0:
-        return Fraction(0)
-    acc = Fraction(0)
-    for y, w in decomp.graph.adjacency[x].items():
-        if decomp.dist[y] == r - 1:
-            acc += w
-    return acc / decomp.graph.measure[x]
-
-
-def outer_curvature(decomp: RootedDecomposition, x: VertexId) -> Fraction:
-    """Weight into the next sphere over m(x); undefined on the outermost sphere."""
-    r = decomp.radius_of(x)
-    if r == decomp.horizon:
-        raise HorizonExceeded(
-            f"outer curvature of {x!r} needs sphere {r + 1}, beyond the data",
-            radius=r,
-        )
-    acc = Fraction(0)
-    for y, w in decomp.graph.adjacency[x].items():
-        if decomp.dist[y] == r + 1:
-            acc += w
-    return acc / decomp.graph.measure[x]
-
-
-def average_curvature(decomp: RootedDecomposition, r: int, side: str) -> Fraction:
-    """Measure-weighted average of inner or outer curvature over sphere r."""
-    if side not in ("inner", "outer"):
-        raise ValueError(f"side must be 'inner' or 'outer', got {side!r}")
-    if r < 0 or r > decomp.horizon or (side == "outer" and r == decomp.horizon):
-        raise HorizonExceeded(
-            f"average {side} curvature undefined at radius {r} "
-            f"(horizon {decomp.horizon})",
-            radius=r,
-        )
-    fn = inner_curvature if side == "inner" else outer_curvature
-    acc = Fraction(0)
-    for x in decomp.sphere(r):
-        acc += fn(decomp, x) * decomp.graph.measure[x]
-    return acc / sphere_measure(decomp, r)
-
-
-def curvature_profile(
-    decomp: RootedDecomposition,
-) -> Dict[VertexId, Tuple[Fraction, Optional[Fraction]]]:
-    """Per-vertex (inner, outer) curvatures around the decomposition's root,
-    the outer one None on the outermost sphere. The decomposition builds the
-    map once, outside its identity; callers share it and must not mutate it."""
-    return decomp._profile
-
 
 # ---------------------------------------------------------------------------
 # Ollivier curvature of a vertex pair

@@ -1,20 +1,158 @@
-"""Seeded random instances for the property checks.
+"""Example chains and graphs: the named examples and seeded random instances.
 
-All generators draw from a caller-supplied random.Random so that a fixed
-seed reproduces every instance byte for byte. Chain pairs that must satisfy
-a growth hypothesis are built by construction: the dominating chain's
-curvatures are the other's scaled in the required direction, then measures
-and weights are recovered from the curvature recursion.
+The named examples are the ones the paper's statements turn on and the
+`gen` command prints: the unweighted chain, the chain G' whose summable
+negative curvature gap still lets its volume dominate, the mirror model of
+a chain, the chain matching a nonincreasing curvature sequence, and the
+figure 1 graph. ``chain_from_curvatures`` builds a chain from its outer and
+inner curvatures, for them and for the random pairs.
+
+All random generators draw from a caller-supplied random.Random so that a
+fixed seed reproduces every instance byte for byte. Chain pairs that must
+satisfy a growth hypothesis are built by construction: the dominating
+chain's curvatures are the other's scaled in the required direction, then
+measures and weights are recovered from the curvature recursion.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Tuple
+from typing import Sequence, Tuple
 
-from .chains import BirthDeathChain, chain_from_curvatures
-from .graphs import VertexId, WeightedGraph, validate_graph
+from .chains import BirthDeathChain
+from .errors import (
+    CurvegraphError,
+    HorizonExceeded,
+    NonPositiveEntry,
+    SequenceNotNonincreasing,
+)
+from .graphs import (
+    RationalLike,
+    VertexId,
+    WeightedGraph,
+    _shown,
+    parse_rational,
+    validate_graph,
+)
+
+
+# ---------------------------------------------------------------------------
+# named examples
+# ---------------------------------------------------------------------------
+
+
+def chain_from_curvatures(
+    root_measure: Fraction, outer: Sequence[Fraction], inner: Sequence[Fraction]
+) -> BirthDeathChain:
+    """Chain whose outer curvature at r is outer[r] and inner at r+1 is inner[r].
+
+    Solves b(r) = outer[r] * m(r) and m(r+1) = b(r) / inner[r] upward from m(0).
+    """
+    measures = [root_measure]
+    weights = []
+    for r, k_plus in enumerate(outer):
+        weights.append(k_plus * measures[r])
+        measures.append(weights[r] / inner[r])
+    return BirthDeathChain(measures=tuple(measures), weights=tuple(weights))
+
+
+def make_unweighted_chain(n: int) -> BirthDeathChain:
+    """Chain with all measures and weights 1, horizon n."""
+    if n < 1:
+        raise ValueError(f"horizon must be at least 1, got {n}")
+    one = Fraction(1)
+    return BirthDeathChain(measures=(one,) * (n + 1), weights=(one,) * n)
+
+
+def make_example_gprime(n: int) -> BirthDeathChain:
+    """Chain with m(r) = r + 1 and b(r, r+1) = 1/(r+1)^2, horizon n.
+
+    Its curvature gap is negative yet summable, while the sphere volume r + 1
+    strictly dominates the unweighted chain's: curvature-gap domination alone
+    does not force a volume comparison.
+    """
+    if n < 1:
+        raise ValueError(f"horizon must be at least 1, got {n}")
+    measures = tuple(Fraction(r + 1) for r in range(n + 1))
+    weights = tuple(Fraction(1, (r + 1) ** 2) for r in range(n))
+    return BirthDeathChain(measures=measures, weights=weights)
+
+
+def make_mirror_model(chain: BirthDeathChain) -> WeightedGraph:
+    """Two copies of the chain glued at radius 0, on labels -horizon..horizon.
+
+    Rooted at "0" this is a model with the same averaged curvatures as the
+    chain for every r >= 1, but each sphere has twice the measure and the
+    root's outer curvature doubles.
+    """
+    h = chain.horizon
+    if h < 1:
+        raise HorizonExceeded("mirror model needs horizon at least 1", radius=1)
+    vertices = [("0", chain.measures[0])]
+    for r in range(1, h + 1):
+        vertices.append((str(r), chain.measures[r]))
+        vertices.append((str(-r), chain.measures[r]))
+    edges = []
+    for r in range(h):
+        edges.append((str(r), str(r + 1), chain.weights[r]))
+        edges.append((str(-r) if r else "0", str(-(r + 1)), chain.weights[r]))
+    return validate_graph(vertices, edges)
+
+
+def make_ollivier_matching_chain(seq: Sequence[RationalLike]) -> BirthDeathChain:
+    """Chain whose sphere curvatures are 1 at r = 1 and 0 afterwards, with
+    curvature gap matching the given nonincreasing sequence.
+
+    ``seq`` must be positive, nonincreasing, and start at 1; state r of the
+    result has inner and outer curvature seq[r] (outer also seq[0] = 1 at the
+    root), so measures never fall below 1.
+    """
+    values = [parse_rational(v) for v in seq]
+    if not values:
+        raise NonPositiveEntry("sequence must be nonempty")
+    for i, a in enumerate(values):
+        if a <= 0:
+            raise NonPositiveEntry(f"sequence entry {i} must be positive", index=i)
+    if values[0] != 1:
+        raise CurvegraphError(f"sequence must start at 1, got {_shown(values[0])}")
+    for i in range(1, len(values)):
+        if values[i] > values[i - 1]:
+            raise SequenceNotNonincreasing(
+                f"entry {i} exceeds entry {i - 1}: {_shown(values[i])} > {_shown(values[i - 1])}",
+                index=i,
+            )
+    return chain_from_curvatures(Fraction(1), values[:-1], values[1:])
+
+
+def make_figure1() -> WeightedGraph:
+    """Seven-vertex model graph whose min-max sphere curvature at radius 2
+    disagrees with its associated chain's closed-form value."""
+    vertices = [
+        ("w", 1),
+        ("x", 1),
+        ("x'", 1),
+        ("y", 1),
+        ("y'", 3),
+        ("z", 1),
+        ("z'", 3),
+    ]
+    edges = [
+        ("w", "x", 1),
+        ("w", "x'", 1),
+        ("x", "y", 1),
+        ("x", "y'", 1),
+        ("x'", "y'", 2),
+        ("y", "z", 1),
+        ("y'", "z'", 3),
+    ]
+    return validate_graph(vertices, edges)
+
+
+# ---------------------------------------------------------------------------
+# seeded random instances
+# ---------------------------------------------------------------------------
+
 
 # horizons of random chains, and the longest unit sequence
 MIN_HORIZON = 2

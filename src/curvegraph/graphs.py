@@ -8,6 +8,17 @@ only, never path length.
 
 Graph functions are plain mappings from vertex labels to ints or Fractions;
 the Laplacian at x needs one defined at x and at x's neighbours.
+
+Seen from a root (``rooted_decomposition``), a vertex has an inner and an
+outer curvature: its edge weight into the previous and into the next sphere
+over its measure. Their measure-weighted sphere averages are the curvatures
+of the associated birth-death chain. ``curvature_profile``, built once per
+decomposition, and ``chains.associated_bdc`` sum exact weights as integers
+over a least common denominator; every rooted check reads them but the lazy
+per-vertex scan of ``comparison.stronger_curvature_growth``. The
+definitional functions, ``inner_curvature``, ``outer_curvature``,
+``average_curvature``, ``sphere_measure`` and ``sphere_boundary``, keep
+their per-neighbour ``Fraction`` sums and stay as the independent checks.
 """
 
 from __future__ import annotations
@@ -18,7 +29,7 @@ from functools import cached_property
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
-from typing import Iterable, Iterator, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 from .errors import (
     AsymmetricDuplicateEdge,
@@ -405,10 +416,10 @@ class RootedDecomposition(Record):
 
     @cached_property
     def _profile(self) -> dict:
-        """``curvature.curvature_profile``, built on first use: one pass over
-        each vertex's neighbours sums the weights into the previous and the
-        next sphere as integers over their least common denominator, then
-        over m(x) as an unreduced pair; equal pairs share one ``Fraction``."""
+        """``curvature_profile``, built on first use: one pass over each
+        vertex's neighbours sums the weights into the previous and the next
+        sphere as integers over their least common denominator, then over
+        m(x) as an unreduced pair; equal pairs share one ``Fraction``."""
         adjacency, measure = self.graph.adjacency, self.graph.measure
         dist, horizon = self.dist, self.horizon
         made: dict = {}  # unreduced (numerator, denominator) -> its Fraction
@@ -509,6 +520,65 @@ def sphere_boundary(decomp: RootedDecomposition, r: int) -> Fraction:
             if decomp.dist[y] == r + 1:
                 total += w
     return total
+
+
+# ---------------------------------------------------------------------------
+# inner / outer curvature and sphere averages
+# ---------------------------------------------------------------------------
+
+
+def inner_curvature(decomp: RootedDecomposition, x: VertexId) -> Fraction:
+    """Weight into the previous sphere over m(x); zero at the root."""
+    r = decomp.radius_of(x)
+    if r == 0:
+        return Fraction(0)
+    acc = Fraction(0)
+    for y, w in decomp.graph.adjacency[x].items():
+        if decomp.dist[y] == r - 1:
+            acc += w
+    return acc / decomp.graph.measure[x]
+
+
+def outer_curvature(decomp: RootedDecomposition, x: VertexId) -> Fraction:
+    """Weight into the next sphere over m(x); undefined on the outermost sphere."""
+    r = decomp.radius_of(x)
+    if r == decomp.horizon:
+        raise HorizonExceeded(
+            f"outer curvature of {x!r} needs sphere {r + 1}, beyond the data",
+            radius=r,
+        )
+    acc = Fraction(0)
+    for y, w in decomp.graph.adjacency[x].items():
+        if decomp.dist[y] == r + 1:
+            acc += w
+    return acc / decomp.graph.measure[x]
+
+
+def average_curvature(decomp: RootedDecomposition, r: int, side: str) -> Fraction:
+    """Measure-weighted average of inner or outer curvature over sphere r."""
+    if side not in ("inner", "outer"):
+        raise ValueError(f"side must be 'inner' or 'outer', got {side!r}")
+    if r < 0 or r > decomp.horizon or (side == "outer" and r == decomp.horizon):
+        raise HorizonExceeded(
+            f"average {side} curvature undefined at radius {r} "
+            f"(horizon {decomp.horizon})",
+            radius=r,
+        )
+    fn = inner_curvature if side == "inner" else outer_curvature
+    acc = Fraction(0)
+    for x in decomp.sphere(r):
+        acc += fn(decomp, x) * decomp.graph.measure[x]
+    return acc / sphere_measure(decomp, r)
+
+
+def curvature_profile(
+    decomp: RootedDecomposition,
+) -> Dict[VertexId, Tuple[Fraction, Optional[Fraction]]]:
+    """Per-vertex (inner, outer) curvatures around the decomposition's root,
+    the outer one None on the outermost sphere. The decomposition builds the
+    map once, outside its identity; callers share it and must not mutate it."""
+    return decomp._profile
+
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,6 @@ from .chains import (
     bdc_as_graph,
     bdc_ollivier_closed_form,
     is_model,
-    make_example_gprime,
-    make_figure1,
-    make_mirror_model,
-    make_ollivier_matching_chain,
-    make_unweighted_chain,
     sphere_volume_step,
 )
 from .comparison import (
@@ -42,6 +37,11 @@ from .generators import (
     chain_pair_matched_start,
     chain_pair_outside_hypothesis,
     chain_pair_with_average_hypothesis,
+    make_example_gprime,
+    make_figure1,
+    make_mirror_model,
+    make_ollivier_matching_chain,
+    make_unweighted_chain,
     nonincreasing_unit_sequence,
     random_chain,
     random_graph,

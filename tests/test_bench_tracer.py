@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from curvegraph import cli, make_figure1, ollivier_pair, validate_graph
+from curvegraph import cli, curvature, graphs, make_figure1, ollivier_pair, validate_graph
 from curvegraph.graphs import graph_to_json
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -82,6 +82,27 @@ def test_one_rooted_pass_per_root(capsys, tmp_path, argv, passes):
         assert cli.run([str(path) if arg == "{g}" else arg for arg in argv]) == 0
     capsys.readouterr()
     assert [span[0] for span in trace.spans].count("rooted_decomposition") == passes
+
+
+@pytest.mark.parametrize(
+    "name", ["inner_curvature", "outer_curvature", "average_curvature", "curvature_profile"]
+)
+def test_the_rooted_curvatures_are_one_object_in_graphs_and_curvature(name):
+    # they live in graphs and curvature imports them back; the tracer looks
+    # two of them up under curvature and wraps every binding of that object
+    assert getattr(curvature, name) is getattr(graphs, name)
+
+
+def test_the_curvature_command_records_its_profile_span(capsys, tmp_path):
+    # curvature.profile_s times curvature_profile wherever a command calls it
+    # from: a binding the tracer misses would read 0 and show nothing
+    path = tmp_path / "figure1.json"
+    path.write_text(graph_to_json(make_figure1()))
+    with tracer.Tracer() as trace:
+        assert cli.run(["curvature", str(path), "--root", "w"]) == 0
+    capsys.readouterr()
+    assert [span[0] for span in trace.spans].count("curvature_profile") == 1
+    assert trace.metrics()["curvature.profile_s"] > 0
 
 
 @pytest.mark.parametrize("root, searches", [("w", 1), ("x", 2)], ids=["first", "other"])

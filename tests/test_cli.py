@@ -858,6 +858,7 @@ except SystemExit as exc:
 # on import, the rest only when a command calls them
 READS_INPUT = ["errors", "graphs"]
 PAIRS = sorted(READS_INPUT + ["curvature"])
+CHAINS = sorted(READS_INPUT + ["chains"])
 ROOTED = sorted(PAIRS + ["chains"])
 
 
@@ -866,19 +867,50 @@ ROOTED = sorted(PAIRS + ["chains"])
 PARSING = ["argparse", "gettext", "locale"]
 
 
+# sys.stderr's last line: the exit code, the curvegraph modules that had run
+# when the command line was parsed, those that had run at the end, and which
+# of the parsing and CSV modules were loaded
+_MODULES_RUN = """
+import json, sys, types
+from curvegraph import cli
+
+def ran():
+    return sorted(name.rpartition(".")[2] for name, module in sys.modules.items()
+                  if name.startswith("curvegraph.") and name != "curvegraph.cli"
+                  and type(module) is types.ModuleType)
+
+at_parse = []
+plain_args = cli._plain_args
+def spy(argv):
+    at_parse.append(ran())
+    return plain_args(argv)
+cli._plain_args = spy
+code = cli.run(sys.argv[1:])
+loaded = [name for name in ("argparse", "csv", "gettext", "locale") if name in sys.modules]
+sys.stderr.write(json.dumps([code, at_parse, ran(), loaded]))
+"""
+
+
+def _modules_run(argv):
+    process, _, err = run_child(["-S", "-c", _MODULES_RUN, *argv])
+    assert process == 0, err
+    # a usage error writes argparse's message on the lines before
+    return json.loads(err.splitlines()[-1])
+
+
 @pytest.mark.parametrize(
     "argv, status, modules, loaded",
     [
         (["validate", "{g}"], 0, READS_INPUT, []),
         (["ollivier", "{g}", "--pair", "w,x"], 0, PAIRS, []),
-        (["curvature", "{g}", "--root", "w"], 0, ROOTED, ["csv"]),
+        (["curvature", "{g}", "--root", "w"], 0, CHAINS, ["csv"]),
         (["sphere-curv", "{g}", "--root", "w"], 0, ROOTED, ["csv"]),
-        (["bdc", "{g}", "--root", "w"], 0, ROOTED, []),
-        (["gen", "chain", "--n", "2"], 0, ROOTED, []),
+        (["bdc", "{g}", "--root", "w"], 0, CHAINS, []),
+        (["gen", "chain", "--n", "2"], 0, sorted(CHAINS + ["generators"]), []),
         (
             ["compare", "{g}", "{g}", "--root1", "w", "--root2", "w"],
             0,
-            sorted(ROOTED + ["comparison"]),
+            sorted(CHAINS + ["comparison"]),
             [],
         ),
         (
@@ -901,30 +933,16 @@ def test_each_command_runs_only_the_modules_it_calls(figure1_file, argv, status,
     # loads them all before it parses the command line, and none runs after
     # that. A valid command line is parsed without argparse, which only help
     # and usage errors load, and only the commands that write CSV load csv
-    code = """
-import json, sys, types
-from curvegraph import cli
-
-def ran():
-    return sorted(name.rpartition(".")[2] for name, module in sys.modules.items()
-                  if name.startswith("curvegraph.") and name != "curvegraph.cli"
-                  and type(module) is types.ModuleType)
-
-at_parse = []
-plain_args = cli._plain_args
-def spy(argv):
-    at_parse.append(ran())
-    return plain_args(argv)
-cli._plain_args = spy
-code = cli.run(sys.argv[1:])
-loaded = [name for name in ("argparse", "csv", "gettext", "locale") if name in sys.modules]
-sys.stderr.write(json.dumps([code, at_parse, ran(), loaded]))
-"""
     argv = [figure1_file if arg == "{g}" else arg for arg in argv]
-    process, _, err = run_child(["-S", "-c", code, *argv])
-    assert process == 0, err
-    # a usage error writes argparse's message on the lines before
-    assert json.loads(err.splitlines()[-1]) == [status, [modules], modules, loaded]
+    assert _modules_run(argv) == [status, [modules], modules, loaded]
+
+
+def test_validate_of_a_chain_runs_chains_alone(tmp_path):
+    # validate learns that its input is a chain only once it has read it,
+    # so chains runs after the command line is parsed, and nothing else does
+    chain_file = tmp_path / "chain.json"
+    chain_file.write_text('{"m": [1, 2], "b": [3]}')
+    assert _modules_run(["validate", str(chain_file)]) == [0, [READS_INPUT], CHAINS, []]
 
 
 # --- parsing without argparse ---

@@ -88,7 +88,7 @@ def _public_names():
 
 def test_every_public_name_has_a_caller():
     public = _public_names()
-    assert len(public) == 72, "the surface is the 35 eager imports and the 37 lazy names"
+    assert len(public) == 72, "the surface is the 39 eager imports and the 33 lazy names"
     paths = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
     paths += [*(ROOT / "demos").glob("*.py"), *(ROOT / "bench").glob("*.py")]
     loaded = set().union(*map(_loaded_names, paths))
