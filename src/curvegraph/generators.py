@@ -16,9 +16,8 @@ measures and weights are recovered from the curvature recursion.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 from .chains import BirthDeathChain
 from .errors import (
@@ -35,6 +34,9 @@ from .graphs import (
     parse_rational,
     validate_graph,
 )
+
+if TYPE_CHECKING:  # annotations only: gen draws nothing at random
+    import random
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from functools import cached_property
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _quote
 from math import lcm
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple, Union
 
 from .errors import (
@@ -255,48 +256,69 @@ def validate_graph(
       other value goes to :func:`parse_rational` every time, which rejects
       it.
     - Duplicate labels are found by their ``str`` forms, which are dropped
-      once the vertices are read; :func:`label_key` is computed only to sort.
+      once the vertices are read. An exact ``str`` label, or an exact ``int``
+      one from 0 up, is its own label check. :func:`label_key` is computed
+      only to sort, and not at all when every label is an exact ``int``,
+      since plain int order is the order it gives them.
     - An endpoint whose type is exactly ``int`` or ``str`` and that is a
       vertex needs no label check, since the vertex passed one. Any other
       endpoint is checked as a label first and then looked up, so an
       unhashable one is a ``FormatError``.
-    - An edge is keyed by one int, lower rank * n + higher rank, where a rank
-      is a position in label order. Sorting those keys once fills every
-      neighbour map in label order: a vertex's pairs with lower-ranked
-      vertices sort before those with higher-ranked ones, each run by the
-      other end's rank.
+    - Each edge goes straight into both neighbour maps, its ends taken as
+      (lower rank, higher rank), where a rank is a position in label order.
+      Each map keeps the last rank it received; a map that receives a lower
+      one is marked, and only the marked maps are sorted by rank at the end.
+      Records in label order, as canonical JSON lists them, mark none. A
+      repeated pair is found in the map itself, and a zero-weight pair,
+      which no map holds, in a small map of its own.
     """
     measure: dict = {}
     taken: set = set()  # str() forms; label keys differ exactly where these do
     parsed: dict = {}  # rational string -> its Fraction, for this call only
 
     def rational(raw) -> Fraction:
-        if type(raw) is not str:
-            return parse_rational(raw)
-        q = parsed.get(raw)
-        if q is None:
-            q = parsed[raw] = parse_rational(raw)
+        """Parse a value that ``parsed`` does not hold, and cache a string.
+        Every value in ``parsed`` has passed its sign check, since a failed
+        one ends the call, and the vertices, all positive, come first: so a
+        value read from it needs no check as measure or as weight."""
+        q = parse_rational(raw)
+        if type(raw) is str:
+            parsed[raw] = q
         return q
 
     for label, raw_m in vertex_records:
-        text = _check_label(label)
+        if type(label) is str:
+            text = label
+        else:
+            try:
+                text = str(label) if type(label) is int and label >= 0 else _check_label(label)
+            except ValueError:  # an int past the interpreter's digit limit
+                text = _check_label(label)  # raises its FormatError
         if text in taken:
             raise DuplicateVertex(f"duplicate vertex: {label!r}", vertex=text)
         taken.add(text)
-        m = rational(raw_m)
-        if m.numerator <= 0:
-            raise NonPositiveMeasure(
-                f"measure of {label!r} must be positive, got {_shown(m)}", vertex=text
-            )
+        m = parsed.get(raw_m) if type(raw_m) is str else None
+        if m is None:
+            m = rational(raw_m)
+            if m.numerator <= 0:
+                raise NonPositiveMeasure(
+                    f"measure of {label!r} must be positive, got {_shown(m)}", vertex=text
+                )
         measure[label] = m
     del taken  # not needed past the vertices, so not held with the edges
 
-    vertices = tuple(sorted(measure, key=label_key))
+    if all(type(v) is int for v in measure):
+        vertices = tuple(sorted(measure))
+    else:
+        vertices = tuple(sorted(measure, key=label_key))
     n = len(vertices)
     adjacency = {u: {} for u in vertices}
     g = WeightedGraph(vertices, adjacency=adjacency, measure=measure)
     rank = g._rank
-    seen: dict = {}  # lower rank * n + higher rank -> the pair's first weight
+    rows = list(adjacency.values())  # by rank
+    last = [-1] * n  # the rank each row received last
+    marked = set()  # rows that received a rank below their last
+    zeros: dict = {}  # (lower rank, higher rank) -> the pair's first weight, 0
     for u, v, raw_b in edge_records:
         if not (
             (type(u) is int or type(u) is str) and u in rank
@@ -311,30 +333,46 @@ def validate_graph(
         rv = rank[v]
         if ru == rv:
             raise SelfLoop(f"self-loop at {u!r}", vertex=str(u))
-        b = rational(raw_b)
-        if b.numerator < 0:
-            raise NonPositiveEdgeWeight(
-                f"weight of ({u!r}, {v!r}) must be nonnegative, got {_shown(b)}",
+        b = parsed.get(raw_b) if type(raw_b) is str else None
+        if b is None:
+            b = rational(raw_b)
+            if b.numerator < 0:
+                raise NonPositiveEdgeWeight(
+                    f"weight of ({u!r}, {v!r}) must be nonnegative, got {_shown(b)}",
+                    u=str(u),
+                    v=str(v),
+                )
+        if rv < ru:
+            u, v, ru, rv = v, u, rv, ru
+        row = rows[ru]
+        first = row.get(v)
+        if first is None:
+            if not b.numerator:
+                first = zeros.setdefault((ru, rv), b)
+            elif zeros and (ru, rv) in zeros:
+                first = zeros[ru, rv]
+            else:  # keyed by the vertices' own labels, not the record's
+                row[vertices[rv]] = b
+                rows[rv][vertices[ru]] = b
+                if last[ru] > rv:
+                    marked.add(ru)
+                last[ru] = rv
+                if last[rv] > ru:
+                    marked.add(rv)
+                last[rv] = ru
+                continue
+        if first is not b and first != b:
+            raise AsymmetricDuplicateEdge(
+                f"pair ({u!r}, {v!r}) listed twice with weights "
+                f"{_shown(first)} and {_shown(b)}",
                 u=str(u),
                 v=str(v),
             )
-        first = seen.setdefault(ru * n + rv if ru < rv else rv * n + ru, b)
-        if first is not b and first != b:
-            lo, hi = (u, v) if ru < rv else (v, u)
-            raise AsymmetricDuplicateEdge(
-                f"pair ({lo!r}, {hi!r}) listed twice with weights "
-                f"{_shown(first)} and {_shown(b)}",
-                u=str(lo),
-                v=str(hi),
-            )
-
-    rows = list(adjacency.values())
-    for key in sorted(key for key, b in seen.items() if b.numerator):
-        b = seen[key]
-        ru, rv = divmod(key, n)
-        rows[ru][vertices[rv]] = b
-        rows[rv][vertices[ru]] = b
-    del seen, rows  # not held with the search below
+    for r in marked:  # each neighbour, in rank order, moves to the end
+        row = rows[r]
+        for x in sorted(row, key=rank.__getitem__):
+            row[x] = row.pop(x)
+    del rows, last, marked, zeros  # not held with the search below
 
     if vertices:
         reached = g._first_distances
@@ -624,8 +662,7 @@ def graph_from_json_dict(payload) -> WeightedGraph:
         if not isinstance(entry, dict) or "u" not in entry or "v" not in entry or "b" not in entry:
             raise FormatError(f"bad edge entry: {_shown(entry, repr)}")
     return validate_graph(
-        ((entry["id"], entry["m"]) for entry in vertices),
-        ((entry["u"], entry["v"], entry["b"]) for entry in edges),
+        map(itemgetter("id", "m"), vertices), map(itemgetter("u", "v", "b"), edges)
     )
 
 
@@ -662,10 +699,12 @@ def graph_to_json(g: WeightedGraph) -> str:
     that add up to the text, never a list of every record. Each distinct
     rational object is formatted once per call, and records that share it
     share its text. The memo is keyed by ``id``, which is safe because g
-    holds every one of those objects for the whole call.
+    holds every one of those objects for the whole call. Each label is
+    quoted once per call, and its vertex and edge records share the text.
     """
     measure = g.measure
     text: dict = {}
+    quoted = {v: _quote(str(v)) for v in g.vertices}
 
     def render(q: Fraction) -> str:
         line = text[id(q)] = format_rational(q)
@@ -673,13 +712,13 @@ def graph_to_json(g: WeightedGraph) -> str:
 
     parts = ['{\n  "vertices": ']
     _json_array(parts, (
-        f'    {{\n      "id": {_quote(str(v))},\n'
+        f'    {{\n      "id": {quoted[v]},\n'
         f'      "m": "{text.get(id(measure[v])) or render(measure[v])}"\n    }}'
         for v in g.vertices
     ))
     parts.append(',\n  "edges": ')
     _json_array(parts, (
-        f'    {{\n      "u": {_quote(str(u))},\n      "v": {_quote(str(v))},\n'
+        f'    {{\n      "u": {quoted[u]},\n      "v": {quoted[v]},\n'
         f'      "b": "{text.get(id(w)) or render(w)}"\n    }}'
         for u, v, w in g._each_edge()
     ))

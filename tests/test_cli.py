@@ -862,14 +862,15 @@ CHAINS = sorted(READS_INPUT + ["chains"])
 ROOTED = sorted(PAIRS + ["chains"])
 
 
-# the stdlib modules a command may load only to parse its command line or
-# write CSV; -S keeps the environment's site hooks from importing them first
+# the stdlib modules a command may load only to parse its command line,
+# write CSV or, for verify alone, draw random instances; -S keeps the
+# environment's site hooks from importing them first
 PARSING = ["argparse", "gettext", "locale"]
 
 
 # sys.stderr's last line: the exit code, the curvegraph modules that had run
 # when the command line was parsed, those that had run at the end, and which
-# of the parsing and CSV modules were loaded
+# of the parsing, CSV and random modules were loaded
 _MODULES_RUN = """
 import json, sys, types
 from curvegraph import cli
@@ -886,7 +887,8 @@ def spy(argv):
     return plain_args(argv)
 cli._plain_args = spy
 code = cli.run(sys.argv[1:])
-loaded = [name for name in ("argparse", "csv", "gettext", "locale") if name in sys.modules]
+loaded = [name for name in ("argparse", "csv", "gettext", "locale", "random")
+          if name in sys.modules]
 sys.stderr.write(json.dumps([code, at_parse, ran(), loaded]))
 """
 
@@ -917,7 +919,7 @@ def _modules_run(argv):
             ["verify", "--instances", "1"],
             0,
             sorted(ROOTED + ["comparison", "generators", "verify"]),
-            [],
+            ["random"],
         ),
         (["ollivier", "{g}"], 2, PAIRS, PARSING),
         (["-h"], 0, READS_INPUT, PARSING),
