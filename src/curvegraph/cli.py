@@ -375,10 +375,12 @@ def _cmd_verify(args) -> int:
 
 
 # Each command once, in the order `curvegraph -h` lists them: its help, its
-# handler, and its arguments as (name, keyword arguments of argparse's
-# add_argument), in the order its usage lists them; "one_of" holds the
-# options of a required mutually exclusive group. build_parser() hands the
-# table to argparse and _plain_args() reads the same entries.
+# handler, the lazy modules whose functions it calls (validate and ollivier
+# load chains only when their input is a chain), and its arguments as (name,
+# keyword arguments of argparse's add_argument), in the order its usage
+# lists them; "one_of" holds the options of a required mutually exclusive
+# group. build_parser() hands the table to argparse and _plain_args() and
+# run() read the same entries.
 _FILE = ("file", dict(nargs="?", default="-"))
 _ROOT = ("--root", dict(required=True))
 _COMMANDS = {
@@ -390,6 +392,7 @@ _COMMANDS = {
     "curvature": dict(
         help="per-vertex and per-radius curvature CSV",
         func=_cmd_curvature,
+        uses=(chains,),
         args=[
             _FILE,
             ("--root", dict(required=True, help="root vertex id")),
@@ -399,6 +402,7 @@ _COMMANDS = {
     "ollivier": dict(
         help="exact pair curvature with an optimal witness",
         func=_cmd_ollivier,
+        uses=(curvature,),
         args=[_FILE],
         one_of=[
             ("--pair", dict(type=_pair, help="two vertex ids, comma separated")),
@@ -408,16 +412,19 @@ _COMMANDS = {
     "sphere-curv": dict(
         help="sphere curvatures beside the associated chain's",
         func=_cmd_sphere_curv,
+        uses=(chains, curvature),
         args=[_FILE, _ROOT],
     ),
     "bdc": dict(
         help="reduce to the associated birth-death chain",
         func=_cmd_bdc,
+        uses=(chains,),
         args=[_FILE, _ROOT],
     ),
     "gen": dict(
         help="emit a built-in example graph or chain",
         func=_cmd_gen,
+        uses=(chains, generators),
         args=[
             ("generator", dict(choices=["chain", "gprime", "figure1", "mirror", "ollivier-match"])),
             ("--n", dict(type=_positive_int, default=8, help="horizon for chain/gprime/mirror")),
@@ -431,6 +438,7 @@ _COMMANDS = {
     "compare": dict(
         help="growth relations, volume ledger, constant",
         func=_cmd_compare,
+        uses=(chains, comparison),
         args=[
             ("files", dict(nargs="*", help="two payloads: first vs second")),
             ("--against", dict(help="first payload (--root1); the second comes on stdin")),
@@ -451,6 +459,7 @@ _COMMANDS = {
     "verify": dict(
         help="run the seeded verification suite",
         func=_cmd_verify,
+        uses=(verify,),
         args=[
             ("--seed", dict(type=int, default=None, help="override CURVEGRAPH_SEED (default 7)")),
             ("--instances", dict(type=_positive_int, default=100)),
@@ -565,21 +574,8 @@ def _plain_args(argv) -> Optional[SimpleNamespace]:
     return SimpleNamespace(**values) if not words else None
 
 
-# the lazy modules whose functions each command calls; validate and
-# ollivier load chains only when their input is a chain
-_USES = {
-    "curvature": (chains,),
-    "ollivier": (curvature,),
-    "sphere-curv": (chains, curvature),
-    "bdc": (chains,),
-    "gen": (chains, generators),
-    "compare": (chains, comparison),
-    "verify": (verify,),
-}
-
-
 def run(argv) -> int:
-    for module in _USES.get(argv[0] if argv else None, ()):
+    for module in _COMMANDS.get(argv[0] if argv else None, {}).get("uses", ()):
         module.__spec__  # the first attribute read runs a lazy module
     args = _plain_args(argv)
     if args is None:

@@ -17,10 +17,10 @@ imported back here as the same objects. Two layers live here:
   kept pair that some point of two boxes breaks links its ends, and the
   linked groups are independent. A lone vertex takes the end of its box
   that the sign of its coefficient picks, a group of up to 3 vertices is
-  exhausted, and only a larger group sends the whole support to a
-  primal-dual min-cost flow over the kept arcs, which certifies its flow
-  and potentials. The witness is checked against every kept pair either
-  way; ``ollivier_pair``'s docstring has the proof. The two oracles,
+  exhausted, and a larger group goes alone to a primal-dual min-cost flow
+  over its links and boxes, which certifies its flow and potentials. The
+  witness is checked against every kept pair either way;
+  ``ollivier_pair``'s docstring has the proof. The two oracles,
   ``verify_witness`` and ``ollivier_pair_bruteforce``, share only the support with it: they
   build the support's full metric by a BFS from each support vertex and
   check every pair of it, and they read the definitional ``Fraction``
@@ -213,11 +213,11 @@ def _min_cost_flow_potentials(arcs, out, supply, pi):
     for a source s and a sink t left in the last phase, the phases number
     at most 1 + the growth of pi[t] - pi[s]. That difference starts at no
     less than minus the spread of the entry potentials and ends at no more
-    than the shortest s-t path length. In a pair network every node reaches
-    every other within d(x, y) + 2 <= C + 2, C the largest arc cost, so
-    there are at most C + 3 + spread phases, 2 d(x, y) + 4 from the warm
-    potentials of ``ollivier_pair``, whose spread is at most d(x, y) + 1;
-    the guard allows n iterations for each.
+    than the shortest s-t path length. In a group network every node
+    reaches every other through x within C + 1 (no arc from x costs over
+    1), C the largest arc cost, so there are at most C + 2 + spread phases,
+    2 d(x, y) + 4 from ``_flow_optimum``'s warm potentials, as C and their
+    spread are at most d(x, y) + 1; the guard allows n iterations for each.
 
     Before it returns, the solver certifies its answer: every flow is >= 0,
     every node's inflow less its outflow is its supply, every arc that
@@ -378,7 +378,7 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
     coefficients c. A secondary perturbation picks the lexicographically
     smallest optimal witness: the solve minimizes width * sum c f + sum f,
     whose unique minimum is the least (sum c f, sum f) in lexicographic
-    order (the comment on the supplies in ``_flow_witness`` says why).
+    order (the comment on the supplies in ``_flow_optimum`` says why).
 
     The pair is solved by parts. Write lo(u) = max(-d(x, u), d - d(y, u))
     and hi(u) = min(d(x, u), d + d(y, u)), the bounds of the pairs {x, u}
@@ -406,18 +406,18 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
       (c v, v) is least at lo when c >= 0 (c = 0 leaves v to be least) and
       at hi when c < 0: the sign rule.
     A group of up to ``_EXHAUSTED`` = 3 vertices is exhausted over its at
-    most 27 points (``_group_optimum``). If a group is larger, the whole
-    support goes to the min-cost flow (``_flow_witness``). Either way, the
-    witness is checked against every kept pair and the gradient before it
-    is returned, so only a fault in the solve can fail that check.
+    most 27 points (``_group_optimum``), and a larger group goes alone to
+    the min-cost flow (``_flow_optimum``). Either way, the witness is
+    checked against every kept pair and the gradient before it is
+    returned, so only a fault in a solve can fail that check.
 
-    The flow's network has one arc each way per kept pair, plus x->y at -d
-    and y->x at d, so a pair costs O(phases x kept arcs). Arc costs are at
-    most d + 2 and the initial potentials span at most d + 1, so there are
-    at most 2d + 4 phases (``_min_cost_flow_potentials``); on an adjacent
-    pair, at most 6. The perturbed optimum is unique, so the witness
-    depends neither on the order of the arcs nor on the valid entry
-    potentials, nor on which of the two ways solved it.
+    A group's network has a node per member and one for x: each link as an
+    arc each way at d(u, v), each box as u->x at hi(u) and x->u at -lo(u).
+    Arc costs are at most d + 1 and the initial potentials span at most
+    d + 1, so there are at most 2d + 4 phases (``_min_cost_flow_potentials``),
+    6 on an adjacent pair, and a group costs O(phases x (links + members)).
+    The perturbed optimum is unique, so the witness depends neither on the
+    arcs' order nor on the entry potentials, nor on which way solved a group.
 
     The Lipschitz bounds of the pruned pairs hold anyway, by induction on
     d(u, v): a pruned pair has x (or y), not an end, on a shortest u-v path,
@@ -458,6 +458,8 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
         for u, q in row.items():
             by_vertex[u] += scale * q
     coef = list(by_vertex.values())
+    if sum(coef):  # the Laplacian of a constant is 0
+        raise CurvegraphError("internal error: unbalanced supplies")
 
     # each vertex's box, its bounds to x and to y with f(x) = 0 and
     # f(y) = d, and the sign rule's point of it; the links, the kept pairs
@@ -474,13 +476,13 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
             a += b
             for k in b:
                 group[k] = a
-    groups = {id(m): m for m in group.values()}.values()
-    if all(len(m) <= _EXHAUSTED for m in groups):
-        for m in groups:
-            for i, v in zip(m, _group_optimum(m, links, lo, hi, coef)):
-                f[i] = v
-    else:
-        f = _flow_witness(support, ix, iy, d, dx, dy, kept, coef)
+    parts = {id(m): (m, []) for m in group.values()}  # each group, its links
+    for link in links:
+        parts[id(group[link[0]])][1].append(link)
+    for m, own in parts.values():
+        solve = _group_optimum if len(m) <= _EXHAUSTED else _flow_optimum
+        for i, v in zip(m, solve(m, own, lo, hi, coef)):
+            f[i] = v
 
     # the witness must keep every kept pair's bound, which imply the rest,
     # and the gradient
@@ -499,9 +501,9 @@ _EXHAUSTED = 3
 
 def _group_optimum(members, links, lo, hi, coef):
     """The least (sum coef f, sum f) over the integer points f of the
-    members' boxes that keep every link among them, as values in member
-    order; the perturbed optimum there (``ollivier_pair``)."""
-    ends = [(members.index(i), members.index(j), e) for i, j, e in links if i in members]
+    members' boxes that keep their links, as values in member order; the
+    perturbed optimum there (``ollivier_pair``)."""
+    ends = [(members.index(i), members.index(j), e) for i, j, e in links]
     weights = [coef[i] for i in members]
     best = None
     for p in product(*[range(lo[i], hi[i] + 1) for i in members]):
@@ -515,37 +517,34 @@ def _group_optimum(members, links, lo, hi, coef):
     return point
 
 
-def _flow_witness(support, ix, iy, d, dx, dy, kept, coef):
-    """The perturbed optimum of the whole support by min-cost flow, as
-    values in support order."""
-    # Integer supplies: scale the objective past the perturbation gap, then
-    # add an all-ones secondary weight (balanced at the gauge vertex x). The
-    # optimal face is a lattice, so this selects its componentwise-minimal,
-    # hence lexicographically smallest, integer point. At integer points the
-    # primary objective sum c[u] f(u) is an integer, so two different values
-    # of it differ by at least width in the supplies, more than the secondary
-    # sum of f can vary; an unreduced den only widens that gap.
-    width = 1 + 2 * sum(dx)
-    supply = [width * c + 1 for c in coef]
-    supply[ix] -= len(support)
-    if sum(supply) != 0:
-        raise CurvegraphError("internal error: unbalanced supplies")
+def _flow_optimum(members, links, lo, hi, coef):
+    """``_group_optimum`` by min-cost flow, for a larger group; node n is x."""
+    n = len(members)
+    pos = dict(zip(members, range(n)))
+    # Integer supplies: the objective scaled past the perturbation gap, plus
+    # all-ones secondary weights balanced at x. The optimal face is a lattice,
+    # so this picks its componentwise-least, hence lexicographically least,
+    # integer point: two values of the integer sum c f differ by width or more,
+    # more than sum f spans over the boxes (an unreduced den widens the gap).
+    width = 1 + sum(hi[i] - lo[i] for i in members)
+    supply = [width * coef[i] + 1 for i in members]
+    supply.append(-sum(supply))
 
-    # the two Lipschitz arcs of each kept pair, at d(u, v) each way, and of
-    # {x, y}, where x->y costs -d: that forces witness[y] - witness[x] = d
-    arcs: list = [(ix, iy, -d), (iy, ix, d)]
-    for i, j, c in kept:
-        arcs += ((i, j, c), (j, i, c))
-    out: list = [[] for _ in support]
-    for k, (i, j, c) in enumerate(arcs):
-        out[i].append((j, c, k))
+    # an arc u->v at cost c bounds f(u) - f(v) by c: each link at d(u, v)
+    # each way, and each member's box, u->x at hi(u) and x->u at -lo(u)
+    arcs = [(pos[i], pos[j], e) for i, j, e in links]
+    arcs += [(b, a, e) for a, b, e in arcs]
+    for a, i in enumerate(members):
+        arcs += ((a, n, hi[i]), (n, a, -lo[i]))
+    out: list = [[] for _ in range(n + 1)]
+    for k, (a, b, c) in enumerate(arcs):
+        out[a].append((b, c, k))
 
-    # warm entry potentials in [-d, 1]: -f for f = min(d(x, .), d - d(y, .)),
-    # 1-Lipschitz with f(x) = 0 and f(y) = d, so no reduced cost is negative
-    pi = [max(-a, b - d) for a, b in zip(dx, dy)]
+    # warm entry potentials -lo (0 at x): lo is in every box and 1-Lipschitz,
+    # the larger of two such functions, so no reduced cost is negative
+    pi = [-lo[i] for i in members] + [0]
     pi = _min_cost_flow_potentials(arcs, out, supply, pi)
-    p = pi[ix]
-    return [p - q for q in pi]
+    return [pi[n] - p for p in pi[:n]]
 
 
 def ollivier_pair_bruteforce(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:

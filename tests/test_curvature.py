@@ -4,6 +4,7 @@ import random
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -483,18 +484,17 @@ def test_high_degree_hubs_match_the_tree_edge_closed_form(g):
     verify_witness(g, result)
 
 
-def _hub_graph(leaves, linked=False):
-    """Adjacent hubs 0 and 1, each with its own leaves; with ``linked``,
-    each hub's leaves are also joined in a path."""
+def _hub_graph(leaves, linked=()):
+    """Adjacent hubs 0 and 1, each with its own leaves; the leaves of each
+    hub that ``linked`` names are also joined in a path."""
     vertices = [(v, Fraction(1 + v % 3, 1 + v % 2)) for v in range(2 + 2 * leaves)]
     edges = [(0, 1, 1)]
     for k in range(leaves):
         edges.append((0, 2 + k, Fraction(1 + k % 4, 2)))
         edges.append((1, 2 + leaves + k, Fraction(1 + k % 5, 3)))
-    if linked:
-        for first in (2, 2 + leaves):
-            edges += [(first + k, first + k + 1, Fraction(1 + k % 3, 2))
-                      for k in range(leaves - 1)]
+    for first in (2 + hub * leaves for hub in linked):
+        edges += [(first + k, first + k + 1, Fraction(1 + k % 3, 2))
+                  for k in range(leaves - 1)]
     return validate_graph(vertices, edges)
 
 
@@ -514,9 +514,9 @@ def _counting_flows(monkeypatch):
 def test_pair_cost_is_linear_in_degree(monkeypatch):
     # a hub pair's support is both hubs' leaves. On plain hubs each leaf is
     # a group of its own and no flow runs. Joined in a path, each hub's
-    # leaves make one linked group, too large to exhaust, so the flow runs:
-    # quadrupling the leaves may quadruple its heap work, not multiply it
-    # by sixteen
+    # leaves make one linked group, too large to exhaust, so the flow runs
+    # once for each: quadrupling the leaves may quadruple its heap work, not
+    # multiply it by sixteen
     flows = _counting_flows(monkeypatch)
     pushes = []
     real = curvature.heappush
@@ -530,8 +530,8 @@ def test_pair_cost_is_linear_in_degree(monkeypatch):
     for leaves in (64, 256):
         ollivier_pair(_hub_graph(leaves), 0, 1)
         assert flows == [] and pushes == []
-        ollivier_pair(_hub_graph(leaves, linked=True), 0, 1)
-        assert len(flows) == 1
+        ollivier_pair(_hub_graph(leaves, linked=(0, 1)), 0, 1)
+        assert len(flows) == 2
         counts[leaves] = len(pushes)
         flows.clear()
         pushes.clear()
@@ -569,15 +569,15 @@ def _both_ways(pairs):
 
 # graph, its pairs, and the flow solves each pair makes: a grid edge, a hub
 # pair and a chain pair at distance 3 or more have groups of at most 2
-# vertices; the linked hubs have a group of 4 or 64
+# vertices; the linked hubs have two groups of 4 or of 64, one per hub
 PATHS = {
     "grid-edges": (lambda: _rational_grid(4, 26), lambda g: _both_ways(_edges(g)), 0),
     "hub": (lambda: _hub_graph(3), lambda g: [(0, 1), (1, 0)], 0),
     "wide-hub": (lambda: _hub_graph(64), lambda g: [(0, 1), (1, 0)], 0),
     "chain-path": (_chain_path, lambda g: [(u, v) for u in range(9) for v in range(9)
                                            if abs(u - v) >= 3], 0),
-    "linked-hub": (lambda: _hub_graph(4, linked=True), lambda g: [(0, 1), (1, 0)], 1),
-    "wide-linked-hub": (lambda: _hub_graph(64, linked=True), lambda g: [(0, 1), (1, 0)], 1),
+    "linked-hub": (lambda: _hub_graph(4, linked=(0, 1)), lambda g: [(0, 1), (1, 0)], 2),
+    "wide-linked-hub": (lambda: _hub_graph(64, linked=(0, 1)), lambda g: [(0, 1), (1, 0)], 2),
 }
 
 
@@ -618,6 +618,133 @@ def test_a_faulty_group_solve_fails_the_pairs_own_check(monkeypatch):
     with pytest.raises(CurvegraphError, match=message):
         ollivier_pair(g, "x", "y")
     assert groups == [[0, 1]]  # a and b, first in the support (a, b, x, y)
+
+
+@pytest.mark.parametrize("leaves", [4, 64])
+def test_a_flow_solves_one_group_with_x_alone(monkeypatch, leaves):
+    # only hub 0's leaves are joined in a path, so they are the one group
+    # too large to exhaust: its network is those leaves and a node for x,
+    # never hub 1, its leaves or any other vertex of the support
+    flows = _counting_flows(monkeypatch)
+    g = _hub_graph(leaves, linked=(0,))
+    solved = ollivier_pair(g, 0, 1)
+    assert len(flows) == 1
+    _, _, supply, _ = flows[0]
+    assert len(supply) == leaves + 1
+    verify_witness(g, solved)
+
+
+def test_each_group_solve_sees_only_its_own_links(monkeypatch):
+    # hub 0's 64 leaves joined two by two and hub 1's four by four: 32
+    # groups of 2 to exhaust and 16 of 4 for the flow. Each solve gets its
+    # own group's links alone, so a pair with many groups reads each link
+    # once, not every link once per group
+    g0 = _hub_graph(64)
+    pairs = [(2 + k, 3 + k, 1) for k in range(0, 64, 2)]
+    fours = [(66 + k + j, 67 + k + j, 1) for k in range(0, 64, 4) for j in range(3)]
+    g = validate_graph(list(g0.measure.items()), [*g0.edges, *pairs, *fours])
+    seen = []
+    for name in ("_group_optimum", "_flow_optimum"):
+
+        def spy(members, links, *rest, real=getattr(curvature, name)):
+            seen.append((len(members), len(links)))
+            return real(members, links, *rest)
+
+        monkeypatch.setattr(curvature, name, spy)
+    solved = ollivier_pair(g, 0, 1)
+    assert sorted(seen) == [(2, 1)] * 32 + [(4, 3)] * 16
+    verify_witness(g, solved)
+
+
+def test_a_faulty_flow_solve_fails_the_pairs_own_check(monkeypatch):
+    # hub 0's 4 leaves, joined in a path, are a group for the flow; a flow
+    # solve that puts them outside their box [-1, 1] breaks the kept pair
+    # of hub 0 and a leaf, and the solver's own check says so
+    g = _hub_graph(4, linked=(0,))
+    verify_witness(g, ollivier_pair(g, 0, 1))
+    groups = []
+
+    def faulty(members, *rest):
+        groups.append(sorted(members))
+        return [2] * len(members)
+
+    monkeypatch.setattr(curvature, "_flow_optimum", faulty)
+    message = "^internal pair error: the witness breaks a kept bound$"
+    with pytest.raises(CurvegraphError, match=message):
+        ollivier_pair(g, 0, 1)
+    assert groups == [[2, 3, 4, 5]]  # hub 0's leaves, after 0 and 1 in the support
+
+
+def test_laplacian_rows_that_do_not_sum_to_zero_are_refused():
+    # the Laplacian of a constant is 0, so a pair's coefficients sum to 0;
+    # a row that breaks that is a fault the solver reports, not a value
+    g = _hub_graph(4, linked=(0,))
+    den, row = g._laplacian_rows[1]
+    g._laplacian_rows[1] = den, {**row, 1: row[1] + 1}
+    with pytest.raises(CurvegraphError, match="^internal error: unbalanced supplies$"):
+        ollivier_pair(g, 0, 1)
+
+
+def _whole_support_witness(g, x, y):
+    """The pair's witness from one min-cost flow over its whole support:
+    a node per support vertex, an arc each way per kept pair, x->y at -d
+    and y->x at d, and supplies width * c + 1 balanced at x, with width
+    1 + 2 sum d(x, .) past the spread of sum f. The flow certifies its
+    potentials optimal, and the perturbation makes the optimum unique, so
+    this is the solver's witness with no group taken apart."""
+    support, d, dx, dy, kept = _pair_support(g, x, y)
+    ix, iy = support.index(x), support.index(y)
+    (den_y, row_y), (den_x, row_x) = g._laplacian_rows[y], g._laplacian_rows[x]
+    den = lcm(den_x, den_y)
+    coef = dict.fromkeys(support, 0)
+    for row, scale in ((row_y, den // den_y), (row_x, -(den // den_x))):
+        for u, q in row.items():
+            coef[u] += scale * q
+    width = 1 + 2 * sum(dx)
+    supply = [width * c + 1 for c in coef.values()]
+    supply[ix] -= len(support)
+    arcs = [(ix, iy, -d), (iy, ix, d)]
+    for i, j, e in kept:
+        arcs += [(i, j, e), (j, i, e)]
+    out = [[] for _ in support]
+    for k, (i, j, e) in enumerate(arcs):
+        out[i].append((j, e, k))
+    # -f for f = min(d(x, .), d - d(y, .)): 1-Lipschitz, f(x) = 0, f(y) = d
+    pi = [max(-a, b - d) for a, b in zip(dx, dy)]
+    pi = curvature._min_cost_flow_potentials(arcs, out, supply, pi)
+    return {u: pi[ix] - p for u, p in zip(support, pi)}
+
+
+@pytest.mark.parametrize("leaves", [4, 16, 64])
+def test_linked_hubs_match_the_whole_support_flow(leaves):
+    # past the brute force's reach: each hub's leaves are one group, and
+    # solving the two alone gives the witness of the one whole-support flow
+    g = _hub_graph(leaves, linked=(0, 1))
+    for x, y in [(0, 1), (1, 0)]:
+        assert ollivier_pair(g, x, y).witness == _whole_support_witness(g, x, y)
+
+
+def test_dense_graphs_match_the_whole_support_flow(monkeypatch):
+    # every ordered pair of seeded dense rational graphs on 8-16 vertices,
+    # most of which have a group too large to exhaust
+    rng = random.Random(29)
+    flows = _counting_flows(monkeypatch)
+    pairs = solved_by_flow = 0
+    for _ in range(8):
+        n = rng.randint(8, 16)
+        edges = {(v, v + 1) for v in range(n - 1)}
+        edges |= {(u, v) for u in range(n) for v in range(u + 2, n) if rng.random() < 0.4}
+        g = validate_graph(
+            [(v, Fraction(rng.randint(1, 9), rng.randint(1, 9))) for v in range(n)],
+            [(u, v, Fraction(rng.randint(1, 9), rng.randint(1, 9))) for u, v in sorted(edges)],
+        )
+        for x, y in permutations(range(n), 2):
+            flows.clear()
+            witness = ollivier_pair(g, x, y).witness
+            solved_by_flow += bool(flows)
+            assert witness == _whole_support_witness(g, x, y), (n, sorted(edges), x, y)
+            pairs += 1
+    assert pairs > solved_by_flow > pairs // 2
 
 
 class _CountedRows(Mapping):
