@@ -130,9 +130,9 @@ def associated_bdc(decomp: RootedDecomposition) -> BirthDeathChain:
 
     One pass over each sphere sums m(S_r) and the weight from S_r into
     S_{r+1} in integers only, each value read once as its integer ratio,
-    over the least common denominator of the terms, and each sum becomes
-    one ``Fraction``. ``sphere_measure`` and ``sphere_boundary`` stay the
-    definitional check of these values.
+    over the least common denominator of the terms, starting from the first
+    term as it is, and each sum becomes one ``Fraction``. ``sphere_measure``
+    and ``sphere_boundary`` stay the definitional check of these values.
     """
     measure = decomp.graph.measure
     adjacency = decomp.graph.adjacency
@@ -140,19 +140,25 @@ def associated_bdc(decomp: RootedDecomposition) -> BirthDeathChain:
     measures = []
     weights = []
     for r, shell in enumerate(decomp.spheres):
-        m_n = b_n = 0
+        m_n = b_n = 0  # 0 until the first term: measures and weights are positive
         m_d = b_d = 1
         for x in shell:
             n, d = measure[x].as_integer_ratio()
-            common = lcm(m_d, d)
-            m_n = m_n * (common // m_d) + n * (common // d)
-            m_d = common
+            if m_n:
+                common = lcm(m_d, d)
+                m_n = m_n * (common // m_d) + n * (common // d)
+                m_d = common
+            else:
+                m_n, m_d = n, d
             for y, w in adjacency[x].items():
                 if dist[y] > r:
                     n, d = w.as_integer_ratio()
-                    common = lcm(b_d, d)
-                    b_n = b_n * (common // b_d) + n * (common // d)
-                    b_d = common
+                    if b_n:
+                        common = lcm(b_d, d)
+                        b_n = b_n * (common // b_d) + n * (common // d)
+                        b_d = common
+                    else:
+                        b_n, b_d = n, d
         measures.append(Fraction(m_n, m_d))
         if r < decomp.horizon:
             weights.append(Fraction(b_n, b_d))

@@ -27,6 +27,12 @@ usage and error messages are argparse's. Importing `argparse`, `gettext`
 and `locale` and building the eight subparsers cost ~5-8 ms of a 65-90 ms
 command; `_plain_args` takes ~0.02 ms. The converters import argparse's
 error class only when they fail, so a valid command line never loads it.
+
+`curvature` and `sphere-curv` write each CSV row from one template, the
+bytes `csv.writer` writes for it: radii and rationals never need quoting,
+and only a vertex label with a comma, a double quote or a line break goes
+through `csv.writer` (`_csv_fields`), so `csv` is imported only for such a
+label.
 """
 
 from __future__ import annotations
@@ -128,11 +134,26 @@ def _pair(text: str) -> Tuple[str, str]:
     return parts[0], parts[1]
 
 
-def _write_csv(rows) -> None:
-    import csv  # only the commands that write CSV load it
+def _quotable(text: str) -> bool:
+    """Whether ``csv.writer`` might quote ``text`` as a field of a row: it
+    holds a comma, a double quote or a line break."""
+    return "," in text or '"' in text or "\r" in text or "\n" in text
 
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerows(rows)
+
+def _csv_fields(labels: list) -> list:
+    """Vertex labels as ``csv.writer`` writes them as fields of a row.
+
+    Each quotable label goes through ``csv.writer``, imported only then, so
+    every interpreter keeps its own rules (3.13 quotes a lone carriage
+    return, 3.10-3.12 do not). Every other label, like every rational and
+    radius, is written as it is."""
+    if not _quotable("".join(labels)):
+        return labels
+    import csv
+
+    # writerow returns what the file's write returns: here the line itself
+    row = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    return [row([t])[:-1] if _quotable(t) else t for t in labels]
 
 
 def _ollivier_json(result: curvature.OllivierResult) -> str:
@@ -186,32 +207,30 @@ def _cmd_curvature(args) -> int:
         radii = list(range(decomp.horizon + 1))
     chain = chains.associated_bdc(decomp)
     # every value is formatted before any row is written, so that a value
-    # too long to format leaves the output empty; the rows then stream to
-    # the writer one at a time. text maps the id of a k value to its text,
-    # and None (k+ on the outermost sphere) to "": per_vertex holds every
-    # value for the call, and the profile shares equal values, so each
-    # distinct one is formatted once
+    # too long to format leaves the output empty; the rows are then written
+    # a sphere at a time. text maps the id of a k value to its text, and
+    # None (k+ on the outermost sphere) to "": per_vertex holds every value
+    # for the call, and the profile shares equal values, so each distinct
+    # one is formatted once
     text = {id(None): ""}
     spheres = []
     for r in radii:
-        avg_minus = format_rational(chain.inner_curvature(r))
+        sphere = decomp.sphere(r)
         avg_plus = format_rational(chain.outer_curvature(r)) if r < chain.horizon else ""
-        spheres.append((str(r), decomp.sphere(r), avg_minus, avg_plus,
-                        format_rational(chain.measures[r])))
-        for v in decomp.sphere(r):
+        tail = (f"{format_rational(chain.inner_curvature(r))},{avg_plus},"
+                f"{format_rational(chain.measures[r])}\n")
+        spheres.append((r, sphere, _csv_fields([str(v) for v in sphere]), tail))
+        for v in sphere:
             for k in per_vertex[v]:
                 if id(k) not in text:
                     text[id(k)] = format_rational(k)
 
-    def rows():
-        yield ["r", "vertex", "k_minus", "k_plus", "avg_minus", "avg_plus", "m_Sr"]
-        for radius, sphere, avg_minus, avg_plus, m_sr in spheres:
-            for v in sphere:
-                k_minus, k_plus = per_vertex[v]
-                minus, plus = text[id(k_minus)], text[id(k_plus)]
-                yield [radius, str(v), minus, plus, avg_minus, avg_plus, m_sr]
-
-    _write_csv(rows())
+    sys.stdout.write("r,vertex,k_minus,k_plus,avg_minus,avg_plus,m_Sr\n")
+    for r, sphere, labels, tail in spheres:
+        sys.stdout.write("".join([
+            f"{r},{label},{text[id(k_minus)]},{text[id(k_plus)]},{tail}"
+            for label, (k_minus, k_plus) in zip(labels, [per_vertex[v] for v in sphere])
+        ]))
     return 0
 
 
@@ -232,7 +251,7 @@ def _cmd_sphere_curv(args) -> int:
     decomp = rooted_decomposition(g, _resolve_vertex(g, args.root))
     chain = chains.associated_bdc(decomp)
     h = chain.horizon
-    rows = [["r", "k_graph", "k_chain"]]
+    rows = ["r,k_graph,k_chain\n"]
     for r in range(1, h + 1):
         graph_side = format_rational(curvature.sphere_curvature(decomp, r))
         if r < h:
@@ -241,8 +260,8 @@ def _cmd_sphere_curv(args) -> int:
             # k(r - 1, r) is the drop in the gap, and past the horizon nothing
             # lies: the gap there is -k-(h)
             chain_value = chain.curvature_gap(h - 1) + chain.inner_curvature(h)
-        rows.append([str(r), graph_side, format_rational(chain_value)])
-    _write_csv(rows)
+        rows.append(f"{r},{graph_side},{format_rational(chain_value)}\n")
+    sys.stdout.write("".join(rows))
     return 0
 
 

@@ -473,6 +473,8 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
     for i, j, _ in links:
         a, b = group.setdefault(i, [i]), group.setdefault(j, [j])
         if a is not b:
+            if len(a) < len(b):  # the smaller list moves, so merging is linear
+                a, b = b, a
             a += b
             for k in b:
                 group[k] = a

@@ -79,9 +79,9 @@ def parse_rational(value: RationalLike) -> Fraction:
 
 def format_rational(value: RationalLike) -> str:
     """Render a rational canonically as ``p/q`` in lowest terms."""
-    q = value if isinstance(value, Fraction) else Fraction(value)
+    n, d = (value if isinstance(value, Fraction) else Fraction(value)).as_integer_ratio()
     try:
-        return f"{q.numerator}/{q.denominator}"
+        return f"{n}/{d}"
     except ValueError:  # past the interpreter's int digit limit
         raise FormatError("rational too long to format") from None
 
@@ -456,27 +456,35 @@ class RootedDecomposition(Record):
     def _profile(self) -> dict:
         """``curvature_profile``, built on first use: one pass over each
         vertex's neighbours sums the weights into the previous and the next
-        sphere as integers over their least common denominator, then over
-        m(x) as an unreduced pair; equal pairs share one ``Fraction``."""
+        sphere as integers over their least common denominator, each sum
+        starting from its first term as it is, then over m(x) as an unreduced
+        pair; equal pairs share one ``Fraction``."""
         adjacency, measure = self.graph.adjacency, self.graph.measure
         dist, horizon = self.dist, self.horizon
         made: dict = {}  # unreduced (numerator, denominator) -> its Fraction
         per_vertex: dict = {}
         for v in self.graph.vertices:
             r = dist[v]
-            in_n = out_n = 0
+            in_n = out_n = 0  # 0 until the first term: weights are positive
             in_d = out_d = 1
             for y, w in adjacency[v].items():
-                n, d = w.as_integer_ratio()
                 s = dist[y]  # BFS distances of neighbours differ by at most 1
                 if s < r:
-                    common = lcm(in_d, d)
-                    in_n = in_n * (common // in_d) + n * (common // d)
-                    in_d = common
+                    n, d = w.as_integer_ratio()
+                    if in_n:
+                        common = lcm(in_d, d)
+                        in_n = in_n * (common // in_d) + n * (common // d)
+                        in_d = common
+                    else:
+                        in_n, in_d = n, d
                 elif s > r:
-                    common = lcm(out_d, d)
-                    out_n = out_n * (common // out_d) + n * (common // d)
-                    out_d = common
+                    n, d = w.as_integer_ratio()
+                    if out_n:
+                        common = lcm(out_d, d)
+                        out_n = out_n * (common // out_d) + n * (common // d)
+                        out_d = common
+                    else:
+                        out_n, out_d = n, d
             m_num, m_den = measure[v].as_integer_ratio()
             key = (in_n * m_den, in_d * m_num)
             inner = made.get(key)

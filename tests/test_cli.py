@@ -1,6 +1,7 @@
 """End-to-end command tests, run in process through cli.run; the last
 section runs the process entry, cli.main, in a child interpreter."""
 
+import csv
 import gc
 import hashlib
 import io
@@ -18,11 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvegraph import (
+    associated_bdc,
+    average_curvature,
+    bdc_ollivier_closed_form,
     cli,
     curvature_profile,
     graphs,
+    inner_curvature,
     make_figure1,
+    outer_curvature,
     rooted_decomposition,
+    sphere_curvature,
+    sphere_measure,
     validate_graph,
 )
 from curvegraph.graphs import format_rational, graph_to_json
@@ -160,6 +168,86 @@ def test_curvature_radius_filter(capsys, figure1_file):
     lines = out.splitlines()
     assert len(lines) == 3
     assert lines[1].startswith("2,y,") and lines[2].startswith("2,y',")
+
+
+def _figure1_with_x_as(tmp_path, label) -> str:
+    """A file holding figure 1 with its vertex x renamed to ``label``."""
+    g = make_figure1()
+    rename = {"x": label}.get
+    renamed = validate_graph(
+        [(rename(v, v), m) for v, m in g.measure.items()],
+        [(rename(u, u), rename(v, v), b) for u, v, b in g.edges],
+    )
+    path = tmp_path / "renamed.json"
+    path.write_text(graph_to_json(renamed))
+    return str(path)
+
+
+def _odd_labels(tmp_path):
+    """A graph of root "007", then spheres of labels with a comma and a
+    quote, two line breaks, and spaces and a non-ASCII letter; and a file
+    holding it."""
+    spheres = [["007"], ["a,b", 'q"q'], ["x\ny", "x\ry"], [" s ", "é"]]
+    labels = [v for sphere in spheres for v in sphere]
+    vertices = [(v, Fraction(1 + k % 3, 1 + k % 2)) for k, v in enumerate(labels)]
+    edges = [("007", "a,b", 1), ("007", 'q"q', Fraction(3, 2)), ("a,b", 'q"q', 2),
+             ("a,b", "x\ny", Fraction(1, 3)), ('q"q', "x\ry", 1), ('q"q', "x\ny", Fraction(5, 4)),
+             ("x\ny", " s ", 2), ("x\ry", "é", Fraction(2, 7)), (" s ", "é", 1)]
+    g = validate_graph(vertices, edges)
+    path = tmp_path / "odd.json"
+    path.write_text(graph_to_json(g))
+    return g, str(path)
+
+
+def _csv_text(rows) -> str:
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("radius", [None, 0, 1, 2, 3])
+def test_curvature_quotes_labels_as_csv_writer_does(capsys, tmp_path, radius):
+    # every row, from the definitional curvatures, as csv.writer writes it:
+    # labels with a comma, a quote or a line break are quoted by the
+    # running interpreter's own rules, and the others written as they are
+    g, path = _odd_labels(tmp_path)
+    d = rooted_decomposition(g, "007")
+    h = d.horizon
+    rows = [["r", "vertex", "k_minus", "k_plus", "avg_minus", "avg_plus", "m_Sr"]]
+    for r in range(h + 1) if radius is None else [radius]:
+        sphere_values = [format_rational(average_curvature(d, r, "inner")),
+                         format_rational(average_curvature(d, r, "outer")) if r < h else "",
+                         format_rational(sphere_measure(d, r))]
+        for v in d.sphere(r):
+            k_plus = format_rational(outer_curvature(d, v)) if r < h else ""
+            rows.append([str(r), v, format_rational(inner_curvature(d, v)), k_plus,
+                         *sphere_values])
+    argv = ["curvature", path, "--root", "007"]
+    if radius is not None:
+        argv += ["--radius", str(radius)]
+    assert run_cli(capsys, argv) == (0, _csv_text(rows), "")
+
+
+def test_sphere_curv_writes_rows_as_csv_writer_does(capsys, tmp_path):
+    g, path = _odd_labels(tmp_path)
+    d = rooted_decomposition(g, "007")
+    chain = associated_bdc(d)
+    h = chain.horizon
+    rows = [["r", "k_graph", "k_chain"]]
+    for r in range(1, h + 1):
+        k_chain = (bdc_ollivier_closed_form(chain, r - 1, r) if r < h
+                   else chain.curvature_gap(h - 1) + chain.inner_curvature(h))
+        rows.append([str(r), format_rational(sphere_curvature(d, r)), format_rational(k_chain)])
+    assert run_cli(capsys, ["sphere-curv", path, "--root", "007"]) == (0, _csv_text(rows), "")
+
+
+def test_a_nul_in_a_label_is_written_as_it_is(capsys, tmp_path):
+    # csv.writer on Python 3.10 refuses a NUL in a field; csv quotes none
+    # on later versions, and curvature writes it as it is on every version
+    path = _figure1_with_x_as(tmp_path, "x\0")
+    code, out, err = run_cli(capsys, ["curvature", path, "--root", "w", "--radius", "1"])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == ["1,x\0,1/1,2/1,1/1,2/1,2/1", "1,x',1/1,2/1,1/1,2/1,2/1"]
 
 
 def test_curvature_radius_out_of_range(capsys, figure1_file):
@@ -863,8 +951,8 @@ ROOTED = sorted(PAIRS + ["chains"])
 
 
 # the stdlib modules a command may load only to parse its command line,
-# write CSV or, for verify alone, draw random instances; -S keeps the
-# environment's site hooks from importing them first
+# quote a vertex label in CSV or, for verify alone, draw random instances;
+# -S keeps the environment's site hooks from importing them first
 PARSING = ["argparse", "gettext", "locale"]
 
 
@@ -905,8 +993,8 @@ def _modules_run(argv):
     [
         (["validate", "{g}"], 0, READS_INPUT, []),
         (["ollivier", "{g}", "--pair", "w,x"], 0, PAIRS, []),
-        (["curvature", "{g}", "--root", "w"], 0, CHAINS, ["csv"]),
-        (["sphere-curv", "{g}", "--root", "w"], 0, ROOTED, ["csv"]),
+        (["curvature", "{g}", "--root", "w"], 0, CHAINS, []),
+        (["sphere-curv", "{g}", "--root", "w"], 0, ROOTED, []),
         (["bdc", "{g}", "--root", "w"], 0, CHAINS, []),
         (["gen", "chain", "--n", "2"], 0, sorted(CHAINS + ["generators"]), []),
         (
@@ -934,9 +1022,26 @@ def test_each_command_runs_only_the_modules_it_calls(figure1_file, argv, status,
     # a module has run once it is no longer the lazy placeholder; run()
     # loads them all before it parses the command line, and none runs after
     # that. A valid command line is parsed without argparse, which only help
-    # and usage errors load, and only the commands that write CSV load csv
+    # and usage errors load, and the CSV commands write plain labels without csv
     argv = [figure1_file if arg == "{g}" else arg for arg in argv]
     assert _modules_run(argv) == [status, [modules], modules, loaded]
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["curvature", "--root", "w"], ["csv"]),
+        (["curvature", "--root", "w", "--radius", "1"], ["csv"]),
+        (["curvature", "--root", "w", "--radius", "2"], []),
+        (["sphere-curv", "--root", "w"], []),
+    ],
+    ids=["curvature", "its-sphere", "another-sphere", "sphere-curv"],
+)
+def test_only_a_label_that_needs_quoting_loads_csv(tmp_path, argv, loaded):
+    # figure 1 with x renamed "x,1": curvature prints it on sphere 1 only,
+    # and sphere-curv prints no label at all
+    path = _figure1_with_x_as(tmp_path, "x,1")
+    assert _modules_run([argv[0], path, *argv[1:]])[3] == loaded
 
 
 def test_validate_of_a_chain_runs_chains_alone(tmp_path):

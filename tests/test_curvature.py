@@ -724,6 +724,25 @@ def test_linked_hubs_match_the_whole_support_flow(leaves):
         assert ollivier_pair(g, x, y).witness == _whole_support_witness(g, x, y)
 
 
+@pytest.mark.parametrize("center", ["first", "last"])
+def test_a_leaf_joined_to_every_other_leaf_is_one_group(monkeypatch, center):
+    # hub 0's first or last leaf joined to each of its other 1023 leaves:
+    # the links list each leaf with the centre, the centre second when it is
+    # the last leaf, so one end of every link is already in the large group.
+    # Either way the leaves are one group, solved once by the flow, and the
+    # merge that builds it moves the smaller list, so it stays linear
+    leaves = 1024
+    g0 = _hub_graph(leaves)
+    hub0 = range(2, 2 + leaves)
+    c = hub0[0] if center == "first" else hub0[-1]
+    spokes = [(c, v, Fraction(1 + v % 3, 2)) for v in hub0 if v != c]
+    g = validate_graph(list(g0.measure.items()), [*g0.edges, *spokes])
+    flows = _counting_flows(monkeypatch)
+    solved = ollivier_pair(g, 0, 1)
+    assert [len(supply) for _, _, supply, _ in flows] == [leaves + 1]
+    assert solved.witness == _whole_support_witness(g, 0, 1)
+
+
 def test_dense_graphs_match_the_whole_support_flow(monkeypatch):
     # every ordered pair of seeded dense rational graphs on 8-16 vertices,
     # most of which have a group too large to exhaust
