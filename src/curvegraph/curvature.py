@@ -8,18 +8,17 @@ imported back here as the same objects. Two layers live here:
   infimum of the normalized Laplacian difference over 1-Lipschitz functions
   with unit gradient along the pair. The feasible set is a difference
   constraint polytope with integer bounds, so an integer optimizer exists;
-  the solver returns the lexicographically smallest one, the only optimum
-  of a perturbed objective (``ollivier_pair``). It reads the Lipschitz
-  pairs not implied through x or y, found by local searches
-  (``_pair_support``), and the integer Laplacian rows of x and y that the
-  graph keeps. With f(x) = 0 and f(y) = d(x, y), each other support vertex
-  is confined to a box of at most 3 integers by its bounds to x and y; a
-  kept pair that some point of two boxes breaks links its ends, and the
-  linked groups are independent. A lone vertex takes the end of its box
+  the solver returns the least one, componentwise and so lexicographically
+  (``ollivier_pair``). It reads the Lipschitz pairs not implied through x
+  or y, found by local searches (``_pair_support``), and the integer
+  Laplacian rows of x and y that the graph keeps. With f(x) = 0 and
+  f(y) = d(x, y), each other support vertex is confined to a box of at
+  most 3 integers by its bounds to x and y; a kept pair that some point of
+  two boxes breaks links its ends, and the linked groups are independent. A lone vertex takes the end of its box
   that the sign of its coefficient picks, a group of up to 3 vertices is
-  exhausted, and a larger group goes alone to a primal-dual min-cost flow
-  over its links and boxes, which certifies its flow and potentials. The
-  witness is checked against every kept pair either way;
+  exhausted, and a larger group goes alone to one minimum cut of the
+  implications its links and boxes make, which certifies its flow and
+  cut. The witness is checked against every kept pair either way;
   ``ollivier_pair``'s docstring has the proof. The two oracles,
   ``verify_witness`` and ``ollivier_pair_bruteforce``, share only the support with it: they
   build the support's full metric by a BFS from each support vertex and
@@ -33,10 +32,9 @@ imported back here as the same objects. Two layers live here:
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heappop, heappush
 from itertools import chain, compress, product, repeat
 from math import lcm
-from operator import itemgetter, mul
+from operator import gt, itemgetter, le, mul, not_
 from typing import Dict, Tuple
 
 from .errors import (
@@ -181,204 +179,17 @@ def _oracle_support(g: WeightedGraph, x: VertexId, y: VertexId):
     return support, {u: distance_map(g, u, d + 2) for u in support}
 
 
-def _min_cost_flow_potentials(arcs, out, supply, pi):
-    """Exact uncapacitated min-cost flow by primal-dual phases; returns the
-    final potentials, which solve the flow LP's dual.
-
-    ``arcs`` lists the network arcs as (tail, head, cost), with no capacity
-    bound, and ``out[u]`` the arcs leaving u as (head, cost, k) in the order
-    of k; ``supply[i]`` is the required net inflow at node i (integers
-    summing to zero). The residual network has each arc k, always open, and
-    its reverse, at the negated cost and open while ``flow[k] > 0``.
-    Invariant: every open arc u->v has reduced cost c + pi[u] - pi[v] >= 0;
-    ``pi`` must meet it on entry, when no reverse arc is open.
-
-    Each iteration (Ahuja, Magnanti & Orlin, *Network Flows*, 1993,
-    section 9.8) runs one Dijkstra from every node short of outflow
-    (need < 0) at once, stopped at the first sink (need > 0) it settles, at
-    distance dt. Every potential then grows by its distance capped at dt,
-    which keeps the invariant and makes the shortest paths tight; since no
-    reduced cost sees a common shift, only the settled nodes move, by their
-    distance less dt. A round of blocking flow follows (Dinic): BFS levels
-    over the open tight arcs, then DFS augmentations down the levels until
-    every source is met or cut off. The searches visit only the nodes they
-    reach and those nodes' arcs, so an iteration costs O(nodes + arcs),
-    never the nodes squared.
-
-    Phase bound: an iteration with dt >= 1, or the first, starts a phase;
-    one with dt = 0 finishes the previous round's blocking flow, and since
-    every round lengthens the shortest tight source-sink path by an arc,
-    fewer than n follow in a row. Sources and sinks never change sides, and
-    a phase raises every sink's potential by dt over every source's. So
-    for a source s and a sink t left in the last phase, the phases number
-    at most 1 + the growth of pi[t] - pi[s]. That difference starts at no
-    less than minus the spread of the entry potentials and ends at no more
-    than the shortest s-t path length. In a group network every node
-    reaches every other through x within C + 1 (no arc from x costs over
-    1), C the largest arc cost, so there are at most C + 2 + spread phases,
-    2 d(x, y) + 4 from ``_flow_optimum``'s warm potentials, as C and their
-    spread are at most d(x, y) + 1; the guard allows n iterations for each.
-
-    Before it returns, the solver certifies its answer: every flow is >= 0,
-    every node's inflow less its outflow is its supply, every arc that
-    carries flow is tight under the returned potentials, and no arc's
-    reduced cost is negative. The flow is then feasible, the potentials
-    dual feasible, and primal cost equals dual value, so both are optimal.
-    """
-    n = len(supply)
-    # residual arcs leaving each node as (head, cost, code): arc k has code
-    # k and is always open, in out; its reverse has code ~k and sits in
-    # back[head of k] while flow[k] > 0
-    back: list = [{} for _ in range(n)]
-    flow = [0] * len(arcs)
-    need = list(supply)
-    pi = list(pi)
-    guard = (max(map(itemgetter(2), arcs)) + 3 + max(pi) - min(pi)) * n
-    sources = [u for u in range(n) if need[u] < 0]
-    while sources:
-        guard -= 1
-        if guard < 0:
-            raise CurvegraphError("internal flow error: iteration guard tripped")
-        # Dijkstra from every source at once, to the nearest sink
-        dist: list = [None] * n
-        for s in sources:
-            dist[s] = 0
-        heap = [(0, s) for s in sources]
-        settled = []
-        dt = None
-        while heap:
-            du, u = heappop(heap)
-            if du > dist[u]:
-                continue
-            if need[u] > 0:
-                dt = du
-                break
-            settled.append(u)
-            base = du + pi[u]
-            bu = back[u]
-            for v, c, _ in chain(out[u], bu.values()) if bu else out[u]:
-                cand = base + c - pi[v]
-                dv = dist[v]
-                if dv is None or cand < dv:
-                    dist[v] = cand
-                    heappush(heap, (cand, v))
-        if dt is None:
-            raise CurvegraphError("internal flow error: no route to a sink")
-        if dt:
-            for u in settled:
-                pi[u] += dist[u] - dt
-        # BFS levels over the open tight arcs, which now reach a sink;
-        # down[u] lists u's arcs to the next level as (head, code). Were
-        # none reached, the round would do nothing and the guard would trip.
-        level: list = [None] * n
-        down: list = [()] * n
-        for s in sources:
-            level[s] = 0
-        frontier = sources
-        depth = 0
-        reached = False
-        while frontier and not reached:
-            depth += 1
-            nxt = []
-            for u in frontier:
-                pu = pi[u]
-                step = []
-                bu = back[u]
-                for v, c, k in chain(out[u], bu.values()) if bu else out[u]:
-                    if c + pu == pi[v]:
-                        lv = level[v]
-                        if lv is None:
-                            level[v] = depth
-                            nxt.append(v)
-                            if need[v] > 0:
-                                reached = True
-                            step.append((v, k))
-                        elif lv == depth:
-                            step.append((v, k))
-                down[u] = step
-            frontier = nxt
-        # DFS augmentations down the levels; it[u] is u's next untried arc
-        it = [0] * n
-        for s in sources:
-            path: list = []
-            nodes = [s]
-            u = s
-            while True:
-                if need[u] > 0:
-                    quota = min(-need[s], need[u])
-                    for k in path:
-                        if k < 0 and flow[~k] < quota:
-                            quota = flow[~k]
-                    for k in path:
-                        if k >= 0:
-                            if not flow[k]:
-                                t, h, c = arcs[k]
-                                back[h][k] = (t, -c, ~k)
-                            flow[k] += quota
-                        else:
-                            k = ~k
-                            flow[k] -= quota
-                            if not flow[k]:
-                                del back[arcs[k][1]][k]
-                    need[s] += quota
-                    need[u] -= quota
-                    if not need[s]:
-                        break
-                    path = []
-                    nodes = [s]
-                    u = s
-                step = down[u]
-                i = it[u]
-                while i < len(step):
-                    v, k = step[i]
-                    if level[v] is not None and (k >= 0 or flow[~k]):
-                        break
-                    i += 1
-                it[u] = i
-                if i < len(step):
-                    path.append(k)
-                    nodes.append(v)
-                    u = v
-                else:
-                    # a dead end: nothing enters u again this round
-                    level[u] = None
-                    nodes.pop()
-                    if not nodes:
-                        break
-                    path.pop()
-                    u = nodes[-1]
-                    it[u] += 1
-        sources = [s for s in sources if need[s] < 0]
-    # the certificate: each node's inflow less its outflow is its supply,
-    # the arcs that carry flow are tight, and no arc's bound is broken
-    left = list(supply)
-    for k in compress(range(len(flow)), flow):
-        u, v, c = arcs[k]
-        f = flow[k]
-        if f < 0:
-            raise CurvegraphError("internal flow error: negative flow")
-        if c + pi[u] != pi[v]:
-            raise CurvegraphError("internal flow error: flow on an arc that is not tight")
-        left[u] += f
-        left[v] -= f
-    if any(left):
-        raise CurvegraphError("internal flow error: supplies not met")
-    for u, v, c in arcs:
-        if c + pi[u] < pi[v]:
-            raise CurvegraphError("internal flow error: an arc's reduced cost is negative")
-    return pi
-
-
 def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
     """Exact Ollivier curvature of the pair (x, y).
 
     Minimizes (Delta f(y) - Delta f(x)) / d(x, y) over integer 1-Lipschitz f
     on the support {x, y} and their neighbors, with f(x) = 0 and
     f(y) = d(x, y): the objective is sum c(u) f(u) / (den d) with integer
-    coefficients c. A secondary perturbation picks the lexicographically
-    smallest optimal witness: the solve minimizes width * sum c f + sum f,
-    whose unique minimum is the least (sum c f, sum f) in lexicographic
-    order (the comment on the supplies in ``_flow_optimum`` says why).
+    coefficients c. Of the optimal witnesses it returns the least. One
+    exists: the feasible set is closed under componentwise min and max,
+    and c min(f, g) + c max(f, g) = c f + c g, so the min of two optima is
+    an optimum. The least optimum is the lexicographically smallest, and
+    the only one with the least sum f: it is the least (sum c f, sum f).
 
     The pair is solved by parts. Write lo(u) = max(-d(x, u), d - d(y, u))
     and hi(u) = min(d(x, u), d + d(y, u)), the bounds of the pairs {x, u}
@@ -397,27 +208,22 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
       now the boxes and the links, each link within one group, so it is
       the product of the groups' sets, and the objective is a sum over the
       groups: the groups are independent.
-    * On a product, a sum of pairs (sum c f, sum f) is least in
-      lexicographic order exactly when each group's part is least in its
-      group; any other point is larger in some part and no smaller in any.
-      So the perturbed optimum restricted to a group is the group's least
-      (sum c f, sum f), which is unique because the whole optimum is.
+    * On a product, the optima are the products of the groups' optima, so
+      the least optimum restricted to a group is the group's least
+      (sum c f, sum f).
     * A group of one vertex has no link, so its points are its box, and
       (c v, v) is least at lo when c >= 0 (c = 0 leaves v to be least) and
       at hi when c < 0: the sign rule.
     A group of up to ``_EXHAUSTED`` = 3 vertices is exhausted over its at
     most 27 points (``_group_optimum``), and a larger group goes alone to
-    the min-cost flow (``_flow_optimum``). Either way, the witness is
+    one minimum cut (``_closure_optimum``). Either way, the witness is
     checked against every kept pair and the gradient before it is
     returned, so only a fault in a solve can fail that check.
 
-    A group's network has a node per member and one for x: each link as an
-    arc each way at d(u, v), each box as u->x at hi(u) and x->u at -lo(u).
-    Arc costs are at most d + 1 and the initial potentials span at most
-    d + 1, so there are at most 2d + 4 phases (``_min_cost_flow_potentials``),
-    6 on an adjacent pair, and a group costs O(phases x (links + members)).
-    The perturbed optimum is unique, so the witness depends neither on the
-    arcs' order nor on the entry potentials, nor on which way solved a group.
+    A group's cut network has at most 2 nodes per member and 4 arcs per
+    link, so a solve costs O(phases x (links + members)). The least
+    optimum is unique, so the witness depends neither on the arcs' order
+    nor on which way solved a group.
 
     The Lipschitz bounds of the pruned pairs hold anyway, by induction on
     d(u, v): a pruned pair has x (or y), not an end, on a shortest u-v path,
@@ -482,7 +288,7 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
     for link in links:
         parts[id(group[link[0]])][1].append(link)
     for m, own in parts.values():
-        solve = _group_optimum if len(m) <= _EXHAUSTED else _flow_optimum
+        solve = _group_optimum if len(m) <= _EXHAUSTED else _closure_optimum
         for i, v in zip(m, solve(m, own, lo, hi, coef)):
             f[i] = v
 
@@ -503,8 +309,8 @@ _EXHAUSTED = 3
 
 def _group_optimum(members, links, lo, hi, coef):
     """The least (sum coef f, sum f) over the integer points f of the
-    members' boxes that keep their links, as values in member order; the
-    perturbed optimum there (``ollivier_pair``)."""
+    members' boxes that keep their links, as values in member order: the
+    least optimum there (``ollivier_pair``)."""
     ends = [(members.index(i), members.index(j), e) for i, j, e in links]
     weights = [coef[i] for i in members]
     best = None
@@ -519,34 +325,127 @@ def _group_optimum(members, links, lo, hi, coef):
     return point
 
 
-def _flow_optimum(members, links, lo, hi, coef):
-    """``_group_optimum`` by min-cost flow, for a larger group; node n is x."""
-    n = len(members)
-    pos = dict(zip(members, range(n)))
-    # Integer supplies: the objective scaled past the perturbation gap, plus
-    # all-ones secondary weights balanced at x. The optimal face is a lattice,
-    # so this picks its componentwise-least, hence lexicographically least,
-    # integer point: two values of the integer sum c f differ by width or more,
-    # more than sum f spans over the boxes (an unreduced den widens the gap).
-    width = 1 + sum(hi[i] - lo[i] for i in members)
-    supply = [width * coef[i] + 1 for i in members]
-    supply.append(-sum(supply))
+def _closure_optimum(members, links, lo, hi, coef):
+    """``_group_optimum`` by one minimum cut, for a larger group.
 
-    # an arc u->v at cost c bounds f(u) - f(v) by c: each link at d(u, v)
-    # each way, and each member's box, u->x at hi(u) and x->u at -lo(u)
-    arcs = [(pos[i], pos[j], e) for i, j, e in links]
-    arcs += [(b, a, e) for a, b, e in arcs]
-    for a, i in enumerate(members):
-        arcs += ((a, n, hi[i]), (n, a, -lo[i]))
-    out: list = [[] for _ in range(n + 1)]
-    for k, (a, b, c) in enumerate(arcs):
-        out[a].append((b, c, k))
+    A point f of the members' boxes is the set of its thresholds
+    [f(u) >= t], lo(u) < t <= hi(u), and f keeps its links exactly when
+    that set is a closure: [f(u) >= t + 1] implies [f(u) >= t], and for a
+    link {u, v} at e, [f(u) >= t] implies [f(v) >= t - e] when t - e > lo(v);
+    boxes are 1-Lipschitz, so t - e never passes hi(v). Up to a constant,
+    sum c f is the sum of c(u) over the closure, so the optimum is a
+    minimum-weight closure (Picard, Management Science 22, 1976): the source
+    side of a minimum s-t cut, with an arc s->z at -c(u) for each threshold
+    z of a u with c(u) < 0, z->t at c(u) for each of a u with c(u) > 0, and
+    each implication an arc that no cut can pay for.
 
-    # warm entry potentials -lo (0 at x): lo is in every box and 1-Lipschitz,
-    # the larger of two such functions, so no reduced cost is negative
-    pi = [-lo[i] for i in members] + [0]
-    pi = _min_cost_flow_potentials(arcs, out, supply, pi)
-    return [pi[n] - p for p in pi[:n]]
+    Dinic's phases of BFS levels and blocking flows find a maximum flow;
+    each lengthens the shortest residual s-t path, so fewer phases than
+    nodes run. The nodes s then reaches are the least optimal closure.
+    Before it returns, the solve certifies that every flow is within its
+    capacity and conserved, that no implication leaves the reached set, and
+    that the flow's value is the cut's capacity, so both are optimal.
+    """
+    # node at[u] + t is [f(u) >= t]; source[z] and sink[z] are the
+    # capacities of s->z and z->t, and fill[z] and drain[z] their rooms left
+    at, source, sink = {}, [], []
+    for i in members:
+        at[i] = len(source) - lo[i] - 1
+        c, w = coef[i], hi[i] - lo[i]
+        source += [max(-c, 0)] * w
+        sink += [max(c, 0)] * w
+    n = len(source)
+    fill, drain = source[:], sink[:]
+    # the implications, tails[a] -> heads[a]: each member's, as a link of
+    # u and u at 1, then each link's both ways
+    tails, heads = [], []
+    turned = [(j, i, e) for i, j, e in links]
+    for u, v, e in chain(zip(members, members, repeat(1)), links, turned):
+        for t in range(max(lo[u], lo[v] + e) + 1, hi[u] + 1):
+            tails.append(at[u] + t)
+            heads.append(at[v] + t - e)
+    # the residual network: arc a < m is implication a, with room cap[a]
+    # past any cut of weights alone, and a + m its reverse, with room the
+    # flow on a; the other of arc b is b - m, an index of cap either way
+    m = len(tails)
+    fro, to = tails + heads, heads + tails
+    uncut = 1 + sum(source)
+    cap = [uncut] * m + [0] * m
+    out: list = [[] for _ in range(n)]
+    for b, u in enumerate(fro):
+        out[u].append(b)
+
+    for _ in range(n + 1):
+        # BFS levels: s at 0, the nodes it has room to at 1, and t one past
+        # the nearest node with room to t
+        level = [1 if room else -1 for room in fill]
+        starts = list(compress(range(n), fill))
+        queue = starts[:]
+        for u in queue:
+            below = level[u] + 1
+            for b in out[u]:
+                v = to[b]
+                if cap[b] and level[v] < 0:
+                    level[v] = below
+                    queue.append(v)
+        last = next((level[z] for z in queue if drain[z]), 0)
+        if not last:
+            break
+        # a blocking flow from each start down the levels; tried[u] counts
+        # u's arcs known to lead nowhere this phase
+        tried = [0] * n
+        for start in starts:
+            path: list = []
+            u = start
+            while fill[start]:
+                if drain[u] and level[u] == last:
+                    room = min([fill[start], drain[u], *[cap[b] for b in path]])
+                    fill[start] -= room
+                    drain[u] -= room
+                    for b in path:
+                        cap[b] -= room
+                        cap[b - m] += room
+                    path = []
+                    u = start
+                    continue
+                leaving = out[u]
+                below = level[u] + 1
+                i = tried[u]
+                while i < len(leaving) and not (
+                    cap[leaving[i]] and level[to[leaving[i]]] == below <= last
+                ):
+                    i += 1
+                tried[u] = i
+                if i < len(leaving):
+                    path.append(leaving[i])
+                    u = to[leaving[i]]
+                elif path:
+                    u = fro[path.pop()]
+                    tried[u] += 1
+                else:
+                    break
+    else:
+        raise CurvegraphError("internal closure error: phase guard tripped")
+
+    # the certificate, against the cut of s and the nodes it reaches
+    reached = [h >= 0 for h in level]
+    flow = cap[m:]
+    if min(fill + drain + flow) < 0 or max(flow) > uncut or not (
+        all(map(le, fill, source)) and all(map(le, drain, sink))
+    ):
+        raise CurvegraphError("internal closure error: a flow breaks its capacity")
+    net = [a - b - c + d for a, b, c, d in zip(source, fill, sink, drain)]
+    for a in compress(range(m), flow):
+        net[tails[a]] -= flow[a]
+        net[heads[a]] += flow[a]
+    if any(net):
+        raise CurvegraphError("internal closure error: flow is not conserved")
+    if any(map(gt, map(reached.__getitem__, tails), map(reached.__getitem__, heads))):
+        raise CurvegraphError("internal closure error: an implication leaves the cut")
+    cut = sum(compress(sink, reached)) + sum(compress(source, map(not_, reached)))
+    if cut != sum(source) - sum(fill):
+        raise CurvegraphError("internal closure error: the flow does not fill the cut")
+    return [lo[i] + sum(reached[at[i] + lo[i] + 1 : at[i] + hi[i] + 1]) for i in members]
 
 
 def ollivier_pair_bruteforce(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:

@@ -1,10 +1,14 @@
 """Inner/outer, averaged, Ollivier pair, and sphere curvatures."""
 
 import random
+import sys
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import permutations
+from heapq import heappop, heappush
+from itertools import chain, compress, permutations
 from math import lcm
+from operator import itemgetter
+from types import CodeType
 
 import pytest
 from hypothesis import example, given, settings
@@ -443,8 +447,8 @@ def _sweep_every_pair(graphs, rational, seed):
 @pytest.mark.parametrize("rational", [False, True], ids=["unit", "rational"])
 def test_solver_matches_bruteforce_on_every_graph_up_to_5_vertices(rational):
     # every ordered pair, adjacent or not, of every connected graph on at
-    # most 5 vertices: ties between sinks in the flow solve and every
-    # support shape these sizes allow are covered by exhaustion
+    # most 5 vertices: ties between optima and every support shape these
+    # sizes allow are covered by exhaustion
     graphs = connected_graphs(5)
     assert len(graphs) == 31  # 1 + 1 + 2 + 6 + 21 classes on 1..5 vertices
     _sweep_every_pair(graphs, rational, 5)
@@ -456,6 +460,19 @@ def test_solver_matches_bruteforce_on_every_graph_on_6_vertices(rational):
     graphs = [(n, edges) for n, edges in connected_graphs(6) if n == 6]
     assert len(graphs) == 112
     _sweep_every_pair(graphs, rational, 6)
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["unit", "rational"])
+def test_the_closure_alone_matches_bruteforce_on_every_graph_on_6_vertices(
+    monkeypatch, rational
+):
+    # the same exhaustion with no group exhausted: every linked group, of
+    # 2 vertices or more, is solved by the closure, 1,830 groups in all
+    monkeypatch.setattr(curvature, "_EXHAUSTED", 0)
+    closures = _counting_closures(monkeypatch)
+    graphs = [(n, edges) for n, edges in connected_graphs(6) if n == 6]
+    _sweep_every_pair(graphs, rational, 6)
+    assert len(closures) == 1830
 
 
 @st.composite
@@ -473,7 +490,8 @@ def hub_pairs(draw):
 @settings(derandomize=True, deadline=None, max_examples=30)
 @given(hub_pairs())
 def test_high_degree_hubs_match_the_tree_edge_closed_form(g):
-    # a flow guard tripping would raise out of ollivier_pair
+    # a solve's own guard or certificate failing would raise out of
+    # ollivier_pair
     result = ollivier_pair(g, 0, 1)
     mx, my = g.measure[0], g.measure[1]
     b = g.adjacency[0][1]
@@ -498,43 +516,57 @@ def _hub_graph(leaves, linked=()):
     return validate_graph(vertices, edges)
 
 
-def _counting_flows(monkeypatch):
-    """Route the module's flow solves through a list that counts them."""
-    flows = []
-    real = curvature._min_cost_flow_potentials
+def _counting_closures(monkeypatch):
+    """Route the module's closure solves through a list of their members."""
+    closures = []
+    real = curvature._closure_optimum
 
-    def counting(*args):
-        flows.append(args)
-        return real(*args)
+    def counting(members, *rest):
+        closures.append(list(members))
+        return real(members, *rest)
 
-    monkeypatch.setattr(curvature, "_min_cost_flow_potentials", counting)
-    return flows
+    monkeypatch.setattr(curvature, "_closure_optimum", counting)
+    return closures
+
+
+def _lines_run(codes, call):
+    """The number of lines call() runs in frames of the given code
+    objects, counted by the tracer's line events."""
+    lines = [0]
+
+    def local(frame, event, arg):
+        lines[0] += event == "line"
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code in codes else None
+
+    before = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        call()
+    finally:
+        sys.settrace(before)
+    return lines[0]
 
 
 def test_pair_cost_is_linear_in_degree(monkeypatch):
     # a hub pair's support is both hubs' leaves. On plain hubs each leaf is
-    # a group of its own and no flow runs. Joined in a path, each hub's
-    # leaves make one linked group, too large to exhaust, so the flow runs
-    # once for each: quadrupling the leaves may quadruple its heap work, not
-    # multiply it by sixteen
-    flows = _counting_flows(monkeypatch)
-    pushes = []
-    real = curvature.heappush
-
-    def counting(heap, item):
-        pushes.append(item)
-        real(heap, item)
-
-    monkeypatch.setattr(curvature, "heappush", counting)
+    # a group of its own and no closure runs. Joined in a path, each hub's
+    # leaves make one linked group, too large to exhaust, so the closure
+    # runs once for each: quadrupling the leaves may quadruple the lines it
+    # runs, its comprehensions' included, not multiply them by sixteen
+    code = curvature._closure_optimum.__code__
+    codes = {code, *(c for c in code.co_consts if isinstance(c, CodeType))}
+    closures = _counting_closures(monkeypatch)
     counts = {}
     for leaves in (64, 256):
-        ollivier_pair(_hub_graph(leaves), 0, 1)
-        assert flows == [] and pushes == []
-        ollivier_pair(_hub_graph(leaves, linked=(0, 1)), 0, 1)
-        assert len(flows) == 2
-        counts[leaves] = len(pushes)
-        flows.clear()
-        pushes.clear()
+        plain, linked = _hub_graph(leaves), _hub_graph(leaves, linked=(0, 1))
+        assert _lines_run(codes, lambda: ollivier_pair(plain, 0, 1)) == 0
+        assert closures == []
+        counts[leaves] = _lines_run(codes, lambda: ollivier_pair(linked, 0, 1))
+        assert len(closures) == 2
+        closures.clear()
     assert 0 < counts[256] <= 5 * counts[64]
 
 
@@ -567,7 +599,7 @@ def _both_ways(pairs):
     return [p for u, v in pairs for p in ((u, v), (v, u))]
 
 
-# graph, its pairs, and the flow solves each pair makes: a grid edge, a hub
+# graph, its pairs, and the closure solves each pair makes: a grid edge, a hub
 # pair and a chain pair at distance 3 or more have groups of at most 2
 # vertices; the linked hubs have two groups of 4 or of 64, one per hub
 PATHS = {
@@ -583,15 +615,16 @@ PATHS = {
 
 @pytest.mark.parametrize("name", list(PATHS))
 def test_each_pair_takes_the_path_its_largest_group_picks(monkeypatch, name):
-    # the flow runs only for a group too large to exhaust; either way the
-    # result is the brute force's on a small support, and passes the replay
+    # the closure runs only for a group too large to exhaust; either way
+    # the result is the brute force's on a small support, and passes the
+    # replay
     build, pairs, per_pair = PATHS[name]
     g = build()
-    flows = _counting_flows(monkeypatch)
+    closures = _counting_closures(monkeypatch)
     for x, y in pairs(g):
-        flows.clear()
+        closures.clear()
         solved = ollivier_pair(g, x, y)
-        assert len(flows) == per_pair, (x, y)
+        assert len(closures) == per_pair, (x, y)
         if len(solved.support) <= 10:
             brute = ollivier_pair_bruteforce(g, x, y)
             assert (solved.value, solved.witness) == (brute.value, brute.witness)
@@ -623,20 +656,18 @@ def test_a_faulty_group_solve_fails_the_pairs_own_check(monkeypatch):
 @pytest.mark.parametrize("leaves", [4, 64])
 def test_a_flow_solves_one_group_with_x_alone(monkeypatch, leaves):
     # only hub 0's leaves are joined in a path, so they are the one group
-    # too large to exhaust: its network is those leaves and a node for x,
-    # never hub 1, its leaves or any other vertex of the support
-    flows = _counting_flows(monkeypatch)
+    # too large to exhaust: its network is built from those leaves alone,
+    # never x, hub 1, its leaves or any other vertex of the support
+    closures = _counting_closures(monkeypatch)
     g = _hub_graph(leaves, linked=(0,))
     solved = ollivier_pair(g, 0, 1)
-    assert len(flows) == 1
-    _, _, supply, _ = flows[0]
-    assert len(supply) == leaves + 1
+    assert [sorted(members) for members in closures] == [list(range(2, 2 + leaves))]
     verify_witness(g, solved)
 
 
 def test_each_group_solve_sees_only_its_own_links(monkeypatch):
     # hub 0's 64 leaves joined two by two and hub 1's four by four: 32
-    # groups of 2 to exhaust and 16 of 4 for the flow. Each solve gets its
+    # groups of 2 to exhaust and 16 of 4 for the closure. Each solve gets its
     # own group's links alone, so a pair with many groups reads each link
     # once, not every link once per group
     g0 = _hub_graph(64)
@@ -644,7 +675,7 @@ def test_each_group_solve_sees_only_its_own_links(monkeypatch):
     fours = [(66 + k + j, 67 + k + j, 1) for k in range(0, 64, 4) for j in range(3)]
     g = validate_graph(list(g0.measure.items()), [*g0.edges, *pairs, *fours])
     seen = []
-    for name in ("_group_optimum", "_flow_optimum"):
+    for name in ("_group_optimum", "_closure_optimum"):
 
         def spy(members, links, *rest, real=getattr(curvature, name)):
             seen.append((len(members), len(links)))
@@ -657,9 +688,9 @@ def test_each_group_solve_sees_only_its_own_links(monkeypatch):
 
 
 def test_a_faulty_flow_solve_fails_the_pairs_own_check(monkeypatch):
-    # hub 0's 4 leaves, joined in a path, are a group for the flow; a flow
-    # solve that puts them outside their box [-1, 1] breaks the kept pair
-    # of hub 0 and a leaf, and the solver's own check says so
+    # hub 0's 4 leaves, joined in a path, are a group for the closure; a
+    # closure solve that puts them outside their box [-1, 1] breaks the kept
+    # pair of hub 0 and a leaf, and the solver's own check says so
     g = _hub_graph(4, linked=(0,))
     verify_witness(g, ollivier_pair(g, 0, 1))
     groups = []
@@ -668,7 +699,7 @@ def test_a_faulty_flow_solve_fails_the_pairs_own_check(monkeypatch):
         groups.append(sorted(members))
         return [2] * len(members)
 
-    monkeypatch.setattr(curvature, "_flow_optimum", faulty)
+    monkeypatch.setattr(curvature, "_closure_optimum", faulty)
     message = "^internal pair error: the witness breaks a kept bound$"
     with pytest.raises(CurvegraphError, match=message):
         ollivier_pair(g, 0, 1)
@@ -685,13 +716,201 @@ def test_laplacian_rows_that_do_not_sum_to_zero_are_refused():
         ollivier_pair(g, 0, 1)
 
 
+def _min_cost_flow_potentials(arcs, out, supply, pi):
+    """Exact uncapacitated min-cost flow by primal-dual phases; returns the
+    final potentials, which solve the flow LP's dual.
+
+    ``arcs`` lists the network arcs as (tail, head, cost), with no capacity
+    bound, and ``out[u]`` the arcs leaving u as (head, cost, k) in the order
+    of k; ``supply[i]`` is the required net inflow at node i (integers
+    summing to zero). The residual network has each arc k, always open, and
+    its reverse, at the negated cost and open while ``flow[k] > 0``.
+    Invariant: every open arc u->v has reduced cost c + pi[u] - pi[v] >= 0;
+    ``pi`` must meet it on entry, when no reverse arc is open.
+
+    Each iteration (Ahuja, Magnanti & Orlin, *Network Flows*, 1993,
+    section 9.8) runs one Dijkstra from every node short of outflow
+    (need < 0) at once, stopped at the first sink (need > 0) it settles, at
+    distance dt. Every potential then grows by its distance capped at dt,
+    which keeps the invariant and makes the shortest paths tight; since no
+    reduced cost sees a common shift, only the settled nodes move, by their
+    distance less dt. A round of blocking flow follows (Dinic): BFS levels
+    over the open tight arcs, then DFS augmentations down the levels until
+    every source is met or cut off. The searches visit only the nodes they
+    reach and those nodes' arcs, so an iteration costs O(nodes + arcs),
+    never the nodes squared.
+
+    Phase bound: an iteration with dt >= 1, or the first, starts a phase;
+    one with dt = 0 finishes the previous round's blocking flow, and since
+    every round lengthens the shortest tight source-sink path by an arc,
+    fewer than n follow in a row. Sources and sinks never change sides, and
+    a phase raises every sink's potential by dt over every source's. So
+    for a source s and a sink t left in the last phase, the phases number
+    at most 1 + the growth of pi[t] - pi[s]. That difference starts at no
+    less than minus the spread of the entry potentials and ends at no more
+    than the shortest s-t path length. In a pair's network every node
+    reaches every other through x within C + 1 (no arc from x costs over
+    1), C the largest arc cost, so there are at most C + 2 + spread phases;
+    the guard allows n iterations for each.
+
+    Before it returns, the solver certifies its answer: every flow is >= 0,
+    every node's inflow less its outflow is its supply, every arc that
+    carries flow is tight under the returned potentials, and no arc's
+    reduced cost is negative. The flow is then feasible, the potentials
+    dual feasible, and primal cost equals dual value, so both are optimal.
+    """
+    n = len(supply)
+    # residual arcs leaving each node as (head, cost, code): arc k has code
+    # k and is always open, in out; its reverse has code ~k and sits in
+    # back[head of k] while flow[k] > 0
+    back: list = [{} for _ in range(n)]
+    flow = [0] * len(arcs)
+    need = list(supply)
+    pi = list(pi)
+    guard = (max(map(itemgetter(2), arcs)) + 3 + max(pi) - min(pi)) * n
+    sources = [u for u in range(n) if need[u] < 0]
+    while sources:
+        guard -= 1
+        if guard < 0:
+            raise CurvegraphError("internal flow error: iteration guard tripped")
+        # Dijkstra from every source at once, to the nearest sink
+        dist: list = [None] * n
+        for s in sources:
+            dist[s] = 0
+        heap = [(0, s) for s in sources]
+        settled = []
+        dt = None
+        while heap:
+            du, u = heappop(heap)
+            if du > dist[u]:
+                continue
+            if need[u] > 0:
+                dt = du
+                break
+            settled.append(u)
+            base = du + pi[u]
+            bu = back[u]
+            for v, c, _ in chain(out[u], bu.values()) if bu else out[u]:
+                cand = base + c - pi[v]
+                dv = dist[v]
+                if dv is None or cand < dv:
+                    dist[v] = cand
+                    heappush(heap, (cand, v))
+        if dt is None:
+            raise CurvegraphError("internal flow error: no route to a sink")
+        if dt:
+            for u in settled:
+                pi[u] += dist[u] - dt
+        # BFS levels over the open tight arcs, which now reach a sink;
+        # down[u] lists u's arcs to the next level as (head, code). Were
+        # none reached, the round would do nothing and the guard would trip.
+        level: list = [None] * n
+        down: list = [()] * n
+        for s in sources:
+            level[s] = 0
+        frontier = sources
+        depth = 0
+        reached = False
+        while frontier and not reached:
+            depth += 1
+            nxt = []
+            for u in frontier:
+                pu = pi[u]
+                step = []
+                bu = back[u]
+                for v, c, k in chain(out[u], bu.values()) if bu else out[u]:
+                    if c + pu == pi[v]:
+                        lv = level[v]
+                        if lv is None:
+                            level[v] = depth
+                            nxt.append(v)
+                            if need[v] > 0:
+                                reached = True
+                            step.append((v, k))
+                        elif lv == depth:
+                            step.append((v, k))
+                down[u] = step
+            frontier = nxt
+        # DFS augmentations down the levels; it[u] is u's next untried arc
+        it = [0] * n
+        for s in sources:
+            path: list = []
+            nodes = [s]
+            u = s
+            while True:
+                if need[u] > 0:
+                    quota = min(-need[s], need[u])
+                    for k in path:
+                        if k < 0 and flow[~k] < quota:
+                            quota = flow[~k]
+                    for k in path:
+                        if k >= 0:
+                            if not flow[k]:
+                                t, h, c = arcs[k]
+                                back[h][k] = (t, -c, ~k)
+                            flow[k] += quota
+                        else:
+                            k = ~k
+                            flow[k] -= quota
+                            if not flow[k]:
+                                del back[arcs[k][1]][k]
+                    need[s] += quota
+                    need[u] -= quota
+                    if not need[s]:
+                        break
+                    path = []
+                    nodes = [s]
+                    u = s
+                step = down[u]
+                i = it[u]
+                while i < len(step):
+                    v, k = step[i]
+                    if level[v] is not None and (k >= 0 or flow[~k]):
+                        break
+                    i += 1
+                it[u] = i
+                if i < len(step):
+                    path.append(k)
+                    nodes.append(v)
+                    u = v
+                else:
+                    # a dead end: nothing enters u again this round
+                    level[u] = None
+                    nodes.pop()
+                    if not nodes:
+                        break
+                    path.pop()
+                    u = nodes[-1]
+                    it[u] += 1
+        sources = [s for s in sources if need[s] < 0]
+    # the certificate: each node's inflow less its outflow is its supply,
+    # the arcs that carry flow are tight, and no arc's bound is broken
+    left = list(supply)
+    for k in compress(range(len(flow)), flow):
+        u, v, c = arcs[k]
+        f = flow[k]
+        if f < 0:
+            raise CurvegraphError("internal flow error: negative flow")
+        if c + pi[u] != pi[v]:
+            raise CurvegraphError("internal flow error: flow on an arc that is not tight")
+        left[u] += f
+        left[v] -= f
+    if any(left):
+        raise CurvegraphError("internal flow error: supplies not met")
+    for u, v, c in arcs:
+        if c + pi[u] < pi[v]:
+            raise CurvegraphError("internal flow error: an arc's reduced cost is negative")
+    return pi
+
+
 def _whole_support_witness(g, x, y):
     """The pair's witness from one min-cost flow over its whole support:
     a node per support vertex, an arc each way per kept pair, x->y at -d
     and y->x at d, and supplies width * c + 1 balanced at x, with width
     1 + 2 sum d(x, .) past the spread of sum f. The flow certifies its
-    potentials optimal, and the perturbation makes the optimum unique, so
-    this is the solver's witness with no group taken apart."""
+    potentials optimal, and the perturbation makes the optimum unique and
+    the least one, so this is the solver's witness, found with no group
+    taken apart and by no code of the solver's closure."""
     support, d, dx, dy, kept = _pair_support(g, x, y)
     ix, iy = support.index(x), support.index(y)
     (den_y, row_y), (den_x, row_x) = g._laplacian_rows[y], g._laplacian_rows[x]
@@ -711,7 +930,7 @@ def _whole_support_witness(g, x, y):
         out[i].append((j, e, k))
     # -f for f = min(d(x, .), d - d(y, .)): 1-Lipschitz, f(x) = 0, f(y) = d
     pi = [max(-a, b - d) for a, b in zip(dx, dy)]
-    pi = curvature._min_cost_flow_potentials(arcs, out, supply, pi)
+    pi = _min_cost_flow_potentials(arcs, out, supply, pi)
     return {u: pi[ix] - p for u, p in zip(support, pi)}
 
 
@@ -729,17 +948,17 @@ def test_a_leaf_joined_to_every_other_leaf_is_one_group(monkeypatch, center):
     # hub 0's first or last leaf joined to each of its other 1023 leaves:
     # the links list each leaf with the centre, the centre second when it is
     # the last leaf, so one end of every link is already in the large group.
-    # Either way the leaves are one group, solved once by the flow, and the
-    # merge that builds it moves the smaller list, so it stays linear
+    # Either way the leaves are one group, solved once by the closure, and
+    # the merge that builds it moves the smaller list, so it stays linear
     leaves = 1024
     g0 = _hub_graph(leaves)
     hub0 = range(2, 2 + leaves)
     c = hub0[0] if center == "first" else hub0[-1]
     spokes = [(c, v, Fraction(1 + v % 3, 2)) for v in hub0 if v != c]
     g = validate_graph(list(g0.measure.items()), [*g0.edges, *spokes])
-    flows = _counting_flows(monkeypatch)
+    closures = _counting_closures(monkeypatch)
     solved = ollivier_pair(g, 0, 1)
-    assert [len(supply) for _, _, supply, _ in flows] == [leaves + 1]
+    assert [sorted(members) for members in closures] == [list(hub0)]
     assert solved.witness == _whole_support_witness(g, 0, 1)
 
 
@@ -747,8 +966,8 @@ def test_dense_graphs_match_the_whole_support_flow(monkeypatch):
     # every ordered pair of seeded dense rational graphs on 8-16 vertices,
     # most of which have a group too large to exhaust
     rng = random.Random(29)
-    flows = _counting_flows(monkeypatch)
-    pairs = solved_by_flow = 0
+    closures = _counting_closures(monkeypatch)
+    pairs = solved_by_closure = 0
     for _ in range(8):
         n = rng.randint(8, 16)
         edges = {(v, v + 1) for v in range(n - 1)}
@@ -758,12 +977,12 @@ def test_dense_graphs_match_the_whole_support_flow(monkeypatch):
             [(u, v, Fraction(rng.randint(1, 9), rng.randint(1, 9))) for u, v in sorted(edges)],
         )
         for x, y in permutations(range(n), 2):
-            flows.clear()
+            closures.clear()
             witness = ollivier_pair(g, x, y).witness
-            solved_by_flow += bool(flows)
+            solved_by_closure += bool(closures)
             assert witness == _whole_support_witness(g, x, y), (n, sorted(edges), x, y)
             pairs += 1
-    assert pairs > solved_by_flow > pairs // 2
+    assert pairs > solved_by_closure > pairs // 2
 
 
 class _CountedRows(Mapping):
@@ -947,6 +1166,24 @@ def test_sphere_curvature_solves_at_most_70_percent_of_a_grid(monkeypatch):
         sphere_curvature(d, r)
     assert len(set(solved)) == len(solved)
     assert side * side - 1 <= len(solved) <= 0.7 * inward
+
+
+def test_sphere_curvature_solves_the_pairs_its_stops_leave(monkeypatch):
+    # the unit 5x5 grid rooted at its corner: the pairs each radius solves.
+    # Pass 2 stops once L(y) >= best; stopping only once L(y) > best gives
+    # the same values from more solves, [2, 3, 5, 7, 6, 5, 4, 2]
+    side = 5
+    edges = [(v, v + 1, 1) for v in range(side * side) if v % side + 1 < side]
+    edges += [(v, v + side, 1) for v in range(side * side - side)]
+    d = rooted_decomposition(validate_graph([(v, 1) for v in range(side * side)], edges), 0)
+    assert d.horizon == 8
+    solved = _counting_solves(monkeypatch)
+    counts = []
+    for r in range(1, 9):
+        solved.clear()
+        sphere_curvature(d, r)
+        counts.append(len(solved))
+    assert counts == [2, 3, 4, 6, 5, 5, 3, 2]
 
 
 def test_sphere_curvature_guards_a_hand_built_decomposition():
