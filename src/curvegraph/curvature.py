@@ -26,7 +26,10 @@ imported back here as the same objects. Two layers live here:
   Laplacian, the replay to value the witness, the brute force once per
   support vertex for its integer coefficient;
 * the min-max sphere curvature built from pair curvatures, solving only
-  the pairs that can decide it.
+  the pairs that can decide it. Each adjacent pair is first bounded below
+  with no solve, by the sign rule over its boxes with every link dropped
+  (``_sign_rule_bound``), read from the two Laplacian rows alone; the
+  bound is exact on a tree edge.
 """
 
 from __future__ import annotations
@@ -255,12 +258,10 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
     support, d, dx, dy, kept = _pair_support(g, x, y)
     ix, iy = support.index(x), support.index(y)
 
-    # Delta f(y) - Delta f(x) = sum coef[i] f(i) / den, from the graph's
-    # integer Laplacian rows of y and x over the lcm of their denominators
-    (den_y, row_y), (den_x, row_x) = g._laplacian_rows[y], g._laplacian_rows[x]
-    den = lcm(den_x, den_y)
+    # Delta f(y) - Delta f(x) = sum coef[i] f(i) / den
+    den, rows = _scaled_rows(g, x, y)
     by_vertex = dict.fromkeys(support, 0)
-    for row, scale in ((row_y, den // den_y), (row_x, -(den // den_x))):
+    for row, scale in rows:
         for u, q in row.items():
             by_vertex[u] += scale * q
     coef = list(by_vertex.values())
@@ -300,6 +301,38 @@ def ollivier_pair(g: WeightedGraph, x: VertexId, y: VertexId) -> OllivierResult:
     return OllivierResult(
         x=x, y=y, distance=d, value=value, witness=dict(zip(support, f)), support=support
     )
+
+
+def _scaled_rows(g: WeightedGraph, x: VertexId, y: VertexId):
+    """den and the integer Laplacian rows of y and x with their scales:
+    Delta f(y) - Delta f(x) = sum of scale q f(u) over both rows' (u, q),
+    over den, the lcm of the rows' denominators."""
+    (den_y, row_y), (den_x, row_x) = g._laplacian_rows[y], g._laplacian_rows[x]
+    den = lcm(den_x, den_y)
+    return den, ((row_y, den // den_y), (row_x, -(den // den_x)))
+
+
+def _sign_rule_bound(g: WeightedGraph, x: VertexId, y: VertexId) -> Fraction:
+    """A lower bound on k(x, y) for adjacent x and y, exact on a tree edge:
+    the sign rule's optimum with every link dropped.
+
+    With f(x) = 0 and f(y) = 1, the boxes are {0} for x, {1} for y,
+    [-1, 1] for a neighbour of x alone, [0, 2] for one of y alone and
+    [0, 1] for one of both. Every Lipschitz f lies in them, so the least
+    sum c(u) f(u) over their product, each vertex at the end its
+    coefficient's sign picks, is at most the pair's. A tree edge has no
+    link, so there it is the pair's. Read from the two rows alone: no
+    support search and no solve."""
+    den, ((row_y, s_y), (row_x, s_x)) = _scaled_rows(g, x, y)
+    total = s_y * row_y[y] + s_x * row_x[y]
+    for u, q in row_y.items():
+        if u != x and u != y:  # x, in both rows, adds nothing: its box is {0}
+            c = s_y * q + s_x * row_x.get(u, 0)
+            total += min(c, 0) if u in row_x else min(2 * c, 0)
+    for u, q in row_x.items():
+        if u not in row_y:  # row_y holds x and y
+            total -= abs(s_x * q)
+    return Fraction(total, den)
 
 
 # the largest group of free vertices ``ollivier_pair`` solves by exhaustion,
@@ -534,14 +567,16 @@ def verify_witness(g: WeightedGraph, result: OllivierResult) -> None:
 def sphere_curvature(decomp: RootedDecomposition, r: int) -> Fraction:
     """min over y in sphere r of max over inward neighbors x of k(x, y).
 
-    Solves only the pairs that can still decide the min-max, in two passes.
-    Write M(y) for y's max. Pass 1 solves, for each y in shell order, the
-    pair of its first inward neighbour in adjacency order, whose value L(y)
-    is at most M(y). Pass 2 visits the vertices in ascending L(y) and keeps
-    ``best``, the least M(y) over the vertices whose pairs it has all
-    solved. It stops at the first y with L(y) >= best; within a y it stops
-    once the running max reaches best; a y whose pairs all get solved sets
-    best to M(y), which is then below it.
+    Solves only the pairs that can still decide the min-max. Write M(y)
+    for y's max, and L(y) for the max over y's inward pairs of their
+    sign-rule bounds (``_sign_rule_bound``), each read from two Laplacian
+    rows with no solve: each bound is at most its pair's value, so
+    L(y) <= M(y). The vertices are visited in ascending L(y), and ``best``
+    is the least M(y) over the vertices whose pairs have all been solved.
+    Each visited y solves its pairs in descending bound, from a running max
+    of L(y). The visit stops at the first y with L(y) >= best; within a y
+    it stops once the running max reaches best; a y whose pairs all get
+    solved sets best to M(y), which is then below it.
 
     The result is the min-max by construction. ``best`` is some M(y), and
     no skipped vertex has a smaller max: a y left within its pairs has
@@ -562,19 +597,22 @@ def sphere_curvature(decomp: RootedDecomposition, r: int) -> Fraction:
     dist = decomp.dist
     lower = []
     for y in shell:
-        inward = [x for x in g.adjacency[y] if dist[x] == r - 1]
+        inward = [(_sign_rule_bound(g, x, y), x) for x in g.adjacency[y] if dist[x] == r - 1]
         if not inward:
             raise EmptySphere(
                 f"vertex {y!r} on sphere {r} has no inward neighbor", radius=r
             )
-        lower.append((ollivier_pair(g, inward[0], y).value, y, inward))
-    # stable, and keyed on the value alone: labels need not be comparable
+        # both sorts are stable and keyed on the value alone: labels need
+        # not be comparable
+        inward.sort(key=itemgetter(0), reverse=True)
+        lower.append((inward[0][0], y, inward))
     lower.sort(key=itemgetter(0))
     best = None
-    for top, y, inward in lower:
-        if best is not None and top >= best:
+    for bound, y, inward in lower:
+        if best is not None and bound >= best:
             break
-        for x in inward[1:]:
+        top = bound
+        for _, x in inward:
             top = max(top, ollivier_pair(g, x, y).value)
             if best is not None and top >= best:
                 break

@@ -46,7 +46,8 @@ from curvegraph import (
 )
 from curvegraph import curvature
 from curvegraph.chains import BirthDeathChain, associated_bdc, bdc_as_graph
-from curvegraph.curvature import _oracle_support, _pair_support
+from curvegraph.curvature import _oracle_support, _pair_support, _sign_rule_bound
+from curvegraph.generators import random_graph
 
 from conftest import (
     bfs_oracle,
@@ -1151,10 +1152,95 @@ def test_sphere_curvature_is_the_plain_min_max(gr):
         assert sphere_curvature(d, r) == _plain_sphere_curvature(d, r)
 
 
+def test_sphere_curvature_is_the_plain_min_max_on_random_graphs_up_to_30_vertices(
+    monkeypatch,
+):
+    # larger than the exhaustive tests reach: vertices are skipped on their
+    # bounds while some of the pairs solved go to the closure
+    closures = _counting_closures(monkeypatch)
+    solved = _counting_solves(monkeypatch)
+    rng = random.Random(32)
+    pairs = solves = during = 0
+    for _ in range(200):
+        g, root = random_graph(rng, 30)
+        d = rooted_decomposition(g, root)
+        for r in range(1, d.horizon + 1):
+            solved.clear()
+            before = len(closures)
+            value = sphere_curvature(d, r)
+            during += len(closures) - before
+            assert len(set(solved)) == len(solved), (g, root, r)
+            assert value == _plain_sphere_curvature(d, r), (g, root, r)
+            solves += len(solved)
+            pairs += sum(1 for y in d.sphere(r) for x in g.adjacency[y] if d.dist[x] == r - 1)
+    assert during > 0
+    assert solves < pairs / 2
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["unit", "rational"])
+def test_sign_rule_bound_is_at_most_the_pair_value_up_to_6_vertices(rational):
+    # every ordered adjacent pair of every connected graph on at most 6
+    # vertices: dropping the links can only lower the optimum
+    rng = random.Random(32)
+
+    def draw():
+        return Fraction(rng.randint(1, 9), rng.randint(1, 9)) if rational else 1
+
+    pairs = below = 0
+    for n, edges in connected_graphs(6):
+        g = validate_graph([(v, draw()) for v in range(n)], [(u, v, draw()) for u, v in edges])
+        for x, y in chain(edges, [(v, u) for u, v in edges]):
+            bound, value = _sign_rule_bound(g, x, y), ollivier_pair(g, x, y).value
+            assert bound <= value, (edges, x, y)
+            pairs += 1
+            below += bound < value
+    assert pairs == 2224
+    assert 0 < below < pairs
+
+
+def _random_trees(rng, count, rational):
+    """count seeded random trees on 2 to 30 vertices, unit or rational."""
+
+    def draw():
+        return Fraction(rng.randint(1, 9), rng.randint(1, 9)) if rational else 1
+
+    trees = []
+    for _ in range(count):
+        n = rng.randint(2, 30)
+        trees.append(validate_graph([(v, draw()) for v in range(n)],
+                                    [(rng.randrange(v), v, draw()) for v in range(1, n)]))
+    return trees
+
+
+def test_sign_rule_bound_is_the_pair_value_on_a_tree_edge():
+    # a tree edge has no link, so the sign rule is the optimum; a bound
+    # that charged x's own coefficient would be valid, but below it
+    for g in [_hub_graph(64), *_random_trees(random.Random(32), 60, rational=True)]:
+        for u, v, _ in g.edges:
+            for x, y in ((u, v), (v, u)):
+                assert _sign_rule_bound(g, x, y) == ollivier_pair(g, x, y).value, (x, y)
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["unit", "rational"])
+def test_sphere_curvature_solves_one_pair_per_sphere_of_a_tree(monkeypatch, rational):
+    # on a tree each vertex has one inward pair, whose bound is its value:
+    # the least bound's pair sets best, and every other bound is >= best.
+    # Unit data ties many bounds, so stopping only at a bound > best would
+    # solve more
+    solved = _counting_solves(monkeypatch)
+    for g in [_hub_graph(64), *_random_trees(random.Random(32), 60, rational)]:
+        for root in g.vertices[:3]:
+            d = rooted_decomposition(g, root)
+            for r in range(1, d.horizon + 1):
+                solved.clear()
+                assert sphere_curvature(d, r) == _plain_sphere_curvature(d, r)
+                assert len(solved) == 1, (root, r)
+
+
 def test_sphere_curvature_solves_at_most_70_percent_of_a_grid(monkeypatch):
     # a 14x14 grid with seeded rational data, rooted at its corner: a plain
-    # min-max solves all 364 inward pairs; each vertex past the root needs
-    # at least one (195), and the cut leaves most second pairs unsolved
+    # min-max solves all 364 inward pairs. The sign-rule bounds skip most
+    # vertices unsolved and order each vertex's pairs, so 70 are solved
     side = 14
     d = rooted_decomposition(_rational_grid(side, 14), 0)
     inward = sum(
@@ -1165,13 +1251,16 @@ def test_sphere_curvature_solves_at_most_70_percent_of_a_grid(monkeypatch):
     for r in range(1, d.horizon + 1):
         sphere_curvature(d, r)
     assert len(set(solved)) == len(solved)
-    assert side * side - 1 <= len(solved) <= 0.7 * inward
+    assert len(solved) <= 70
 
 
 def test_sphere_curvature_solves_the_pairs_its_stops_leave(monkeypatch):
     # the unit 5x5 grid rooted at its corner: the pairs each radius solves.
-    # Pass 2 stops once L(y) >= best; stopping only once L(y) > best gives
-    # the same values from more solves, [2, 3, 5, 7, 6, 5, 4, 2]
+    # Every sign-rule bound here is below every pair value, so no vertex is
+    # skipped on its bound and only the stop within a vertex prunes. It
+    # stops at >= best; stopping only at > best gives the same values from
+    # more solves, [2, 4, 6, 6, 6, 6, 4, 2]. The stop on a bound is guarded
+    # by test_sphere_curvature_solves_one_pair_per_sphere_of_a_tree
     side = 5
     edges = [(v, v + 1, 1) for v in range(side * side) if v % side + 1 < side]
     edges += [(v, v + side, 1) for v in range(side * side - side)]
@@ -1183,7 +1272,7 @@ def test_sphere_curvature_solves_the_pairs_its_stops_leave(monkeypatch):
         solved.clear()
         sphere_curvature(d, r)
         counts.append(len(solved))
-    assert counts == [2, 3, 4, 6, 5, 5, 3, 2]
+    assert counts == [2, 4, 5, 6, 5, 4, 4, 2]
 
 
 def test_sphere_curvature_guards_a_hand_built_decomposition():
