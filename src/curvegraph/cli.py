@@ -33,6 +33,12 @@ bytes `csv.writer` writes for it: radii and rationals never need quoting,
 and only a vertex label with a comma, a double quote or a line break goes
 through `csv.writer` (`_csv_fields`), so `csv` is imported only for such a
 label.
+
+A graph's JSON (`validate`, `gen figure1`, `gen mirror`) and the array of
+`ollivier --all-adjacent` are written a batch of records at a time, through
+`graphs.json_array`, so that the text is never held whole beside the graph.
+Every value is formatted first (the graph's rationals, or every pair's
+record), so that a value too long to format leaves stdout empty.
 """
 
 from __future__ import annotations
@@ -52,7 +58,8 @@ from .graphs import (
     curvature_profile,
     format_rational,
     graph_from_json_dict,
-    graph_to_json,
+    graph_json_pieces,
+    json_array,
     loads_json,
     parse_rational,
     rooted_decomposition,
@@ -173,14 +180,6 @@ def _ollivier_json(result: curvature.OllivierResult) -> str:
     )
 
 
-def _json_records(records: list) -> str:
-    """An indented array of already rendered records, as ``json.dumps``
-    writes it at the top level."""
-    if not records:
-        return "[]"
-    return "[\n  " + ",\n  ".join(r.replace("\n", "\n  ") for r in records) + "\n]"
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 # ---------------------------------------------------------------------------
@@ -188,11 +187,10 @@ def _json_records(records: list) -> str:
 
 def _cmd_validate(args) -> int:
     kind, obj = _load_payload(args.file)
-    text = graph_to_json(obj) if kind == "graph" else chains.chain_to_json(obj)
-    # in slices: writing the whole text at once encodes all of it into one
-    # more copy, which on a large graph sets the command's peak memory
-    for start in range(0, len(text), 1 << 16):
-        sys.stdout.write(text[start:start + (1 << 16)])
+    if kind == "graph":
+        sys.stdout.writelines(graph_json_pieces(obj))
+    else:
+        sys.stdout.write(chains.chain_to_json(obj))
     return 0
 
 
@@ -237,8 +235,14 @@ def _cmd_curvature(args) -> int:
 def _cmd_ollivier(args) -> int:
     g = _load_graph(args.file)
     if args.all_adjacent:
-        records = [_ollivier_json(curvature.ollivier_pair(g, u, v)) for u, v, _ in g.edges]
-        sys.stdout.write(_json_records(records) + "\n")
+        # every pair is solved and rendered, indented as an array entry,
+        # before the first write
+        records = [
+            "  " + _ollivier_json(curvature.ollivier_pair(g, u, v)).replace("\n", "\n  ")
+            for u, v, _ in g.edges
+        ]
+        sys.stdout.writelines(json_array(records))
+        sys.stdout.write("\n")
         return 0
     x = _resolve_vertex(g, args.pair[0])
     y = _resolve_vertex(g, args.pair[1])
@@ -301,9 +305,10 @@ def _cmd_gen(args) -> int:
     if maker is not None:
         sys.stdout.write(chains.chain_to_json(maker(args.n)))
     elif name == "figure1":
-        sys.stdout.write(graph_to_json(generators.make_figure1()))
+        sys.stdout.writelines(graph_json_pieces(generators.make_figure1()))
     elif name == "mirror":
-        sys.stdout.write(graph_to_json(generators.make_mirror_model(_chain_for_mirror(args))))
+        mirror = generators.make_mirror_model(_chain_for_mirror(args))
+        sys.stdout.writelines(graph_json_pieces(mirror))
     else:  # ollivier-match, choices enforced by argparse
         if args.seq is None:
             sys.stderr.write("gen ollivier-match: --seq is required\n")

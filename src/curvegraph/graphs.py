@@ -207,16 +207,13 @@ class WeightedGraph(Record):
     @property
     def edges(self) -> Tuple[Tuple[VertexId, VertexId, Fraction], ...]:
         """Each undirected edge once, as (u, v, b) with u before v in label order."""
-        return tuple(self._each_edge())
-
-    def _each_edge(self) -> Iterator[Tuple[VertexId, VertexId, Fraction]]:
-        """``edges``, one at a time."""
         # vertices and each adjacency are already in label order
         rank = self._rank
-        for i, u in enumerate(self.vertices):
-            for v, w in self.adjacency[u].items():
-                if rank[v] > i:
-                    yield u, v, w
+        return tuple(
+            (u, v, w)
+            for i, u in enumerate(self.vertices) for v, w in self.adjacency[u].items()
+            if rank[v] > i
+        )
 
 
 class _LaplacianRows(dict):
@@ -695,54 +692,61 @@ def loads_json(text: str, source: str = "<string>"):
         raise FormatError(f"{source}: JSON number too long", source=source) from None
 
 
-_RENDER_BATCH = 512  # records joined into one piece of graph_to_json's text
+_RENDER_BATCH = 512  # records in one piece of a rendered JSON array
 
 
 def graph_to_json(g: WeightedGraph) -> str:
     """Canonical JSON text: byte for byte ``json.dumps(graph_to_json_dict(g),
-    indent=2)`` and a newline, written from one template per record.
+    indent=2)`` and a newline. It is the join of :func:`graph_json_pieces`,
+    which the commands write piece by piece instead."""
+    return "".join(graph_json_pieces(g))
 
-    The records are joined in batches of ``_RENDER_BATCH`` and the batches
-    once, so besides the text the call holds one batch's records and pieces
-    that add up to the text, never a list of every record. Each distinct
-    rational object is formatted once per call, and records that share it
-    share its text. The memo is keyed by ``id``, which is safe because g
-    holds every one of those objects for the whole call. Each label is
-    quoted once per call, and its vertex and edge records share the text.
+
+def graph_json_pieces(g: WeightedGraph) -> Iterator[str]:
+    """``graph_to_json(g)`` in pieces, each array a batch of records at a
+    time (:func:`json_array`), each record written from one template.
+
+    Before the first piece, each distinct rational object is formatted once
+    and each label quoted once, so a value too long to format raises before
+    any piece is made: a caller that writes the pieces as they come then
+    writes nothing. Records that share a rational share its text; that memo
+    is keyed by ``id``, which is safe because g holds every one of those
+    objects for the whole call. The quoted labels are a list by rank, which
+    the edge records index by their ends' ranks.
     """
-    measure = g.measure
+    measure, adjacency, vertices, rank = g.measure, g.adjacency, g.vertices, g._rank
     text: dict = {}
-    quoted = {v: _quote(str(v)) for v in g.vertices}
+    for row in (measure, *adjacency.values()):
+        for q in row.values():
+            if id(q) not in text:
+                text[id(q)] = format_rational(q)
+    quoted = [_quote(str(v)) for v in vertices]
 
-    def render(q: Fraction) -> str:
-        line = text[id(q)] = format_rational(q)
-        return line
-
-    parts = ['{\n  "vertices": ']
-    _json_array(parts, (
-        f'    {{\n      "id": {quoted[v]},\n'
-        f'      "m": "{text.get(id(measure[v])) or render(measure[v])}"\n    }}'
-        for v in g.vertices
-    ))
-    parts.append(',\n  "edges": ')
-    _json_array(parts, (
-        f'    {{\n      "u": {quoted[u]},\n      "v": {quoted[v]},\n'
-        f'      "b": "{text.get(id(w)) or render(w)}"\n    }}'
-        for u, v, w in g._each_edge()
-    ))
-    parts.append("\n}\n")
-    return "".join(parts)
+    yield '{\n  "vertices": '
+    yield from json_array((
+        f'    {{\n      "id": {label},\n      "m": "{text[id(measure[v])]}"\n    }}'
+        for label, v in zip(quoted, vertices)
+    ), "  ")
+    yield ',\n  "edges": '
+    yield from json_array((  # each edge once, from its end of lower rank
+        f'    {{\n      "u": {quoted[i]},\n      "v": {quoted[j]},\n'
+        f'      "b": "{text[id(w)]}"\n    }}'
+        for i, u in enumerate(vertices) for v, w in adjacency[u].items()
+        for j in [rank[v]] if j > i
+    ), "  ")
+    yield "\n}\n"
 
 
-def _json_array(parts: list, records: Iterator[str]) -> None:
-    """Append an indented array of rendered records to parts, as
-    ``json.dumps`` writes it: one piece per batch of records, each batch
-    after a separator, the first separator being the opening bracket."""
-    start = len(parts)
+def json_array(records: Iterable[str], indent: str = "") -> Iterator[str]:
+    """An array of rendered records, as ``json.dumps(..., indent=2)`` writes
+    it at ``indent``, in pieces: each record carries its own indentation,
+    two spaces past ``indent``, and each batch of ``_RENDER_BATCH`` records
+    is one piece, after its separator, the first being the opening bracket.
+    So a caller that writes the pieces holds one batch at a time."""
+    records = iter(records)
+    separator = "[\n"
     while batch := ",\n".join(islice(records, _RENDER_BATCH)):
-        parts += (",\n", batch)
-    if len(parts) == start:
-        parts.append("[]")
-    else:
-        parts[start] = "[\n"
-        parts.append("\n  ]")
+        yield separator
+        yield batch
+        separator = ",\n"
+    yield "[]" if separator == "[\n" else f"\n{indent}]"

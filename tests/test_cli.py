@@ -303,6 +303,62 @@ def test_values_past_the_digit_limit_fail_to_format(capsys, tmp_path):
         assert json.loads(err)["error"] == "format-error"
 
 
+# a failure leaves stdout empty: the graph writer formats every distinct
+# value before its first piece, so failing on the last one, validate and gen,
+# which write the pieces as they come, still write nothing
+@pytest.mark.parametrize("argv", [["validate"], ["gen", "figure1"]], ids=["validate", "gen"])
+def test_a_value_that_fails_to_format_leaves_stdout_empty(capsys, monkeypatch, figure1_file, argv):
+    if argv == ["validate"]:
+        argv = ["validate", figure1_file]
+        with open(figure1_file, encoding="utf-8") as handle:
+            g = graphs.graph_from_json_dict(json.load(handle))
+    else:
+        g = make_figure1()
+    calls = []
+
+    def format_until(q):
+        calls.append(q)
+        if len(calls) == fail_at:
+            raise graphs.FormatError("rational too long to format")
+        return format_rational(q)
+
+    fail_at = None  # the first render only counts the calls
+    monkeypatch.setattr(graphs, "format_rational", format_until)
+    graph_to_json(g)
+    fail_at, calls[:] = len(calls), []
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out, len(calls)) == (1, "", fail_at)
+    assert json.loads(err)["error"] == "format-error"
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+    reason="the interpreter has no int digit limit",
+)
+def test_all_adjacent_leaves_stdout_empty_when_a_late_pair_fails_to_format(capsys, tmp_path):
+    # a path of 600 vertices, then a and b, whose pair value is past the
+    # digit limit: the first batch of pairs, far from them, formats, and
+    # every pair is solved and rendered before the first write
+    n = 600
+    path = tmp_path / "late.json"
+    path.write_text(
+        json.dumps(
+            {
+                "vertices": [{"id": str(v), "m": "1"} for v in range(n)]
+                + [{"id": "a", "m": "1/" + "3" * 2999 + "7"}, {"id": "b", "m": "1"}],
+                "edges": [{"u": str(v - 1), "v": str(v), "b": "1"} for v in range(1, n)]
+                + [{"u": str(n - 1), "v": "a", "b": "1"}]
+                + [{"u": "a", "v": "b", "b": "1" * 3000 + "/7"}],
+            }
+        )
+    )
+    code, out, _err = run_cli(capsys, ["ollivier", str(path), "--pair", "0,1"])
+    assert (code, json.loads(out)["value"]) == (0, "1/1")
+    code, out, err = run_cli(capsys, ["ollivier", str(path), "--all-adjacent"])
+    assert (code, out) == (1, "")
+    assert json.loads(err)["error"] == "format-error"
+
+
 # --- ollivier ---
 
 

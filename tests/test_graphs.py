@@ -1,11 +1,15 @@
 """Graph construction, distances, spheres, and the Laplacian."""
 
 import copy
+import io
 import json
 import random
 import re
+import sys
 import tracemalloc
+from contextlib import redirect_stdout
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings
@@ -746,9 +750,11 @@ def test_pair_records_match_json_dumps(g):
         assert cli._ollivier_json(result) == json.dumps(
             _pair_record_oracle(result), indent=2
         )
-    assert cli._json_records([cli._ollivier_json(r) for r in results]) == json.dumps(
-        [_pair_record_oracle(r) for r in results], indent=2
-    )
+    # the array goes through the command itself, the graph read from stdin
+    with patch.object(sys, "stdin", io.StringIO(graph_to_json(g))):
+        with redirect_stdout(io.StringIO()) as out:
+            assert cli.run(["ollivier", "--all-adjacent"]) == 0
+    assert out.getvalue() == json.dumps([_pair_record_oracle(r) for r in results], indent=2) + "\n"
 
 
 json_values = st.recursive(
@@ -793,19 +799,52 @@ def test_json_shaped_payloads_load_or_raise_domain_errors(graph_doc, chain_doc):
 BATCH = graphs_module._RENDER_BATCH
 
 
-# graph_to_json joins its records in batches: a path of n vertices has n - 1
-# edges, so these cut each array at no record, at exactly one batch and at
-# one record past a batch
-@pytest.mark.parametrize(
-    "n", [1, BATCH, BATCH + 1, BATCH + 2],
-    ids=["no edges", "one batch of vertices", "one batch of edges", "one edge past a batch"],
-)
-def test_graph_to_json_matches_json_dumps_at_batch_boundaries(n):
-    g = validate_graph(
+def _path_graph(n):
+    """A path of n vertices, with n - 1 edges, and rationals that vary."""
+    return validate_graph(
         [(v, Fraction(v % 5 + 1, 3)) for v in range(n)],
         [(v - 1, v, Fraction(v % 7 + 1, 2)) for v in range(1, n)],
     )
-    assert graph_to_json(g) == _dumps_oracle(g)
+
+
+def _piece_count(records):
+    """Pieces of an array of this many records: a separator and a batch for
+    each batch, then the closing bracket; "[]" alone when it is empty."""
+    return 2 * -(-records // BATCH) + 1 if records else 1
+
+
+# validate writes the pieces of graph_to_json as they come, a batch of
+# records at a time: these paths hold 0, 1, 511, 512, 513 and 1,025 records
+# in their vertex array and then in their edge array
+@pytest.mark.parametrize(
+    "n", [0, 1, 2, BATCH - 1, BATCH, BATCH + 1, BATCH + 2, 2 * BATCH + 1, 2 * BATCH + 2],
+    ids=[
+        "empty", "no edges", "one edge", "one vertex short of a batch",
+        "one batch of vertices", "one batch of edges", "one edge past a batch",
+        "one vertex past two batches", "one edge past two batches",
+    ],
+)
+def test_graph_to_json_matches_json_dumps_at_batch_boundaries(n, tmp_path, capsys):
+    g = _path_graph(n)
+    want = _dumps_oracle(g)
+    pieces = list(graphs_module.graph_json_pieces(g))
+    assert "".join(pieces) == graph_to_json(g) == want
+    assert len(pieces) == 3 + _piece_count(n) + _piece_count(max(n - 1, 0))
+    path = tmp_path / "graph.json"
+    path.write_text(want)
+    assert cli.run(["validate", str(path)]) == 0
+    assert capsys.readouterr() == (want, "")
+
+
+# --all-adjacent writes its top-level array through the same writer
+@pytest.mark.parametrize("pairs", [BATCH - 1, BATCH, BATCH + 1])
+def test_all_adjacent_matches_json_dumps_at_batch_boundaries(pairs, tmp_path, capsys):
+    g = _path_graph(pairs + 1)
+    path = tmp_path / "graph.json"
+    path.write_text(graph_to_json(g))
+    assert cli.run(["ollivier", str(path), "--all-adjacent"]) == 0
+    want = [_pair_record_oracle(ollivier_pair(g, u, v)) for u, v, _ in g.edges]
+    assert capsys.readouterr() == (json.dumps(want, indent=2) + "\n", "")
 
 
 def test_edges_read_the_cached_rank():
